@@ -12,9 +12,7 @@ from vpembed import (
     EdgeMetrics,
     InfeasibleError,
     KspConfig,
-    backward_pass,
     build_graph,
-    build_neighborhoods,
     solve_edijkstra,
     solve_general,
     solve_ksp,
@@ -41,16 +39,18 @@ def fmt(nodes):
     return "->".join(NAMES[n] for n in nodes)
 
 
-# The forward pass grows hop-count levels from X until Y shows up.
-nh = build_neighborhoods(g, X, Y)
-print("levels:", [sorted(NAMES[n] for n in level) for level in nh.levels])
+# Y is two hops from X, along two routes. Each one meets one bound only:
+# with just the bandwidth bound the solver takes X->A->Y, whose delay is 7;
+# with just the delay bound it takes X->B->Y, whose B->Y link is too thin.
+bw_only = ConstraintSet(link_bounds=c.link_bounds)
+delay_only = ConstraintSet(path_bounds=c.path_bounds)
+for name, bound in (("bandwidth", bw_only), ("delay", delay_only)):
+    p = solve_general(g, X, Y, bound)
+    print(f"{name} bound only: {fmt(p.nodes)}  hops={p.hop_count} "
+          f"delay={p.accumulated[0]} min_bw={p.min_link_metrics[0]}")
 
-# The backward pass lists every loop-free path of exactly that many hops.
-print("2-hop candidates:", [fmt(p.nodes) for p in backward_pass(g, nh, Y)])
-
-# Neither 2-hop candidate survives the constraints (X->A->Y has delay 7,
-# X->B->Y dies on bandwidth), so the full solver deepens by one level and
-# lands on the 3-hop detour.
+# With both bounds neither 2-hop route survives, so the solver deepens by
+# one level and lands on the 3-hop detour.
 best = solve_general(g, X, Y, c)
 print(f"general solver: {fmt(best.nodes)}  hops={best.hop_count} "
       f"delay={best.accumulated[0]} min_bw={best.min_link_metrics[0]}")

@@ -10,8 +10,6 @@ from .backends import resolve_backend
 from .baselines import KspConfig, solve_edijkstra, solve_exhaustive, solve_ksp
 from .constraints import (
     ConstraintSet,
-    MetricAccumulator,
-    edge_feasible,
     parse_constraints,
     path_feasible,
     to_additive,
@@ -48,15 +46,7 @@ from .harness import (
     run_vne,
     sweep,
 )
-from .neighborhoods import (
-    NeighborhoodList,
-    SearchLabels,
-    backward_pass,
-    build_neighborhoods,
-    init_labels,
-    solve_general,
-    solve_l1,
-)
+from .neighborhoods import solve_general, solve_l1
 from .paths import PathResult, format_result_line
 from .topogen import GenSpec, generate, resolve_constraint_severity
 
@@ -74,10 +64,8 @@ __all__ = [
     "InsufficientResidualError",
     "InvalidCountsError",
     "KspConfig",
-    "MetricAccumulator",
     "NegativeMetricError",
     "NegativeWeightCycleError",
-    "NeighborhoodList",
     "NoPathError",
     "NonPositiveValueError",
     "OverReleaseError",
@@ -85,7 +73,6 @@ __all__ = [
     "PhysicalGraph",
     "ResidualOverlay",
     "ResourceLimitError",
-    "SearchLabels",
     "SelfLoopError",
     "SteeringReport",
     "TopologyParseError",
@@ -94,15 +81,11 @@ __all__ = [
     "VneReport",
     "VnRequest",
     "VpembedError",
-    "backward_pass",
     "build_graph",
-    "build_neighborhoods",
     "build_vn_requests",
-    "edge_feasible",
     "energy_efficiency",
     "format_result_line",
     "generate",
-    "init_labels",
     "parse_config",
     "parse_constraints",
     "path_feasible",

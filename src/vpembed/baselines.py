@@ -17,7 +17,7 @@ from .errors import (
     ResourceLimitError,
     UnreachableError,
 )
-from .neighborhoods import _usable_mask
+from .neighborhoods import _check_query, _usable_mask
 from .paths import PathResult, path_from_edges
 
 DEFAULT_EXPANSION_LIMIT = 10**6
@@ -82,19 +82,14 @@ def solve_edijkstra(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
         NegativeMetricError: a surviving edge has a negative path metric.
         ValueError: c does not have exactly one path bound.
     """
-    n = g.node_count
-    if not (0 <= src < n) or not (0 <= dst < n):
-        raise IndexError(f"src/dst ({src}, {dst}) outside [0, {n})")
-    c.validate_arity(g.link_arity, g.path_arity)
     if c.path_count != 1:
         raise ValueError(f"solve_edijkstra requires exactly one path bound, got {c.path_count}")
+    trivial = _check_query(g, src, dst, c)
+    if trivial is not None:
+        return trivial
+
+    n = g.node_count
     p_idx, p_bound = c.path_bounds[0]
-
-    if src == dst:
-        if not c.sum_ok(0.0, p_bound):
-            raise InfeasibleError("zero-hop path violates the path bound")
-        return PathResult.trivial(src, g.link_arity, g.path_arity)
-
     usable = _usable_mask(g, c)
     wcol = g.path_cols[p_idx]
     for e, w in enumerate(wcol):
@@ -151,19 +146,6 @@ def solve_edijkstra(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
     return path_from_edges(g, nodes, edges)
 
 
-def _candidate_feasible(g, c: ConstraintSet, edges: list[int]) -> bool:
-    for j, bound in c.link_bounds:
-        col = g.link_cols[j]
-        for e in edges:
-            if col[e] < bound:
-                return False
-    for j, bound in c.path_bounds:
-        col = g.path_cols[j]
-        if not c.sum_ok(sum(col[e] for e in edges), bound):
-            return False
-    return True
-
-
 def solve_ksp(
     g,
     src: int,
@@ -185,16 +167,11 @@ def solve_ksp(
         InfeasibleError: none of the first k candidates satisfies c.
         ResourceLimitError: enumeration exceeded expansion_limit pushes.
     """
+    trivial = _check_query(g, src, dst, c)
+    if trivial is not None:
+        return trivial
+
     n = g.node_count
-    if not (0 <= src < n) or not (0 <= dst < n):
-        raise IndexError(f"src/dst ({src}, {dst}) outside [0, {n})")
-    c.validate_arity(g.link_arity, g.path_arity)
-
-    if src == dst:
-        if path_feasible([0.0] * g.path_arity, c):
-            return PathResult.trivial(src, g.link_arity, g.path_arity)
-        raise InfeasibleError("zero-hop path violates a path bound")
-
     if cfg.ranking == "by_hops":
         lower = _hop_distances_to(g, dst)
         if lower[src] == math.inf:
@@ -222,8 +199,10 @@ def solve_ksp(
         if u == dst:
             found_any = True
             examined += 1
-            if _candidate_feasible(g, c, list(edges)):
-                return path_from_edges(g, list(nodes), list(edges))
+            cand = path_from_edges(g, list(nodes), list(edges))
+            links_ok = all(cand.min_link_metrics[j] >= bound for j, bound in c.link_bounds)
+            if links_ok and path_feasible(cand.accumulated, c):
+                return cand
             if examined >= cfg.k:
                 raise InfeasibleError(f"none of the first {cfg.k} candidate paths satisfies c")
             continue
@@ -261,14 +240,9 @@ def solve_exhaustive(g, src: int, dst: int, c: ConstraintSet, *, max_nodes: int 
     n = g.node_count
     if n > max_nodes:
         raise ResourceLimitError(f"{n} nodes exceeds the exhaustive-search guard {max_nodes}")
-    if not (0 <= src < n) or not (0 <= dst < n):
-        raise IndexError(f"src/dst ({src}, {dst}) outside [0, {n})")
-    c.validate_arity(g.link_arity, g.path_arity)
-
-    if src == dst:
-        if not path_feasible([0.0] * g.path_arity, c):
-            raise InfeasibleError("zero-hop path violates a path bound")
-        return PathResult.trivial(src, g.link_arity, g.path_arity)
+    trivial = _check_query(g, src, dst, c)
+    if trivial is not None:
+        return trivial
 
     usable = _usable_mask(g, c)
     lower = _hop_distances_to(g, dst, usable)

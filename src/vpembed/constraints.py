@@ -12,10 +12,9 @@ logarithms, which turns a product bound into an additive one.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ArityMismatchError, NonPositiveValueError
-from .graph import EdgeMetrics
 
 
 @dataclass(frozen=True)
@@ -70,47 +69,8 @@ class ConstraintSet:
         return total < bound if self.strict else total <= bound
 
 
-@dataclass
-class MetricAccumulator:
-    """Running componentwise sums of path metrics along a partial path."""
-
-    sums: list[float] = field(default_factory=list)
-
-    @staticmethod
-    def zeros(path_arity: int) -> "MetricAccumulator":
-        return MetricAccumulator([0.0] * path_arity)
-
-    def add_edge(self, metrics: EdgeMetrics) -> None:
-        if len(metrics.path_metrics) != len(self.sums):
-            raise ArityMismatchError(
-                f"edge has {len(metrics.path_metrics)} path metrics, accumulator has {len(self.sums)}"
-            )
-        for j, v in enumerate(metrics.path_metrics):
-            self.sums[j] += v
-
-    def extended(self, metrics: EdgeMetrics) -> "MetricAccumulator":
-        acc = MetricAccumulator(list(self.sums))
-        acc.add_edge(metrics)
-        return acc
-
-
-def edge_feasible(edge: EdgeMetrics, c: ConstraintSet) -> bool:
-    """True iff the edge meets every link lower bound (metric >= bound)."""
-    link = edge.link_metrics
-    for j, bound in c.link_bounds:
-        if j >= len(link):
-            raise ArityMismatchError(f"link bound index {j} >= edge arity {len(link)}")
-        if link[j] < bound:
-            return False
-    return True
-
-
-def path_feasible(acc, c: ConstraintSet) -> bool:
-    """True iff every path upper bound holds for the accumulated sums.
-
-    ``acc`` may be a MetricAccumulator or any sequence of sums.
-    """
-    sums = acc.sums if isinstance(acc, MetricAccumulator) else acc
+def path_feasible(sums, c: ConstraintSet) -> bool:
+    """True iff every path upper bound holds for the accumulated sums."""
     for j, bound in c.path_bounds:
         if j >= len(sums):
             raise ArityMismatchError(f"path bound index {j} >= accumulator arity {len(sums)}")

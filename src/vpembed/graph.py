@@ -176,62 +176,58 @@ def build_graph(
     )
 
 
+def _slack(base_value: float) -> float:
+    """Float tolerance of a ledger check against a base value of this size:
+    1e-12 relative, never below 1e-12 absolute."""
+    return 1e-12 * max(1.0, base_value)
+
+
 class ResidualOverlay:
     """Mutable residual view over an immutable base graph.
 
     Tracks remaining link metrics (typically bandwidth) and node capacity.
     Solvers read the overlay through the same attribute surface as
-    PhysicalGraph, so queries against residual state need no special casing.
-    The overlay does not track who reserved what; pairing reserves with
-    releases is the caller's responsibility.
+    PhysicalGraph: ``link_cols`` and ``node_capacity`` are the residual
+    copies, everything else (topology, arities, path metrics, labels) is
+    the base graph's, bound once at construction since none of it is
+    consumable. Queries against residual state therefore need no special
+    casing. The overlay does not track who reserved what; pairing reserves
+    with releases is the caller's responsibility. The ledger checks allow a
+    float slack proportional to each edge's or node's base value, so
+    rounding drift from any order of reserves and releases is tolerated at
+    every capacity scale.
     """
 
-    __slots__ = ("base", "link_cols", "node_capacity")
+    __slots__ = (
+        "base",
+        "link_cols",
+        "node_capacity",
+        "node_count",
+        "edge_count",
+        "edges",
+        "adjacency",
+        "in_adjacency",
+        "link_arity",
+        "path_arity",
+        "path_cols",
+        "labels",
+        "label_of",
+    )
 
     def __init__(self, base: PhysicalGraph):
         self.base = base
         self.link_cols = [col.copy() for col in base.link_cols]
         self.node_capacity = list(base.node_capacity)
-
-    # Read surface shared with PhysicalGraph (path metrics are not consumable).
-    @property
-    def node_count(self) -> int:
-        return self.base.node_count
-
-    @property
-    def edge_count(self) -> int:
-        return self.base.edge_count
-
-    @property
-    def adjacency(self):
-        return self.base.adjacency
-
-    @property
-    def in_adjacency(self):
-        return self.base.in_adjacency
-
-    @property
-    def edges(self):
-        return self.base.edges
-
-    @property
-    def link_arity(self) -> int:
-        return self.base.link_arity
-
-    @property
-    def path_arity(self) -> int:
-        return self.base.path_arity
-
-    @property
-    def path_cols(self):
-        return self.base.path_cols
-
-    @property
-    def labels(self):
-        return self.base.labels
-
-    def label_of(self, node: int) -> str:
-        return self.base.label_of(node)
+        self.node_count = base.node_count
+        self.edge_count = base.edge_count
+        self.edges = base.edges
+        self.adjacency = base.adjacency
+        self.in_adjacency = base.in_adjacency
+        self.link_arity = base.link_arity
+        self.path_arity = base.path_arity
+        self.path_cols = base.path_cols
+        self.labels = base.labels
+        self.label_of = base.label_of
 
     def _demand_vector(self, demand) -> tuple[float, ...]:
         link = demand.link_metrics if isinstance(demand, EdgeMetrics) else tuple(demand)
@@ -251,9 +247,10 @@ class ResidualOverlay:
         """
         link = self._demand_vector(demand)
         handles = getattr(path, "edge_handles", path)
+        base_cols = self.base.link_cols
         for e in handles:
             for j, need in enumerate(link):
-                if self.link_cols[j][e] < need - 1e-12:
+                if self.link_cols[j][e] < need - _slack(base_cols[j][e]):
                     raise InsufficientResidualError(
                         f"edge {e} residual metric {j} is {self.link_cols[j][e]}, demand {need}"
                     )
@@ -274,7 +271,7 @@ class ResidualOverlay:
         base_cols = self.base.link_cols
         for e in handles:
             for j, back in enumerate(link):
-                if self.link_cols[j][e] + back > base_cols[j][e] + 1e-12:
+                if self.link_cols[j][e] + back > base_cols[j][e] + _slack(base_cols[j][e]):
                     raise OverReleaseError(
                         f"edge {e} metric {j} would exceed base "
                         f"({self.link_cols[j][e]} + {back} > {base_cols[j][e]})"
@@ -285,7 +282,7 @@ class ResidualOverlay:
 
     def reserve_node(self, node: int, cpu: float) -> None:
         """Subtract cpu units from a node's residual capacity."""
-        if self.node_capacity[node] < cpu - 1e-12:
+        if self.node_capacity[node] < cpu - _slack(self.base.node_capacity[node]):
             raise InsufficientResidualError(
                 f"node {node} residual cpu {self.node_capacity[node]}, demand {cpu}"
             )
@@ -293,6 +290,7 @@ class ResidualOverlay:
 
     def release_node(self, node: int, cpu: float) -> None:
         """Return cpu units to a node's residual capacity."""
-        if self.node_capacity[node] + cpu > self.base.node_capacity[node] + 1e-12:
+        base = self.base.node_capacity[node]
+        if self.node_capacity[node] + cpu > base + _slack(base):
             raise OverReleaseError(f"node {node} cpu would exceed base capacity")
         self.node_capacity[node] += cpu

@@ -10,6 +10,7 @@ non-reproducible; with it off the timing column stays empty.
 """
 
 import math
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -475,11 +476,19 @@ def _cell_worker(args):
 def sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
     """Expand the config into cells and run them, returning one row dict per
     cell in deterministic grid order. Cells are independent; jobs > 1 runs
-    them in worker processes (each regenerates its own topology)."""
+    them in worker processes (each regenerates its own topology), never
+    more than there are cells or CPUs.
+
+    Raises:
+        ConfigError: jobs < 1, or the config fails validation.
+    """
     _validate_scenario(cfg)
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     cells = _cells(cfg)
-    if jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+    workers = min(jobs, len(cells), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             return list(ex.map(_cell_worker, [(cfg, cell) for cell in cells]))
     # cells with the same topology parameters share one generated graph
     cache: dict[tuple, PhysicalGraph] = {}

@@ -1,17 +1,18 @@
 """Minimum-hop constrained path search by level-by-level frontier expansion.
 
-The search grows "neighborhood" levels outward from the source: level k
-holds the nodes reached at sweep round k on the constraint-pruned graph.
+The search grows "neighborhood" levels outward from the source on the
+link-bound-pruned graph: level k holds the nodes reached at sweep round k.
 Two solvers share this skeleton:
 
-- :func:`solve_general` accepts any number of link and path bounds. At each
-  depth it enumerates the loop-free candidate paths of exactly that many
+- :func:`solve_general` accepts any number of link and path bounds. Level k
+  is the union of level k-1's out-neighbors; at each depth where dst
+  appears it enumerates the loop-free candidate paths of exactly that many
   hops (worst-case exponential) and returns the first feasible candidate in
   lexicographic order.
 - :func:`solve_l1` accepts exactly one path bound and runs in polynomial
-  time: each round keeps one best accumulated value per node, re-labeling a
-  node (and migrating it to the newest level) only when a strictly better
-  value arrives that still respects the bound.
+  time: each round keeps one best accumulated value per node and re-labels
+  a node only when a strictly better value arrives that still respects the
+  bound; the nodes re-labeled in a round form the next frontier.
 
 Rounds in solve_l1 are synchronous: offers made during round k compare
 against the values committed at round k-1, and every label keeps an
@@ -21,7 +22,6 @@ round early and the back track can splice a detour into the answer.
 """
 
 import math
-from dataclasses import dataclass
 
 from .constraints import ConstraintSet, path_feasible
 from .errors import (
@@ -35,57 +35,30 @@ from .paths import PathResult, path_from_edges
 DEFAULT_CANDIDATE_LIMIT = 10**6
 
 
-@dataclass
-class NeighborhoodList:
-    """Ordered levels of nodes discovered by the forward pass.
+def _check_query(g, src: int, dst: int, c: ConstraintSet) -> PathResult | None:
+    """Validate a query and answer it outright when src == dst.
 
-    levels[0] is always {source}. In the general sweep a node may recur in
-    several levels (level k is the plain union of level k-1's neighbors);
-    in the single-path-bound sweep each node belongs to at most one level.
-    last_level[u] is the latest level containing u, or None.
+    Returns the zero-hop path when src == dst, None when a search is needed.
+
+    Raises:
+        IndexError: src or dst is not a node of g.
+        ArityMismatchError: c names a metric g does not declare.
+        InfeasibleError: src == dst and the zero-hop path violates a path bound.
     """
-
-    source: int
-    levels: list[set[int]]
-    last_level: list[int | None]
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
-
-
-@dataclass
-class SearchLabels:
-    """Per-node relaxation state: predecessor, incoming edge, distance, level."""
-
-    predecessor: list[int | None]
-    pred_edge: list[int | None]
-    distance: list[float]
-    level: list[int | None]
-
-
-def init_labels(g) -> SearchLabels:
-    """Fresh labels: predecessor None, distance 0, level None for every node.
-
-    An unlabeled node (predecessor None) is treated as having distance
-    +infinity by the relaxation comparison; the stored 0 is just the
-    initialization value.
-    """
-    n = g.node_count
-    return SearchLabels([None] * n, [None] * n, [0.0] * n, [None] * n)
-
-
-def _check_query(g, src: int, dst: int, c: ConstraintSet | None) -> None:
     n = g.node_count
     if not (0 <= src < n) or not (0 <= dst < n):
         raise IndexError(f"src/dst ({src}, {dst}) outside [0, {n})")
-    if c is not None:
-        c.validate_arity(g.link_arity, g.path_arity)
+    c.validate_arity(g.link_arity, g.path_arity)
+    if src != dst:
+        return None
+    if not path_feasible([0.0] * g.path_arity, c):
+        raise InfeasibleError("zero-hop path violates a path bound")
+    return PathResult.trivial(src, g.link_arity, g.path_arity)
 
 
-def _usable_mask(g, c: ConstraintSet | None) -> bytearray | None:
+def _usable_mask(g, c: ConstraintSet) -> bytearray | None:
     """Per-edge link-bound feasibility; None when nothing can be pruned."""
-    if c is None or not c.link_bounds:
+    if not c.link_bounds:
         return None
     mask = bytearray([1]) * g.edge_count
     for j, bound in c.link_bounds:
@@ -142,38 +115,21 @@ def _reachable(g, src: int, dst: int, usable: bytearray | None) -> bool:
     return False
 
 
-def build_neighborhoods(g, src: int, dst: int, c: ConstraintSet | None = None) -> NeighborhoodList:
-    """Forward pass of the general sweep.
+def _grow_levels(g, src: int, usable: bytearray | None):
+    """Forward pass of the general sweep: yield levels 1, 2, ... in turn.
 
-    Grows levels (each the union of the previous level's out-neighbors on
-    the pruned graph) until dst appears, failing once the level count would
-    exceed the node count.
-
-    Raises:
-        UnreachableError: dst never appears within node_count levels.
+    Level k is the set of out-neighbors of level k-1 on the pruned graph
+    (level 0 is {src}), so a node may recur in several levels. Stops at the
+    first empty level, which is not yielded, or after level node_count - 1,
+    the length of the longest loop-free path.
     """
-    _check_query(g, src, dst, c)
-    usable = _usable_mask(g, c)
-    n = g.node_count
     adj = g.adjacency
-    levels: list[set[int]] = [{src}]
-    last: list[int | None] = [None] * n
-    last[src] = 0
-    while dst not in levels[-1]:
-        if len(levels) >= n:
-            raise UnreachableError(f"node {dst} not reached within {n} levels")
-        frontier: set[int] = set()
-        for u in levels[-1]:
-            for v, e in adj[u]:
-                if usable is None or usable[e]:
-                    frontier.add(v)
-        if not frontier:
-            raise UnreachableError(f"search frontier emptied before reaching node {dst}")
-        levels.append(frontier)
-        k = len(levels) - 1
-        for v in frontier:
-            last[v] = k
-    return NeighborhoodList(src, levels, last)
+    level = {src}
+    for _ in range(g.node_count - 1):
+        level = {v for u in level for v, e in adj[u] if usable is None or usable[e]}
+        if not level:
+            return
+        yield level
 
 
 def _iter_fixed_length_paths(g, levels, src, dst, usable, limit, cost_floor=None):
@@ -261,30 +217,6 @@ def _iter_fixed_length_paths(g, levels, src, dst, usable, limit, cost_floor=None
                     partial.pop()
 
 
-def backward_pass(
-    g,
-    nh: NeighborhoodList,
-    dst: int,
-    c: ConstraintSet | None = None,
-    *,
-    limit: int = DEFAULT_CANDIDATE_LIMIT,
-) -> list[PathResult]:
-    """All loop-free paths from the neighborhood source to dst with exactly
-    nh.depth hops, sorted lexicographically by node sequence.
-
-    ``c`` must carry the same link bounds the neighborhoods were built with
-    so both passes see the same pruned edge set (path bounds are ignored
-    here; candidate validation is the caller's job).
-    """
-    if dst not in nh.levels[-1]:
-        raise ValueError(f"dst {dst} is not in the last neighborhood level")
-    usable = _usable_mask(g, c)
-    return [
-        path_from_edges(g, nodes, edges)
-        for nodes, edges in _iter_fixed_length_paths(g, nh.levels, nh.source, dst, usable, limit)
-    ]
-
-
 def solve_general(
     g,
     src: int,
@@ -305,14 +237,11 @@ def solve_general(
         InfeasibleError: dst reachable but no loop-free path satisfies c.
         ResourceLimitError: candidate expansion exceeded candidate_limit.
     """
-    _check_query(g, src, dst, c)
-    if src == dst:
-        if not path_feasible([0.0] * g.path_arity, c):
-            raise InfeasibleError("zero-hop path violates a path bound")
-        return PathResult.trivial(src, g.link_arity, g.path_arity)
+    trivial = _check_query(g, src, dst, c)
+    if trivial is not None:
+        return trivial
 
     usable = _usable_mask(g, c)
-    n = g.node_count
 
     # admissible remaining-cost pruning, sound only for nonnegative metrics;
     # it also settles obviously hopeless queries without any enumeration
@@ -331,19 +260,11 @@ def solve_general(
             )
         cost_floor.append((col, floor, bound_eff))
 
-    adj = g.adjacency
     levels: list[set[int]] = [{src}]
     seen_dst = False
-    while len(levels) < n:
-        frontier: set[int] = set()
-        for u in levels[-1]:
-            for v, e in adj[u]:
-                if usable is None or usable[e]:
-                    frontier.add(v)
-        if not frontier:
-            break
-        levels.append(frontier)
-        if dst in frontier:
+    for level in _grow_levels(g, src, usable):
+        levels.append(level)
+        if dst in level:
             seen_dst = True
             for nodes, edges in _iter_fixed_length_paths(
                 g, levels, src, dst, usable, candidate_limit, cost_floor
@@ -357,13 +278,12 @@ def solve_general(
 
 
 def _l1_forward(g, src: int, dst: int, c: ConstraintSet):
-    """Synchronous level sweep for the single-path-bound case.
+    """Synchronous round sweep for the single-path-bound case (src != dst).
 
-    Returns (status, levels, level_of, dist, label) where status is one of
-    "found", "stalled", "negcycle". ``label[v]`` is an immutable
-    (node, edge, parent_label) chain recording how v's current distance was
-    reached; ``levels`` holds the committed batches with nodes removed from
-    superseded levels.
+    Returns (status, rounds, label, usable) where status is one of "found",
+    "stalled", "negcycle" and rounds counts the committed rounds.
+    ``label[v]`` is an immutable (node, edge, parent_label) chain recording
+    how v's current distance was reached.
     """
     p_idx, p_bound = c.path_bounds[0]
     p_eff = p_bound if c.strict else math.nextafter(p_bound, math.inf)
@@ -376,13 +296,9 @@ def _l1_forward(g, src: int, dst: int, c: ConstraintSet):
     dist[src] = 0.0
     label: list[tuple | None] = [None] * n
     label[src] = (src, -1, None)
-    level_of = [-1] * n
-    level_of[src] = 0
-    levels: list[list[int]] = [[src]]
     frontier = [src]
-
-    status = "found" if dst == src else None
-    while status is None:
+    rounds = 0
+    while True:
         # Offers compare against the distances committed last round; the
         # best offer per node within a round wins.
         updates: dict[int, tuple[float, tuple]] = {}
@@ -399,34 +315,28 @@ def _l1_forward(g, src: int, dst: int, c: ConstraintSet):
                 if got is None or nd < got[0]:
                     updates[v] = (nd, (v, e, lu))
         if not updates:
-            status = "stalled"
-            break
-        if len(levels) >= n:
-            status = "negcycle"
-            break
-        k = len(levels)
-        new_frontier = []
+            return "stalled", rounds, label, usable
+        if rounds >= n - 1:
+            return "negcycle", rounds, label, usable
+        rounds += 1
         for v, (nd, lab) in updates.items():
             dist[v] = nd
             label[v] = lab
-            if level_of[v] >= 0:
-                levels[level_of[v]].remove(v)
-            level_of[v] = k
-            new_frontier.append(v)
-        levels.append(new_frontier)
-        frontier = new_frontier
-        if level_of[dst] == k:
-            status = "found"
-    return status, levels, level_of, dist, label, usable
+        if dst in updates:
+            return "found", rounds, label, usable
+        # the next frontier is the re-labeled nodes in first-offer order
+        frontier = updates
 
 
 def solve_l1(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
     """Minimum-hop loop-free path under link bounds plus exactly one path bound.
 
-    Pre-routing marks link-infeasible edges unusable; the forward sweep
-    relabels a node only when a strictly smaller accumulated value arrives
-    that stays under the bound, migrating the node to the newest level; the
-    back track follows the recorded parent chain from dst.
+    Pre-routing marks link-infeasible edges unusable; each round of the
+    forward sweep relabels a node only when a strictly smaller accumulated
+    value arrives that stays under the bound, and the relabeled nodes are
+    the next round's frontier; the sweep stops in the first round that
+    relabels dst, and the back track follows the recorded parent chain
+    from dst.
 
     Hop-optimal for nonnegative path metrics. With negative metrics the
     bound guard rejects prefixes that spike over the bound before coming
@@ -437,21 +347,19 @@ def solve_l1(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
         UnreachableError: dst unreachable on the pruned topology.
         InfeasibleError: dst reachable ignoring the path bound, but the
             sweep stalled (the bound rejects every extension).
-        NegativeWeightCycleError: the level count reached node_count while
-            relabeling was still active.
+        NegativeWeightCycleError: relabeling was still active after
+            node_count - 1 rounds.
         ValueError: c does not have exactly one path bound.
     """
-    _check_query(g, src, dst, c)
     if c.path_count != 1:
         raise ValueError(f"solve_l1 requires exactly one path bound, got {c.path_count}")
-    if src == dst:
-        if not path_feasible([0.0] * g.path_arity, c):
-            raise InfeasibleError("zero-hop path violates the path bound")
-        return PathResult.trivial(src, g.link_arity, g.path_arity)
+    trivial = _check_query(g, src, dst, c)
+    if trivial is not None:
+        return trivial
 
-    status, _levels, _level_of, _dist, label, usable = _l1_forward(g, src, dst, c)
+    status, _rounds, label, usable = _l1_forward(g, src, dst, c)
     if status == "negcycle":
-        raise NegativeWeightCycleError("level count reached the node count; relaxation is cycling")
+        raise NegativeWeightCycleError("round count reached the node count; relaxation is cycling")
     if status == "stalled":
         if _reachable(g, src, dst, usable):
             raise InfeasibleError(f"the path bound rejects every route from {src} to {dst}")

@@ -168,6 +168,15 @@ def test_run_jobs_parallel_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_run_jobs_below_one_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(STEERING_CFG)
+    out = tmp_path / "a.csv"
+    assert main(["run", str(cfg), "-o", str(out), "--jobs", "0"]) == 2
+    assert "jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_bad_config_exit_2(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("scenario = steering\nwibble = 3\n")

@@ -7,28 +7,35 @@ from vpembed import (
     ArityMismatchError,
     ConstraintSet,
     EdgeMetrics,
-    MetricAccumulator,
     NonPositiveValueError,
-    edge_feasible,
+    build_graph,
     parse_constraints,
     path_feasible,
     to_additive,
 )
+from vpembed.neighborhoods import _usable_mask
+
+
+def _one_edge(bw):
+    return build_graph(2, [(0, 1, EdgeMetrics((bw,), ()))], [0.0, 0.0])
+
+
+# Link bounds are applied per edge by the solvers' pruning mask.
 
 
 def test_edge_feasible_at_bound():
     c = ConstraintSet(((0, 5.0),), ())
-    assert edge_feasible(EdgeMetrics((5.0,), ()), c)
+    assert _usable_mask(_one_edge(5.0), c) == bytearray([1])
 
 
 def test_edge_feasible_just_below_bound():
     c = ConstraintSet(((0, 5.0),), ())
-    assert not edge_feasible(EdgeMetrics((4.999,), ()), c)
+    assert _usable_mask(_one_edge(4.999), c) == bytearray([0])
 
 
 def test_edge_feasible_vacuous():
-    c = ConstraintSet((), ())
-    assert edge_feasible(EdgeMetrics((0.0,), ()), c)
+    # no link bounds: nothing to prune, so no mask at all
+    assert _usable_mask(_one_edge(0.0), ConstraintSet((), ())) is None
 
 
 def test_path_feasible_below_bound():
@@ -62,19 +69,9 @@ def test_path_feasible_monotone_in_sums():
             assert path_feasible(smaller, c)
 
 
-def test_accumulator_extends_componentwise():
-    acc = MetricAccumulator.zeros(2)
-    acc.add_edge(EdgeMetrics((), (1.0, 2.0)))
-    acc.add_edge(EdgeMetrics((), (0.5, -1.0)))
-    assert acc.sums == [1.5, 1.0]
-    ext = acc.extended(EdgeMetrics((), (1.0, 1.0)))
-    assert ext.sums == [2.5, 2.0]
-    assert acc.sums == [1.5, 1.0]
-
-
 def test_arity_checks():
     with pytest.raises(ArityMismatchError):
-        edge_feasible(EdgeMetrics((1.0,), ()), ConstraintSet(((1, 5.0),), ()))
+        ConstraintSet(((1, 5.0),), ()).validate_arity(1, 0)
     with pytest.raises(ArityMismatchError):
         path_feasible([1.0], ConstraintSet((), ((2, 5.0),)))
     with pytest.raises(ArityMismatchError):

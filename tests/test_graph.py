@@ -168,3 +168,31 @@ def test_node_capacity_reserve_release():
     assert overlay.node_capacity[0] == 10.0
     with pytest.raises(OverReleaseError):
         overlay.release_node(0, 1.0)
+
+
+def test_shuffled_release_tolerates_drift_at_large_capacity():
+    # at capacity 1e5 the rounding drift of four reserves released in
+    # another order exceeds any fixed absolute slack; the ledger must
+    # still accept every exact pairing
+    base = 1e5
+    g = build_graph(2, [(0, 1, E((base,), (1.0,)))], [base, 0.0])
+    rng = random.Random(0)
+    for _ in range(2000):
+        overlay = ResidualOverlay(g)
+        demands = [rng.uniform(0, base / 4) for _ in range(4)]
+        for d in demands:
+            overlay.reserve([0], (d,))
+            overlay.reserve_node(0, d)
+        rng.shuffle(demands)
+        for d in demands:
+            overlay.release([0], (d,))
+        rng.shuffle(demands)
+        for d in demands:
+            overlay.release_node(0, d)
+        assert abs(overlay.link_cols[0][0] - base) < 1e-6
+        assert abs(overlay.node_capacity[0] - base) < 1e-6
+    # the slack stays a rounding allowance: a real over-release still fails
+    overlay = ResidualOverlay(g)
+    overlay.reserve([0], (1.0,))
+    with pytest.raises(OverReleaseError):
+        overlay.release([0], (1.001,))

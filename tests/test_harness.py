@@ -1,6 +1,10 @@
+import hashlib
+
 import pytest
 
+from vpembed import harness
 from vpembed import (
+    ConfigError,
     ConstraintSet,
     EdgeMetrics,
     GenSpec,
@@ -286,6 +290,64 @@ def test_sweep_deterministic_csv():
 def test_sweep_parallel_matches_serial():
     cfg = _steering_cfg(seeds=(1,), bw_levels=("low",))
     assert rows_to_csv(sweep(cfg, jobs=2)) == rows_to_csv(sweep(cfg, jobs=1))
+
+
+def test_sweep_rejects_jobs_below_one():
+    for jobs in (0, -3):
+        with pytest.raises(ConfigError):
+            sweep(_steering_cfg(), jobs=jobs)
+
+
+def test_sweep_clamps_workers_to_cells_and_cpus(monkeypatch):
+    # an in-process stand-in for the pool records the worker count it is
+    # given, so no process is started
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    three_cells = _steering_cfg(nodes=30, degrees=(3.0,), bw_levels=("low",), seeds=(1,),
+                                backends=("nm-l1", "edijkstra", "ksp:1"))
+    twelve_cells = _steering_cfg(nodes=30, degrees=(3.0,), pairs=2)
+    assert rows_to_csv(sweep(three_cells, jobs=10**6)) == rows_to_csv(sweep(three_cells))
+    sweep(twelve_cells, jobs=10**6)
+    sweep(twelve_cells, jobs=3)
+    assert seen == [3, 4, 3]
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 1)
+    sweep(twelve_cells, jobs=8)  # one CPU: runs serially, no pool at all
+    assert seen == [3, 4, 3]
+
+
+# sha256 of the CSV below as rendered at the commit that pinned it; any
+# change to a path, a status or a formatted number changes the digest
+GOLDEN_SWEEP_SHA256 = "2ec1f75e25fa3a05d860f4cc3d4bf833feabd256ef0648e5ccdede35f4b12560"
+
+
+def test_sweep_csv_matches_golden_digest():
+    cfg = ExperimentConfig(
+        scenario="steering",
+        nodes=150,
+        degrees=(3.0, 5.0),
+        bw_levels=("low", "med"),
+        delay_levels=("high", "med"),
+        backends=("nm-l1", "edijkstra", "nm-general", "ksp:3"),
+        seeds=(1, 2),
+        pairs=30,
+    )
+    csv = rows_to_csv(sweep(cfg))
+    assert hashlib.sha256(csv.encode()).hexdigest() == GOLDEN_SWEEP_SHA256
 
 
 def test_vne_sweep_rows():

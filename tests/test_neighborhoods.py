@@ -12,100 +12,89 @@ from vpembed import (
     NoPathError,
     ResourceLimitError,
     UnreachableError,
-    backward_pass,
     build_graph,
-    build_neighborhoods,
-    init_labels,
     solve_general,
     solve_l1,
 )
-from vpembed.neighborhoods import _l1_forward
+from vpembed.neighborhoods import (
+    _grow_levels,
+    _iter_fixed_length_paths,
+    _l1_forward,
+    _usable_mask,
+)
+from vpembed.paths import path_from_edges
 
 E = EdgeMetrics
 
 
-# --- labels ---------------------------------------------------------------
+def _levels_until(g, src, dst, usable=None):
+    """Levels 0..k of the general sweep, k being the first level holding dst."""
+    levels = [{src}]
+    for level in _grow_levels(g, src, usable):
+        levels.append(level)
+        if dst in level:
+            break
+    return levels
 
 
-def test_init_labels_three_nodes():
-    g = build_graph(3, [(0, 1, E((1.0,), (1.0,))), (1, 2, E((1.0,), (1.0,)))], [0.0] * 3)
-    labels = init_labels(g)
-    assert labels.predecessor == [None, None, None]
-    assert labels.distance == [0.0, 0.0, 0.0]
-    assert labels.level == [None, None, None]
-
-
-def test_init_labels_empty_graph():
-    g = build_graph(0, [], [])
-    labels = init_labels(g)
-    assert labels.predecessor == []
-
-
-def test_init_labels_idempotent():
-    g = build_graph(2, [(0, 1, E((1.0,), (1.0,)))], [0.0, 0.0])
-    assert init_labels(g) == init_labels(g)
+def _candidates(g, levels, src, dst, usable=None):
+    return [
+        path_from_edges(g, nodes, edges)
+        for nodes, edges in _iter_fixed_length_paths(g, levels, src, dst, usable, 10**6)
+    ]
 
 
 # --- forward pass ---------------------------------------------------------
 
 
-def test_fig_levels(fig_graph):
-    nh = build_neighborhoods(fig_graph, X, Y)
-    assert nh.levels == [{X}, {A, B}, {A, B, Y}]
-    assert nh.last_level[Y] == 2
+def test_fig_levels(fig_graph, fig_constraints):
+    assert _levels_until(fig_graph, X, Y) == [{X}, {A, B}, {A, B, Y}]
+    # pruning B->Y (bw 4 < 5) leaves Y at level 2, reached through A
+    usable = _usable_mask(fig_graph, fig_constraints)
+    assert _levels_until(fig_graph, X, Y, usable) == [{X}, {A, B}, {A, B, Y}]
+    # the A<->B cycle never empties a level: growth stops at node_count - 1
+    assert len(list(_grow_levels(fig_graph, X, None))) == fig_graph.node_count - 1
 
 
 def test_src_equals_dst_levels(fig_graph):
-    nh = build_neighborhoods(fig_graph, X, X)
-    assert nh.levels == [{X}]
-    assert nh.depth == 0
+    # depth 0: the level list is just {src} and the only path is the empty one
+    assert list(_iter_fixed_length_paths(fig_graph, [{X}], X, X, None, 10)) == [([X], [])]
 
 
 def test_disconnected_unreachable():
     g = build_graph(4, [(0, 1, E((1.0,), (1.0,))), (2, 3, E((1.0,), (1.0,)))], [0.0] * 4)
+    assert list(_grow_levels(g, 0, None)) == [{1}]
     with pytest.raises(UnreachableError):
-        build_neighborhoods(g, 0, 3)
+        solve_general(g, 0, 3, ConstraintSet((), ()))
 
 
 def test_levels_at_most_node_count():
     rng = random.Random(5)
     for _ in range(50):
         g, _ = random_instance(rng, max_nodes=8)
-        try:
-            nh = build_neighborhoods(g, 0, g.node_count - 1)
-        except UnreachableError:
-            continue
-        assert len(nh.levels) <= g.node_count
-        assert nh.levels[0] == {0}
+        levels = list(_grow_levels(g, 0, None))
+        assert len(levels) <= g.node_count - 1
+        assert all(levels)  # an empty level ends the growth instead of being yielded
 
 
 # --- backward pass --------------------------------------------------------
 
 
 def test_fig_two_hop_candidates(fig_graph):
-    nh = build_neighborhoods(fig_graph, X, Y)
-    cands = backward_pass(fig_graph, nh, Y)
+    cands = _candidates(fig_graph, _levels_until(fig_graph, X, Y), X, Y)
     assert [c.nodes for c in cands] == [(X, A, Y), (X, B, Y)]
 
 
 def test_fig_three_hop_candidates_include_detour(fig_graph):
-    nh = build_neighborhoods(fig_graph, X, Y)
-    nh.levels.append({A, B, Y})  # one more level, as the general loop would add
-    cands = backward_pass(fig_graph, nh, Y)
+    levels = _levels_until(fig_graph, X, Y) + [{A, B, Y}]  # one more level
+    cands = _candidates(fig_graph, levels, X, Y)
     assert (X, B, A, Y) in [c.nodes for c in cands]
 
 
 def test_single_edge_single_candidate():
     g = build_graph(2, [(0, 1, E((1.0,), (1.0,)))], [0.0, 0.0])
-    nh = build_neighborhoods(g, 0, 1)
-    cands = backward_pass(g, nh, 1)
+    cands = _candidates(g, _levels_until(g, 0, 1), 0, 1)
     assert [c.nodes for c in cands] == [(0, 1)]
-
-
-def test_backward_pass_requires_dst_in_last_level(fig_graph):
-    nh = build_neighborhoods(fig_graph, X, Y)
-    with pytest.raises(ValueError):
-        backward_pass(fig_graph, nh, X)
 
 
 def test_backward_pass_complete_against_enumeration():
@@ -115,15 +104,15 @@ def test_backward_pass_complete_against_enumeration():
     for _ in range(80):
         g, edges = random_instance(rng, max_nodes=10)
         src, dst = 0, g.node_count - 1
-        try:
-            nh = build_neighborhoods(g, src, dst)
-        except UnreachableError:
+        levels = _levels_until(g, src, dst)
+        if dst not in levels[-1]:
             continue
-        cands = backward_pass(g, nh, dst)
+        depth = len(levels) - 1
+        cands = _candidates(g, levels, src, dst)
         expected = sorted(
             tuple(nodes)
             for nodes, _e in all_simple_paths(g.node_count, edges, src, dst)
-            if len(nodes) - 1 == nh.depth
+            if len(nodes) - 1 == depth
         )
         got = [c.nodes for c in cands]
         assert sorted(set(got)) == expected
@@ -133,9 +122,8 @@ def test_backward_pass_complete_against_enumeration():
 
 
 def test_backward_pass_accumulates_metrics(fig_graph):
-    nh = build_neighborhoods(fig_graph, X, Y)
-    by_nodes = {c.nodes: c for c in backward_pass(fig_graph, nh, Y)}
-    xay = by_nodes[(X, A, Y)]
+    cands = _candidates(fig_graph, _levels_until(fig_graph, X, Y), X, Y)
+    xay = {c.nodes: c for c in cands}[(X, A, Y)]
     assert xay.accumulated == (7.0,)
     assert xay.min_link_metrics == (5.0,)
 
@@ -294,18 +282,20 @@ def test_l1_unreachable_vs_infeasible():
         solve_l1(g, 0, 1, ConstraintSet((), ((0, 5.0),)))
 
 
-def test_l1_level_exclusivity_and_pruning():
+def test_l1_rounds_equal_hop_count():
+    # round k relabels nodes with k-hop labels, so the round that finds dst
+    # is the hop count of the returned path
     rng = random.Random(77)
+    found = 0
     for _ in range(60):
         g, _edges = random_instance(rng, max_nodes=10)
         c = random_l1_bounds(rng)
-        status, levels, level_of, _dist, _label, _usable = _l1_forward(g, 0, g.node_count - 1, c)
-        seen = {}
-        for k, batch in enumerate(levels):
-            for v in batch:
-                assert v not in seen, f"node {v} in levels {seen[v]} and {k}"
-                seen[v] = k
-                assert level_of[v] == k
+        dst = g.node_count - 1
+        status, rounds, _label, _usable = _l1_forward(g, 0, dst, c)
+        if status == "found":
+            assert rounds == solve_l1(g, 0, dst, c).hop_count
+            found += 1
+    assert found > 10
 
 
 def test_l1_matches_oracle_seeded():

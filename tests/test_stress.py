@@ -13,6 +13,7 @@ from vpembed import (
     NoPathError,
     ResidualOverlay,
     build_graph,
+    resolve_backend,
     solve_exhaustive,
     solve_general,
     solve_l1,
@@ -250,6 +251,46 @@ def test_overlay_and_equivalent_graph_agree():
             except NoPathError as exc:
                 b = type(exc).__name__
             assert a == b
+
+
+def _outcome(solver, g, src, dst, c):
+    try:
+        return solver(g, src, dst, c)
+    except NoPathError as exc:
+        return exc.status
+
+
+def test_solvers_match_oracle_on_residual_overlays():
+    # queries mid-run see a residual graph: the sweep solvers must still
+    # agree with exhaustive search on it, and ksp may only return paths that
+    # are feasible on the residual metrics
+    rng = random.Random(60615)
+    nm_l1, nm_general, ksp3 = (resolve_backend(b) for b in ("nm-l1", "nm-general", "ksp:3"))
+    found = 0
+    for _ in range(200):
+        g, _edges = _instance(rng, 10, 0.4, bw_pool=range(1, 10), delay_pool=range(1, 11))
+        overlay = ResidualOverlay(g)
+        for _ in range(rng.randint(1, 6)):
+            e = rng.randrange(g.edge_count) if g.edge_count else None
+            if e is not None and overlay.link_cols[0][e] >= 1.0:
+                overlay.reserve([e], (float(rng.randint(1, int(overlay.link_cols[0][e]))),))
+        residual_edges = [
+            (u, v, E((overlay.link_cols[0][i],), m.path_metrics))
+            for i, (u, v, m) in enumerate(g.edges)
+        ]
+        c = ConstraintSet(((0, float(rng.randint(1, 6))),), ((0, float(rng.randint(3, 25))),))
+        src, dst = rng.sample(range(g.node_count), 2)
+        oracle = _outcome(solve_exhaustive, overlay, src, dst, c)
+        oracle_hops = oracle if isinstance(oracle, str) else oracle.hop_count
+        for solver in (nm_l1, nm_general):
+            got = _outcome(solver, overlay, src, dst, c)
+            assert (got if isinstance(got, str) else got.hop_count) == oracle_hops
+        got = _outcome(ksp3, overlay, src, dst, c)
+        if not isinstance(got, str):
+            assert feasible(residual_edges, list(got.edge_handles), c)
+            assert isinstance(oracle_hops, int) and got.hop_count >= oracle_hops
+            found += 1
+    assert found > 20
 
 
 def test_src_dst_roles_random():
