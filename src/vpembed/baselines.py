@@ -17,7 +17,7 @@ from .errors import (
     ResourceLimitError,
     UnreachableError,
 )
-from .neighborhoods import _check_query, _usable_mask
+from .neighborhoods import _check_query, _hop_distances_to, _usable_mask
 from .paths import PathResult, path_from_edges
 
 DEFAULT_EXPANSION_LIMIT = 10**6
@@ -38,25 +38,6 @@ class KspConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.ranking not in RANKINGS:
             raise ValueError(f"ranking must be one of {RANKINGS}, got {self.ranking!r}")
-
-
-def _hop_distances_to(g, dst: int, usable: bytearray | None = None) -> list[float]:
-    """Unconstrained hop distance from every node to dst (reverse BFS)."""
-    dist = [math.inf] * g.node_count
-    dist[dst] = 0
-    queue = [dst]
-    in_adj = g.in_adjacency
-    while queue:
-        nxt = []
-        for v in queue:
-            for u, e in in_adj[v]:
-                if usable is not None and not usable[e]:
-                    continue
-                if dist[u] == math.inf:
-                    dist[u] = dist[v] + 1
-                    nxt.append(u)
-        queue = nxt
-    return dist
 
 
 def _chain_nodes(pred: list[int], node: int) -> tuple[int, ...]:
@@ -93,7 +74,7 @@ def solve_edijkstra(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
     usable = _usable_mask(g, c)
     wcol = g.path_cols[p_idx]
     for e, w in enumerate(wcol):
-        if w < 0 and (usable is None or usable[e]):
+        if w < 0 and usable[e]:
             raise NegativeMetricError(f"edge {e} has negative path metric {w}")
 
     adj = g.adjacency
@@ -112,9 +93,7 @@ def solve_edijkstra(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
             break
         settled[u] = 1
         for v, e in adj[u]:
-            if usable is not None and not usable[e]:
-                continue
-            if settled[v]:
+            if not usable[e] or settled[v]:
                 continue
             nd = d + wcol[e]
             nh = h + 1
@@ -173,7 +152,7 @@ def solve_ksp(
 
     n = g.node_count
     if cfg.ranking == "by_hops":
-        lower = _hop_distances_to(g, dst)
+        lower = _hop_distances_to(g, dst, bytearray([1]) * g.edge_count)
         if lower[src] == math.inf:
             raise UnreachableError(f"no path from {src} to {dst}")
         cost = None
@@ -266,9 +245,7 @@ def solve_exhaustive(g, src: int, dst: int, c: ConstraintSet, *, max_nodes: int 
                 return True
             return False
         for v, e in adj[u]:
-            if usable is not None and not usable[e]:
-                continue
-            if on_path[v] or depth + 1 + lower[v] > budget:
+            if not usable[e] or on_path[v] or depth + 1 + lower[v] > budget:
                 continue
             for j in range(g.path_arity):
                 sums[j] += path_cols[j][e]

@@ -19,6 +19,7 @@ from . import harness, topofile
 from .backends import resolve_backend
 from .constraints import parse_constraints
 from .errors import (
+    ArityMismatchError,
     ConfigError,
     DegreeUnreachableError,
     NoPathError,
@@ -85,9 +86,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_node(g, token: str) -> int:
     try:
-        return int(token)
+        node = int(token)
     except ValueError:
         pass
+    else:
+        if 0 <= node < g.node_count:
+            return node
+        raise ValueError(f"node {node} outside [0, {g.node_count})")
     if g.labels is not None:
         for i, label in enumerate(g.labels):
             if label == token:
@@ -145,7 +150,7 @@ def cmd_solve(args) -> int:
             c = replace(c, strict=False)
         src = _resolve_node(g, args.src)
         dst = _resolve_node(g, args.dst)
-    except ValueError as exc:
+    except (ValueError, ArityMismatchError) as exc:
         print(f"vpembed solve: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
@@ -160,6 +165,10 @@ def cmd_solve(args) -> int:
         micros = (time.perf_counter() - t0) * 1e6
         print(format_result_line(exc, micros=micros))
         return EXIT_NOPATH
+    except ValueError as exc:
+        # the backend rejects the query's shape, e.g. nm-l1 without one --path
+        print(f"vpembed solve: {exc}", file=sys.stderr)
+        return EXIT_FLAGS
     except VpembedError as exc:
         print(f"vpembed solve: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

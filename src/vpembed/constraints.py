@@ -50,10 +50,6 @@ class ConstraintSet:
                 seen.add(j)
 
     @property
-    def link_count(self) -> int:
-        return len(self.link_bounds)
-
-    @property
     def path_count(self) -> int:
         return len(self.path_bounds)
 

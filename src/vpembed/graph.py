@@ -8,8 +8,9 @@ constraint validation is O(1).
 
 A :class:`PhysicalGraph` is immutable after construction and safe to share
 across concurrent readers. Mutable state (bandwidth reservations) lives in
-a :class:`ResidualOverlay`, which is single-writer: concurrent reserve or
-release calls must be serialized externally.
+a :class:`ResidualOverlay`, a PhysicalGraph that owns residual copies of
+the consumable columns. It is single-writer: concurrent reserve or release
+calls must be serialized externally.
 """
 
 from dataclasses import dataclass
@@ -105,9 +106,6 @@ class PhysicalGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def edge_metrics(self, handle: int) -> EdgeMetrics:
-        return self.edges[handle][2]
-
     def label_of(self, node: int) -> str:
         if self.labels is not None and self.labels[node] is not None:
             return self.labels[node]
@@ -182,58 +180,34 @@ def _slack(base_value: float) -> float:
     return 1e-12 * max(1.0, base_value)
 
 
-class ResidualOverlay:
+class ResidualOverlay(PhysicalGraph):
     """Mutable residual view over an immutable base graph.
 
-    Tracks remaining link metrics (typically bandwidth) and node capacity.
-    Solvers read the overlay through the same attribute surface as
-    PhysicalGraph: ``link_cols`` and ``node_capacity`` are the residual
-    copies, everything else (topology, arities, path metrics, labels) is
-    the base graph's, bound once at construction since none of it is
-    consumable. Queries against residual state therefore need no special
-    casing. The overlay does not track who reserved what; pairing reserves
-    with releases is the caller's responsibility. The ledger checks allow a
-    float slack proportional to each edge's or node's base value, so
+    An overlay is a PhysicalGraph: solvers read it exactly like its base.
+    It owns residual copies of ``link_cols`` (typically bandwidth) and
+    ``node_capacity``; every other attribute (topology, arities, path
+    metrics, labels) is the base graph's, shared since none of it is
+    consumable. The overlay does not track who reserved what; pairing
+    reserves with releases is the caller's responsibility. The ledger checks
+    allow a float slack proportional to each edge's or node's base value, so
     rounding drift from any order of reserves and releases is tolerated at
     every capacity scale.
     """
 
-    __slots__ = (
-        "base",
-        "link_cols",
-        "node_capacity",
-        "node_count",
-        "edge_count",
-        "edges",
-        "adjacency",
-        "in_adjacency",
-        "link_arity",
-        "path_arity",
-        "path_cols",
-        "labels",
-        "label_of",
-    )
+    __slots__ = ("base",)
 
     def __init__(self, base: PhysicalGraph):
+        for name in PhysicalGraph.__slots__:
+            setattr(self, name, getattr(base, name))
         self.base = base
         self.link_cols = [col.copy() for col in base.link_cols]
         self.node_capacity = list(base.node_capacity)
-        self.node_count = base.node_count
-        self.edge_count = base.edge_count
-        self.edges = base.edges
-        self.adjacency = base.adjacency
-        self.in_adjacency = base.in_adjacency
-        self.link_arity = base.link_arity
-        self.path_arity = base.path_arity
-        self.path_cols = base.path_cols
-        self.labels = base.labels
-        self.label_of = base.label_of
 
     def _demand_vector(self, demand) -> tuple[float, ...]:
-        link = demand.link_metrics if isinstance(demand, EdgeMetrics) else tuple(demand)
-        if len(link) != self.base.link_arity:
+        link = tuple(demand)
+        if len(link) != self.link_arity:
             raise ArityMismatchError(
-                f"demand has {len(link)} link metrics, graph declares {self.base.link_arity}"
+                f"demand has {len(link)} link metrics, graph declares {self.link_arity}"
             )
         return link
 

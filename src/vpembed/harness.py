@@ -20,7 +20,7 @@ from . import topofile
 from .backends import resolve_backend
 from .constraints import ConstraintSet
 from .errors import ConfigError, InvalidCountsError, NoPathError, UnknownBackendError
-from .graph import PhysicalGraph, ResidualOverlay
+from .graph import PhysicalGraph, ResidualOverlay, _slack
 from .paths import PathResult, format_result_line
 from .topogen import (
     BW_LEVEL_GBPS,
@@ -107,10 +107,12 @@ def energy_efficiency(total_nodes: int, used_nodes: int, bw_total: float) -> flo
 def _place_nodes(overlay: ResidualOverlay, demands) -> tuple[int, ...] | None:
     """Greedy placement: each demand goes to the unused feasible node with
     maximum residual cpu, ties by smallest id. Returns None if any demand
-    cannot be hosted. Placements are applied to the overlay as they happen."""
+    cannot be hosted. Placements are applied to the overlay as they happen;
+    a node is feasible under the same float slack reserve_node allows."""
     hosts = []
     used = set()
     cap = overlay.node_capacity
+    base_cap = overlay.base.node_capacity
     for cpu in demands:
         best = -1
         best_cap = -1.0
@@ -118,7 +120,7 @@ def _place_nodes(overlay: ResidualOverlay, demands) -> tuple[int, ...] | None:
             if node in used:
                 continue
             c = cap[node]
-            if c + 1e-12 >= cpu and c > best_cap:
+            if c > best_cap and c >= cpu - _slack(base_cap[node]):
                 best = node
                 best_cap = c
         if best < 0:

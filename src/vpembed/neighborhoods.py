@@ -56,10 +56,10 @@ def _check_query(g, src: int, dst: int, c: ConstraintSet) -> PathResult | None:
     return PathResult.trivial(src, g.link_arity, g.path_arity)
 
 
-def _usable_mask(g, c: ConstraintSet) -> bytearray | None:
-    """Per-edge link-bound feasibility; None when nothing can be pruned."""
-    if not c.link_bounds:
-        return None
+def _usable_mask(g, c: ConstraintSet) -> bytearray:
+    """Per-edge link-bound feasibility: ``mask[e]`` is 1 when edge e meets
+    every link bound of c, 0 when it is pruned. All ones when c has no link
+    bounds."""
     mask = bytearray([1]) * g.edge_count
     for j, bound in c.link_bounds:
         col = g.link_cols[j]
@@ -69,7 +69,7 @@ def _usable_mask(g, c: ConstraintSet) -> bytearray | None:
     return mask
 
 
-def _min_sums_to(g, dst: int, col, usable: bytearray | None) -> list[float]:
+def _min_sums_to(g, dst: int, col, usable: bytearray) -> list[float]:
     """Minimum accumulated value of one metric column from every node to
     dst on the pruned graph (reverse Dijkstra; requires nonnegative col)."""
     import heapq
@@ -83,7 +83,7 @@ def _min_sums_to(g, dst: int, col, usable: bytearray | None) -> list[float]:
         if d > dist[v]:
             continue
         for u, e in in_adj[v]:
-            if usable is not None and not usable[e]:
+            if not usable[e]:
                 continue
             nd = d + col[e]
             if nd < dist[u]:
@@ -92,30 +92,25 @@ def _min_sums_to(g, dst: int, col, usable: bytearray | None) -> list[float]:
     return dist
 
 
-def _reachable(g, src: int, dst: int, usable: bytearray | None) -> bool:
-    """BFS probe on the pruned graph, ignoring path bounds."""
-    if src == dst:
-        return True
-    seen = bytearray(g.node_count)
-    seen[src] = 1
-    queue = [src]
-    adj = g.adjacency
+def _hop_distances_to(g, dst: int, usable: bytearray) -> list[float]:
+    """Hop distance from every node to dst on the pruned graph, ignoring
+    path bounds (reverse BFS); math.inf where dst is unreachable."""
+    dist = [math.inf] * g.node_count
+    dist[dst] = 0
+    queue = [dst]
+    in_adj = g.in_adjacency
     while queue:
         nxt = []
-        for u in queue:
-            for v, e in adj[u]:
-                if usable is not None and not usable[e]:
-                    continue
-                if not seen[v]:
-                    if v == dst:
-                        return True
-                    seen[v] = 1
-                    nxt.append(v)
+        for v in queue:
+            for u, e in in_adj[v]:
+                if dist[u] == math.inf and usable[e]:
+                    dist[u] = dist[v] + 1
+                    nxt.append(u)
         queue = nxt
-    return False
+    return dist
 
 
-def _grow_levels(g, src: int, usable: bytearray | None):
+def _grow_levels(g, src: int, usable: bytearray):
     """Forward pass of the general sweep: yield levels 1, 2, ... in turn.
 
     Level k is the set of out-neighbors of level k-1 on the pruned graph
@@ -126,7 +121,7 @@ def _grow_levels(g, src: int, usable: bytearray | None):
     adj = g.adjacency
     level = {src}
     for _ in range(g.node_count - 1):
-        level = {v for u in level for v, e in adj[u] if usable is None or usable[e]}
+        level = {v for u in level for v, e in adj[u] if usable[e]}
         if not level:
             return
         yield level
@@ -162,7 +157,7 @@ def _iter_fixed_length_paths(g, levels, src, dst, usable, limit, cost_floor=None
         lev = levels[k]
         for v in survivors[k + 1]:
             for u, e in in_adj[v]:
-                if (usable is None or usable[e]) and u in lev:
+                if usable[e] and u in lev:
                     cur.add(u)
     if src not in survivors[0]:
         return
@@ -178,7 +173,7 @@ def _iter_fixed_length_paths(g, levels, src, dst, usable, limit, cost_floor=None
     while stack:
         descended = False
         for v, e in stack[-1]:
-            if usable is not None and not usable[e]:
+            if not usable[e]:
                 continue
             k = len(stack)
             if v not in survivors[k] or on_path[v]:
@@ -306,7 +301,7 @@ def _l1_forward(g, src: int, dst: int, c: ConstraintSet):
             du = dist[u]
             lu = label[u]
             for v, e in adj[u]:
-                if usable is not None and not usable[e]:
+                if not usable[e]:
                     continue
                 nd = du + wcol[e]
                 if nd >= p_eff or nd >= dist[v]:
@@ -343,6 +338,10 @@ def solve_l1(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
     back down, so feasibility is conservative there; the supported use of
     negative values is cycle detection.
 
+    When the sweep stalls, a reverse BFS from dst on the pruned topology
+    (:func:`_hop_distances_to`) tells an infeasible query from an
+    unreachable one.
+
     Raises:
         UnreachableError: dst unreachable on the pruned topology.
         InfeasibleError: dst reachable ignoring the path bound, but the
@@ -361,7 +360,7 @@ def solve_l1(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
     if status == "negcycle":
         raise NegativeWeightCycleError("round count reached the node count; relaxation is cycling")
     if status == "stalled":
-        if _reachable(g, src, dst, usable):
+        if _hop_distances_to(g, dst, usable)[src] < math.inf:
             raise InfeasibleError(f"the path bound rejects every route from {src} to {dst}")
         raise UnreachableError(f"node {dst} is unreachable from {src} on the pruned graph")
 

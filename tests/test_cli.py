@@ -1,9 +1,23 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from vpembed.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _cli(*argv):
+    """Run the CLI in a child process, so an uncaught exception shows as a
+    traceback on stderr instead of failing inside the test."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "vpembed.cli", *argv], capture_output=True, text=True, env=env
+    )
 
 FIG_TOP = """\
 nodes 4 link_metrics 1 path_metrics 1
@@ -101,6 +115,22 @@ def test_solve_unknown_backend_exit_2(fig_top, capsys):
     code = main(["solve", "--topology", fig_top, "--src", "0", "--dst", "3",
                  "--backend", "bogus"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "extra, code",
+    [
+        (["--dst", "3", "--backend", "nm-l1"], 2),  # nm-l1 needs exactly one --path
+        (["--dst", "9"], 3),  # node id outside the 4-node topology
+        (["--dst", "3", "--path", "0 < 5", "--path", "0 < 6"], 3),  # two bounds on metric 0
+    ],
+    ids=["l1-without-path", "node-out-of-range", "duplicate-path-bound"],
+)
+def test_solve_bad_query_is_one_line_error(fig_top, extra, code):
+    proc = _cli("solve", "--topology", fig_top, "--src", "0", *extra)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_solve_non_strict_flag(tmp_path, capsys):
@@ -214,8 +244,6 @@ def test_run_solve_scenario(tmp_path, fig_top):
 
 
 def test_console_script_help():
-    proc = subprocess.run(
-        [sys.executable, "-m", "vpembed.cli", "--help"], capture_output=True, text=True
-    )
+    proc = _cli("--help")
     assert proc.returncode == 0
     assert "gen" in proc.stdout and "solve" in proc.stdout and "run" in proc.stdout

@@ -34,8 +34,8 @@ def test_edge_feasible_just_below_bound():
 
 
 def test_edge_feasible_vacuous():
-    # no link bounds: nothing to prune, so no mask at all
-    assert _usable_mask(_one_edge(0.0), ConstraintSet((), ())) is None
+    # no link bounds: nothing is pruned, every edge stays usable
+    assert _usable_mask(_one_edge(0.0), ConstraintSet((), ())) == bytearray([1])
 
 
 def test_path_feasible_below_bound():

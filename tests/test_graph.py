@@ -8,6 +8,7 @@ from vpembed import (
     InsufficientResidualError,
     OverReleaseError,
     PathResult,
+    PhysicalGraph,
     ResidualOverlay,
     SelfLoopError,
     build_graph,
@@ -156,6 +157,22 @@ def test_residuals_stay_within_base_over_random_sequences():
             outstanding.append((sub, demand))
         for e in handles:
             assert -1e-9 <= overlay.link_cols[0][e] <= g.link_cols[0][e] + 1e-9
+
+
+def test_overlay_is_a_graph_owning_its_residuals():
+    g = build_graph(2, [(0, 1, E((5.0,), (5.0,)))], [3.0, 4.0], labels=["a", None])
+    overlay = ResidualOverlay(g)
+    assert isinstance(overlay, PhysicalGraph)
+    assert overlay.link_cols == g.link_cols
+    assert all(mine is not theirs for mine, theirs in zip(overlay.link_cols, g.link_cols))
+    assert overlay.node_capacity == g.node_capacity
+    assert overlay.node_capacity is not g.node_capacity
+    assert overlay.adjacency is g.adjacency and overlay.path_cols is g.path_cols
+    assert overlay.edge_count == 1
+    assert [overlay.label_of(v) for v in range(2)] == ["a", "1"]
+    overlay.reserve([0], (2.0,))
+    overlay.reserve_node(0, 1.0)
+    assert g.link_cols[0][0] == 5.0 and g.node_capacity[0] == 3.0
 
 
 def test_node_capacity_reserve_release():

@@ -27,8 +27,14 @@ from vpembed.paths import path_from_edges
 E = EdgeMetrics
 
 
+def _all_usable(g):
+    return bytearray([1]) * g.edge_count
+
+
 def _levels_until(g, src, dst, usable=None):
     """Levels 0..k of the general sweep, k being the first level holding dst."""
+    if usable is None:
+        usable = _all_usable(g)
     levels = [{src}]
     for level in _grow_levels(g, src, usable):
         levels.append(level)
@@ -38,6 +44,8 @@ def _levels_until(g, src, dst, usable=None):
 
 
 def _candidates(g, levels, src, dst, usable=None):
+    if usable is None:
+        usable = _all_usable(g)
     return [
         path_from_edges(g, nodes, edges)
         for nodes, edges in _iter_fixed_length_paths(g, levels, src, dst, usable, 10**6)
@@ -53,17 +61,19 @@ def test_fig_levels(fig_graph, fig_constraints):
     usable = _usable_mask(fig_graph, fig_constraints)
     assert _levels_until(fig_graph, X, Y, usable) == [{X}, {A, B}, {A, B, Y}]
     # the A<->B cycle never empties a level: growth stops at node_count - 1
-    assert len(list(_grow_levels(fig_graph, X, None))) == fig_graph.node_count - 1
+    levels = list(_grow_levels(fig_graph, X, _all_usable(fig_graph)))
+    assert len(levels) == fig_graph.node_count - 1
 
 
 def test_src_equals_dst_levels(fig_graph):
     # depth 0: the level list is just {src} and the only path is the empty one
-    assert list(_iter_fixed_length_paths(fig_graph, [{X}], X, X, None, 10)) == [([X], [])]
+    usable = _all_usable(fig_graph)
+    assert list(_iter_fixed_length_paths(fig_graph, [{X}], X, X, usable, 10)) == [([X], [])]
 
 
 def test_disconnected_unreachable():
     g = build_graph(4, [(0, 1, E((1.0,), (1.0,))), (2, 3, E((1.0,), (1.0,)))], [0.0] * 4)
-    assert list(_grow_levels(g, 0, None)) == [{1}]
+    assert list(_grow_levels(g, 0, _all_usable(g))) == [{1}]
     with pytest.raises(UnreachableError):
         solve_general(g, 0, 3, ConstraintSet((), ()))
 
@@ -72,7 +82,7 @@ def test_levels_at_most_node_count():
     rng = random.Random(5)
     for _ in range(50):
         g, _ = random_instance(rng, max_nodes=8)
-        levels = list(_grow_levels(g, 0, None))
+        levels = list(_grow_levels(g, 0, _all_usable(g)))
         assert len(levels) <= g.node_count - 1
         assert all(levels)  # an empty level ends the growth instead of being yielded
 

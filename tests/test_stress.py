@@ -7,6 +7,7 @@ import random
 import pytest
 
 from oracle import feasible, min_feasible_hops
+from vpembed import harness
 from vpembed import (
     ConstraintSet,
     EdgeMetrics,
@@ -291,6 +292,42 @@ def test_solvers_match_oracle_on_residual_overlays():
             assert isinstance(oracle_hops, int) and got.hop_count >= oracle_hops
             found += 1
     assert found > 20
+
+
+def test_solvers_match_oracle_on_steering_snapshots(monkeypatch):
+    # overlays captured mid-steering carry whole paths reserved by
+    # run_steering, a pattern the single-edge reservations above never make
+    snapshots = []
+    resolve = harness.resolve_backend
+
+    def recording(name):
+        solver = resolve(name)
+
+        def solve(overlay, src, dst, c):
+            cols = [col.copy() for col in overlay.link_cols]
+            if cols != overlay.base.link_cols:
+                snapshots.append((overlay.base, cols, src, dst, c))
+            return solver(overlay, src, dst, c)
+
+        return solve
+
+    monkeypatch.setattr(harness, "resolve_backend", recording)
+    rng = random.Random(60616)
+    while len(snapshots) < 200:
+        g, _edges = _instance(rng, 10, 0.4, bw_pool=range(1, 10), delay_pool=range(1, 11))
+        c = ConstraintSet(((0, float(rng.randint(1, 4))),), ((0, float(rng.randint(5, 25))),))
+        backend = rng.choice(("nm-l1", "nm-general", "edijkstra"))
+        pairs = min(4, g.node_count * (g.node_count - 1))
+        harness.run_steering(g, pairs, c, backend, seed=rng.randrange(2**31))
+
+    for g, cols, src, dst, c in snapshots:
+        overlay = ResidualOverlay(g)
+        overlay.link_cols = cols
+        oracle = _outcome(solve_exhaustive, overlay, src, dst, c)
+        oracle_hops = oracle if isinstance(oracle, str) else oracle.hop_count
+        for solver in (solve_l1, solve_general):
+            got = _outcome(solver, overlay, src, dst, c)
+            assert (got if isinstance(got, str) else got.hop_count) == oracle_hops
 
 
 def test_src_dst_roles_random():
