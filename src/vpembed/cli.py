@@ -7,13 +7,15 @@ Subcommands:
            plot-data series)
 
 Exit codes: 2 flag/config errors, 3 parse or generation failures,
-4 no-path outcomes, 5 runtime failures.
+4 no-path outcomes, 5 runtime failures. ``run`` fails with the codes ``solve``
+uses; its solve-scenario lines keep ``micros=`` empty, so reruns are identical.
 """
 
 import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 
 from . import harness, topofile
 from .backends import resolve_backend
@@ -21,7 +23,6 @@ from .constraints import parse_constraints
 from .errors import (
     ArityMismatchError,
     ConfigError,
-    DegreeUnreachableError,
     NoPathError,
     TopologyParseError,
     UnknownBackendError,
@@ -121,7 +122,7 @@ def cmd_gen(args) -> int:
         return EXIT_FLAGS
     try:
         g = generate(spec)
-    except (DegreeUnreachableError, VpembedError) as exc:
+    except VpembedError as exc:
         print(f"vpembed gen: generation failed: {exc}", file=sys.stderr)
         return EXIT_PARSE
     topofile.dump(g, args.output)
@@ -132,49 +133,53 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _answer_query(g, src, dst, bounds, backend: str, strict=True, timed=False):
+    """Answer one query given as text (node ids or labels, bound literals such
+    as ``link 0 >= 5``, a backend token): ``(exit code, result line)`` for
+    codes 0 and 4, ``(exit code, error message)`` for any other code."""
+    try:
+        c = replace(parse_constraints(bounds), strict=strict)
+        src, dst = _resolve_node(g, src), _resolve_node(g, dst)
+        c.validate_arity(g.link_arity, g.path_arity)
+    except (ValueError, ArityMismatchError) as exc:
+        return EXIT_PARSE, str(exc)
+    try:
+        solver = resolve_backend(backend)
+    except UnknownBackendError as exc:
+        return EXIT_FLAGS, str(exc)
+    t0 = time.perf_counter()
+    try:
+        result, code = solver(g, src, dst, c), 0
+    except NoPathError as exc:
+        result, code = exc, EXIT_NOPATH
+    except ValueError as exc:
+        # the backend rejects the query's shape, e.g. nm-l1 without one path bound
+        return EXIT_FLAGS, str(exc)
+    except VpembedError as exc:
+        return EXIT_RUNTIME, str(exc)
+    micros = (time.perf_counter() - t0) * 1e6 if timed else None
+    return code, format_result_line(result, micros=micros, labels=g.label_of)
+
+
+def _topology_error(path, exc) -> str:
+    return str(exc) if isinstance(exc, OSError) else f"{path}: {exc}"
+
+
 def cmd_solve(args) -> int:
     try:
         g = topofile.load(args.topology)
-    except FileNotFoundError as exc:
-        print(f"vpembed solve: {exc}", file=sys.stderr)
+    except (OSError, TopologyParseError) as exc:
+        print(f"vpembed solve: {_topology_error(args.topology, exc)}", file=sys.stderr)
         return EXIT_PARSE
-    except TopologyParseError as exc:
-        print(f"vpembed solve: {args.topology}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        lines = [f"link {entry}" for entry in args.link] + [f"path {entry}" for entry in args.path]
-        c = parse_constraints(lines)
-        if args.non_strict:
-            from dataclasses import replace
-
-            c = replace(c, strict=False)
-        src = _resolve_node(g, args.src)
-        dst = _resolve_node(g, args.dst)
-    except (ValueError, ArityMismatchError) as exc:
-        print(f"vpembed solve: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        solver = resolve_backend(args.backend)
-    except UnknownBackendError as exc:
-        print(f"vpembed solve: {exc}", file=sys.stderr)
-        return EXIT_FLAGS
-    t0 = time.perf_counter()
-    try:
-        result = solver(g, src, dst, c)
-    except NoPathError as exc:
-        micros = (time.perf_counter() - t0) * 1e6
-        print(format_result_line(exc, micros=micros))
-        return EXIT_NOPATH
-    except ValueError as exc:
-        # the backend rejects the query's shape, e.g. nm-l1 without one --path
-        print(f"vpembed solve: {exc}", file=sys.stderr)
-        return EXIT_FLAGS
-    except VpembedError as exc:
-        print(f"vpembed solve: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    micros = (time.perf_counter() - t0) * 1e6
-    print(format_result_line(result, micros=micros, labels=g.label_of))
-    return 0
+    bounds = [f"link {entry}" for entry in args.link] + [f"path {entry}" for entry in args.path]
+    code, text = _answer_query(
+        g, args.src, args.dst, bounds, args.backend, strict=not args.non_strict, timed=True
+    )
+    if code in (0, EXIT_NOPATH):
+        print(text)
+    else:
+        print(f"vpembed solve: {text}", file=sys.stderr)
+    return code
 
 
 def cmd_run(args) -> int:
@@ -199,30 +204,41 @@ def cmd_run(args) -> int:
         )
     try:
         if cfg.scenario == "solve":
-            lines = harness.run_solve_scenario(cfg)
-            with open(output, "w", encoding="utf-8") as f:
-                f.write("\n".join(lines) + "\n")
-            print(f"{len(lines)} result lines -> {output}")
-            return 0
-        rows = harness.sweep(cfg, jobs=args.jobs)
-        csv_text = harness.rows_to_csv(rows)
-        with open(output, "w", encoding="utf-8") as f:
-            f.write(csv_text)
-        print(f"{len(rows)} rows -> {output}")
-        if args.emit_plotdata or cfg.emit_plotdata:
-            outdir = os.path.dirname(os.path.abspath(output))
-            for name, text in harness.plotdata_series(rows, cfg).items():
-                path = os.path.join(outdir, name)
-                with open(path, "w", encoding="utf-8") as f:
-                    f.write(text)
-                print(f"plotdata -> {path}")
-        return 0
+            g = topofile.load(cfg.topology)
+        else:
+            rows = harness.sweep(cfg, jobs=args.jobs)
+    except (OSError, TopologyParseError) as exc:
+        print(f"vpembed run: {_topology_error(cfg.topology, exc)}", file=sys.stderr)
+        return EXIT_PARSE
     except ConfigError as exc:
         print(f"vpembed run: bad config: {exc}", file=sys.stderr)
         return EXIT_FLAGS
     except VpembedError as exc:
         print(f"vpembed run: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    if cfg.scenario == "solve":
+        lines = []
+        for backend in cfg.backends:
+            code, text = _answer_query(g, cfg.src, cfg.dst, cfg.constraints, backend)
+            if code not in (0, EXIT_NOPATH):
+                print(f"vpembed run: {text}", file=sys.stderr)
+                return code
+            lines.append(text)
+        with open(output, "w", encoding="utf-8") as f:
+            f.write("\n".join(lines) + "\n")
+        print(f"{len(lines)} result lines -> {output}")
+        return 0
+    with open(output, "w", encoding="utf-8") as f:
+        f.write(harness.rows_to_csv(rows))
+    print(f"{len(rows)} rows -> {output}")
+    if args.emit_plotdata or cfg.emit_plotdata:
+        outdir = os.path.dirname(os.path.abspath(output))
+        for name, text in harness.plotdata_series(rows, cfg).items():
+            path = os.path.join(outdir, name)
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(text)
+            print(f"plotdata -> {path}")
+    return 0
 
 
 def main(argv=None) -> int:

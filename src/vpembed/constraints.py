@@ -42,7 +42,9 @@ class ConstraintSet:
         )
         for name, bounds in (("link", self.link_bounds), ("path", self.path_bounds)):
             seen = set()
-            for j, _ in bounds:
+            for j, b in bounds:
+                if math.isnan(b):
+                    raise ValueError(f"{name} bound on metric {j} is NaN")
                 if j < 0:
                     raise ArityMismatchError(f"negative {name} metric index {j}")
                 if j in seen:

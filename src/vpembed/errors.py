@@ -61,8 +61,11 @@ class TopologyParseError(VpembedError):
     """A topology file failed to parse; ``line`` is the 1-based line number."""
 
     def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+        super().__init__(message, line)  # both in args, so the error survives pickling
         self.line = line
+
+    def __str__(self):
+        return f"line {self.line}: {self.args[0]}"
 
 
 class NoPathError(VpembedError):

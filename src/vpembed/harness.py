@@ -14,14 +14,14 @@ import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import topofile
 from .backends import resolve_backend
 from .constraints import ConstraintSet
 from .errors import ConfigError, InvalidCountsError, NoPathError, UnknownBackendError
 from .graph import PhysicalGraph, ResidualOverlay, _slack
-from .paths import PathResult, format_result_line
+from .paths import PathResult
 from .topogen import (
     BW_LEVEL_GBPS,
     DELAY_LEVEL_FACTOR,
@@ -143,16 +143,13 @@ def _vlink_constraints(backend: str, bw: float, delay: float | None) -> Constrai
     return ConstraintSet(link_bounds=((0, bw),), path_bounds=path_bounds)
 
 
-def run_vne(g: PhysicalGraph, requests, backend: str, seed: int = 0) -> VneReport:
+def run_vne(g: PhysicalGraph, requests, backend: str) -> VneReport:
     """Embed a pool of VN requests in order through the named backend.
 
     Per request: greedy node placement, then every virtual link is routed
     against the residual overlay with its bw demand as the link bound (plus
     the delay bound when present). Acceptance is all-or-nothing: any failed
     link rejects the whole request and rolls back its reservations.
-
-    ``seed`` is part of the signature for symmetry with run_steering; the
-    greedy embedder itself is deterministic and does not consume it.
 
     Raises:
         UnknownBackendError: backend does not name a registered solver.
@@ -335,7 +332,7 @@ def build_vn_requests(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative sweep document (see parse_config for the text grammar)."""
+    """Declarative sweep document (see parse_config); a bad entry raises ConfigError."""
 
     scenario: str
     model: str = "waxman"
@@ -360,6 +357,32 @@ class ExperimentConfig:
     src: int | None = None
     dst: int | None = None
     constraints: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if self.scenario not in ("vne", "steering", "solve"):
+            raise ConfigError(f"unknown scenario {self.scenario!r}", key="scenario")
+        if self.scenario == "solve":
+            if not self.topology or self.src is None or self.dst is None:
+                raise ConfigError("solve scenario needs topology, src and dst", key="scenario")
+        if self.scale not in ("desk", "paper"):
+            raise ConfigError(f"scale must be desk or paper, got {self.scale!r}", key="scale")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ConfigError(f"{f.name} must be finite, got {v}", key=f.name)
+        if self.scenario == "steering":
+            for level in self.bw_levels:
+                if level not in BW_LEVEL_GBPS:
+                    raise ConfigError(f"unknown bw level {level!r}", key="bw_levels")
+            for level in self.delay_levels if self.delay_percents is None else ():
+                if level not in DELAY_LEVEL_FACTOR:
+                    raise ConfigError(f"unknown delay level {level!r}", key="delay_levels")
+        for backend in self.backends:
+            try:
+                resolve_backend(backend)
+            except UnknownBackendError as exc:
+                raise ConfigError(str(exc), key="backends") from exc
 
     def effective_nodes(self) -> int:
         if self.nodes is not None:
@@ -440,7 +463,7 @@ def _run_cell(cfg: ExperimentConfig, cell: _Cell, graph: PhysicalGraph | None = 
     }
     if cfg.scenario == "vne":
         requests = build_vn_requests(cfg.requests, cfg.request_nodes, cfg.demand_max, cell.seed)
-        report = run_vne(g, requests, cell.backend, cell.seed)
+        report = run_vne(g, requests, cell.backend)
         row.update(
             vn_alloc_ratio=report.vn_allocation_ratio,
             link_alloc_ratio=report.link_allocation_ratio,
@@ -482,9 +505,8 @@ def sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
     more than there are cells or CPUs.
 
     Raises:
-        ConfigError: jobs < 1, or the config fails validation.
+        ConfigError: jobs < 1.
     """
-    _validate_scenario(cfg)
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     cells = _cells(cfg)
@@ -501,45 +523,6 @@ def sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
             cache[key] = _cell_graph(cfg, cell)
         rows.append(_run_cell(cfg, cell, cache[key]))
     return rows
-
-
-def _validate_scenario(cfg: ExperimentConfig) -> None:
-    if cfg.scenario not in ("vne", "steering", "solve"):
-        raise ConfigError(f"unknown scenario {cfg.scenario!r}", key="scenario")
-    if cfg.scenario == "solve":
-        if not cfg.topology or cfg.src is None or cfg.dst is None:
-            raise ConfigError("solve scenario needs topology, src and dst", key="scenario")
-    for level in cfg.bw_levels:
-        if cfg.scenario == "steering" and level not in BW_LEVEL_GBPS:
-            raise ConfigError(f"unknown bw level {level!r}", key="bw_levels")
-    if cfg.delay_percents is None:
-        for level in cfg.delay_levels:
-            if cfg.scenario == "steering" and level not in DELAY_LEVEL_FACTOR:
-                raise ConfigError(f"unknown delay level {level!r}", key="delay_levels")
-    for backend in cfg.backends:
-        try:
-            resolve_backend(backend)
-        except UnknownBackendError as exc:
-            raise ConfigError(str(exc), key="backends") from exc
-
-
-def run_solve_scenario(cfg: ExperimentConfig) -> list[str]:
-    """The 'solve' scenario: one query per backend on a topology file,
-    returning result serialization lines."""
-    from .constraints import parse_constraints
-
-    _validate_scenario(cfg)
-    g = topofile.load(cfg.topology)
-    c = parse_constraints(cfg.constraints)
-    lines = []
-    for backend in cfg.backends:
-        solver = resolve_backend(backend)
-        try:
-            result = solver(g, cfg.src, cfg.dst, c)
-            lines.append(format_result_line(result, labels=g.label_of))
-        except NoPathError as exc:
-            lines.append(format_result_line(exc))
-    return lines
 
 
 _CONFIG_KEYS = {
@@ -611,12 +594,7 @@ def parse_config(text: str) -> ExperimentConfig:
         values["constraints"] = tuple(constraints)
     if "scenario" not in values:
         raise ConfigError("missing required key 'scenario'", key="scenario")
-    scale = values.get("scale", "desk")
-    if scale not in ("desk", "paper"):
-        raise ConfigError(f"scale must be desk or paper, got {scale!r}", key="scale")
-    cfg = ExperimentConfig(**values)
-    _validate_scenario(cfg)
-    return cfg
+    return ExperimentConfig(**values)
 
 
 def _fmt_cell(value) -> str:

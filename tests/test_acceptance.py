@@ -267,7 +267,7 @@ def test_c07_vne_improvement():
         requests = build_vn_requests(15, 14, 20.0, seed=seed)
         per_seed = {}
         for backend in ratios:
-            report = run_vne(g, requests, backend, seed)
+            report = run_vne(g, requests, backend)
             ratios[backend]["vn"].append(report.vn_allocation_ratio)
             ratios[backend]["vl"].append(report.link_allocation_ratio)
             per_seed[backend] = report.link_allocation_ratio

@@ -123,8 +123,12 @@ def test_solve_unknown_backend_exit_2(fig_top, capsys):
         (["--dst", "3", "--backend", "nm-l1"], 2),  # nm-l1 needs exactly one --path
         (["--dst", "9"], 3),  # node id outside the 4-node topology
         (["--dst", "3", "--path", "0 < 5", "--path", "0 < 6"], 3),  # two bounds on metric 0
+        (["--dst", "3", "--link", "0 >= nan", "--path", "0 < 5"], 3),
+        (["--dst", "3", "--path", "0 < nan"], 3),
+        (["--dst", "3", "--link", "3 >= 1"], 3),  # the topology has one link metric
     ],
-    ids=["l1-without-path", "node-out-of-range", "duplicate-path-bound"],
+    ids=["l1-without-path", "node-out-of-range", "duplicate-path-bound", "nan-link-bound",
+         "nan-path-bound", "bound-beyond-arity"],
 )
 def test_solve_bad_query_is_one_line_error(fig_top, extra, code):
     proc = _cli("solve", "--topology", fig_top, "--src", "0", *extra)
@@ -241,6 +245,42 @@ def test_run_solve_scenario(tmp_path, fig_top):
     assert len(lines) == 4
     assert lines[0].startswith("status=ok hops=3 path=X,B,A,Y")
     assert lines[3].startswith("status=infeasible")
+
+
+SOLVE_CFG = "scenario = solve\ntopology = {top}\nsrc = 0\n"
+BAD_TOP = "nodes 2 link_metrics 1 path_metrics 1\nedge 0 1 5\n"
+
+
+@pytest.mark.parametrize(
+    "body, jobs, code",
+    [
+        (SOLVE_CFG + "dst = 9\n", 1, 3),  # node id outside the 4-node topology
+        # nm-general answers, then nm-l1 without a path bound stops the run
+        (SOLVE_CFG + "dst = 3\nbackends = nm-general nm-l1\nconstraint = link 0 >= 5\n", 1, 2),
+        (SOLVE_CFG + "dst = 3\nconstraint = bogus\n", 1, 3),
+        (SOLVE_CFG + "dst = 3\nbackends = nm-general\nconstraint = link 3 >= 1\n", 1, 3),
+        ("scenario = solve\ntopology = {missing}\nsrc = 0\ndst = 3\n", 1, 3),
+        ("scenario = steering\ntopology = {missing}\n", 1, 3),
+        # two cells at --jobs 2: the parse error comes back from a worker process
+        ("scenario = steering\ntopology = {bad}\nseeds = 1 2\n", 2, 3),
+        ("scenario = steering\nnodes = 30\ndegrees = 3 nan\n", 1, 2),
+        ("scenario = steering\nnodes = 30\ndelay_percents = 100 inf\n", 1, 2),
+    ],
+    ids=["solve-node-out-of-range", "solve-l1-without-path", "solve-bad-constraint",
+         "solve-bound-beyond-arity", "solve-missing-topology", "steering-missing-topology",
+         "steering-unparsable-topology-jobs-2", "nan-degree", "inf-delay-percent"],
+)
+def test_run_bad_input_is_one_line_error(tmp_path, fig_top, body, jobs, code):
+    bad = tmp_path / "bad.top"
+    bad.write_text(BAD_TOP)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(body.format(top=fig_top, missing=tmp_path / "none.top", bad=bad))
+    out = tmp_path / "out.txt"
+    proc = _cli("run", str(cfg), "-o", str(out), "--jobs", str(jobs))
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_console_script_help():

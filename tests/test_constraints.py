@@ -122,3 +122,14 @@ def test_parse_constraints():
     assert c.path_bounds == ((0, 5.0),)
     with pytest.raises(ValueError):
         parse_constraints(["link 0 <= 5"])
+
+
+def test_nan_bound_rejected():
+    # a NaN link bound would prune nothing and a NaN path bound admit nothing
+    with pytest.raises(ValueError):
+        ConstraintSet(((0, math.nan),), ())
+    with pytest.raises(ValueError):
+        ConstraintSet((), ((0, float("nan")),))
+    with pytest.raises(ValueError):
+        parse_constraints(["path 0 < nan"])
+    assert ConstraintSet((), ((0, math.inf),)).path_bounds == ((0, math.inf),)

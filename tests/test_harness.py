@@ -28,7 +28,6 @@ from vpembed.harness import (
     assign_link_bandwidth_from_node_budget,
     plotdata_series,
     rows_to_csv,
-    run_solve_scenario,
 )
 from vpembed.topogen import resolve_constraint_severity
 
@@ -449,22 +448,27 @@ def test_scale_defaults():
     assert cfg.effective_pairs() == 100
 
 
-def test_solve_scenario(tmp_path, fig_graph):
-    from vpembed import topofile
+def test_config_checks_itself_when_built():
+    # a directly built config is checked like a parsed one
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(scenario="steering", scale="huge")
+    assert err.value.key == "scale"
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(scenario="solve", src=0, dst=1)
+    assert err.value.key == "scenario"
 
-    top = tmp_path / "fig.top"
-    topofile.dump(fig_graph, top)
-    cfg = parse_config(
-        f"""
-        scenario = solve
-        topology = {top}
-        src = 0
-        dst = 3
-        backends = nm-general ksp:1
-        constraint = link 0 >= 5
-        constraint = path 0 < 5
-        """
-    )
-    lines = run_solve_scenario(cfg)
-    assert lines[0].startswith("status=ok hops=3 path=X,B,A,Y")
-    assert lines[1].startswith("status=infeasible")
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("degrees = nan", "degrees"),
+        ("degrees = 3 inf", "degrees"),
+        ("delay_percents = inf", "delay_percents"),
+        ("demand_max = nan", "demand_max"),
+        ("vne_bw = -inf", "vne_bw"),
+    ],
+)
+def test_parse_config_rejects_non_finite_numbers(text, key):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"scenario = steering\n{text}\n")
+    assert err.value.key == key

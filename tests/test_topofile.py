@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from conftest import FIG_LABELS
@@ -53,6 +55,16 @@ def test_parse_error_reports_line_number():
     with pytest.raises(TopologyParseError) as err:
         topofile.loads(bad)
     assert err.value.line == 3
+
+
+def test_parse_error_survives_pickling():
+    # worker processes of a parallel sweep hand the error back pickled
+    with pytest.raises(TopologyParseError) as err:
+        topofile.loads("nodes 2 link_metrics 1 path_metrics 1\nedge 0 1 5\n")
+    copy = pickle.loads(pickle.dumps(err.value))
+    assert type(copy) is TopologyParseError
+    assert copy.line == 2
+    assert str(copy) == str(err.value) == "line 2: expected 5 fields on an edge line, got 4"
 
 
 def test_missing_header():
