@@ -40,13 +40,17 @@ class KspConfig:
             raise ValueError(f"ranking must be one of {RANKINGS}, got {self.ranking!r}")
 
 
-def _chain_nodes(pred: list[int], node: int) -> tuple[int, ...]:
-    out = [node]
-    while pred[node] >= 0:
-        node = pred[node]
-        out.append(node)
-    out.reverse()
-    return tuple(out)
+def _chain_precedes(pred: list[int], a: int, b: int) -> bool:
+    """True when the pred chain ending at a is lexicographically smaller
+    than the one ending at b. Both chains must have the same length, so a
+    lockstep walk back from a and b meets at their last common node; the
+    pair just after it is the first position where the chains differ."""
+    first_a = first_b = -1
+    while a != b:
+        first_a, first_b = a, b
+        a = pred[a]
+        b = pred[b]
+    return first_a < first_b
 
 
 def solve_edijkstra(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
@@ -55,7 +59,12 @@ def solve_edijkstra(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
     Prunes edges failing the link bounds, then runs Dijkstra on the single
     declared path metric and returns the minimum-accumulated path. Hop count
     is NOT minimized; ties on the metric break by fewer hops, then by
-    lexicographic node sequence.
+    lexicographic node sequence. An exact tie costs a walk back to the two
+    chains' last common node and allocates nothing.
+
+    The mask comes from g's memo (``neighborhoods._usable_mask``) and the
+    sign check reads ``g.path_nonneg``, so only a metric that has negative
+    values costs a pass over the edge list.
 
     Raises:
         UnreachableError: dst unreachable on the pruned graph.
@@ -73,9 +82,10 @@ def solve_edijkstra(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
     p_idx, p_bound = c.path_bounds[0]
     usable = _usable_mask(g, c)
     wcol = g.path_cols[p_idx]
-    for e, w in enumerate(wcol):
-        if w < 0 and usable[e]:
-            raise NegativeMetricError(f"edge {e} has negative path metric {w}")
+    if not g.path_nonneg[p_idx]:
+        for e, w in enumerate(wcol):
+            if w < 0 and usable[e]:
+                raise NegativeMetricError(f"edge {e} has negative path metric {w}")
 
     adj = g.adjacency
     dist = [math.inf] * n
@@ -92,20 +102,21 @@ def solve_edijkstra(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
         if u == dst:
             break
         settled[u] = 1
+        nh = h + 1
         for v, e in adj[u]:
             if not usable[e] or settled[v]:
                 continue
             nd = d + wcol[e]
-            nh = h + 1
-            if (nd, nh) < (dist[v], hops[v]):
+            dv = dist[v]
+            if nd < dv or (nd == dv and nh < hops[v]):
                 dist[v] = nd
                 hops[v] = nh
                 pred[v] = u
                 pred_edge[v] = e
                 heapq.heappush(heap, (nd, nh, v))
-            elif (nd, nh) == (dist[v], hops[v]) and pred[v] >= 0:
+            elif nd == dv and nh == hops[v] and pred[v] >= 0:
                 # exact tie: keep the lexicographically smaller node sequence
-                if _chain_nodes(pred, u) + (v,) < _chain_nodes(pred, v):
+                if _chain_precedes(pred, u, pred[v]):
                     pred[v] = u
                     pred_edge[v] = e
 
@@ -115,12 +126,14 @@ def solve_edijkstra(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
         raise InfeasibleError(
             f"minimum accumulated metric {dist[dst]} violates the bound {p_bound}"
         )
-    nodes = list(_chain_nodes(pred, dst))
+    nodes = [dst]
     edges = []
     v = dst
     while pred[v] >= 0:
         edges.append(pred_edge[v])
         v = pred[v]
+        nodes.append(v)
+    nodes.reverse()
     edges.reverse()
     return path_from_edges(g, nodes, edges)
 
@@ -159,10 +172,9 @@ def solve_ksp(
     else:
         if cfg.metric_index >= g.path_arity:
             raise ValueError(f"metric index {cfg.metric_index} >= path arity {g.path_arity}")
+        if not g.path_nonneg[cfg.metric_index]:
+            raise ValueError("by_path_metric ranking requires nonnegative metrics")
         cost = g.path_cols[cfg.metric_index]
-        for w in cost:
-            if w < 0:
-                raise ValueError("by_path_metric ranking requires nonnegative metrics")
         lower = [0.0] * n
 
     adj = g.adjacency

@@ -196,6 +196,10 @@ def cmd_run(args) -> int:
     if output is None:
         print("vpembed run: no output path (config 'output' or -o)", file=sys.stderr)
         return EXIT_FLAGS
+    outdir = os.path.dirname(os.path.abspath(output))
+    if not os.path.isdir(outdir):
+        print(f"vpembed run: output directory {outdir} does not exist", file=sys.stderr)
+        return EXIT_FLAGS
     if cfg.scale == "paper":
         print(
             f"vpembed run: paper scale selected ({cfg.effective_nodes()} nodes); "
@@ -232,7 +236,6 @@ def cmd_run(args) -> int:
         f.write(harness.rows_to_csv(rows))
     print(f"{len(rows)} rows -> {output}")
     if args.emit_plotdata or cfg.emit_plotdata:
-        outdir = os.path.dirname(os.path.abspath(output))
         for name, text in harness.plotdata_series(rows, cfg).items():
             path = os.path.join(outdir, name)
             with open(path, "w", encoding="utf-8") as f:

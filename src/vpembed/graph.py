@@ -6,11 +6,17 @@ metric vectors: *link* metrics are checked per edge against lower bounds
 upper bounds (e.g. delay in ms). Metric arities are declared graph-wide so
 constraint validation is O(1).
 
-A :class:`PhysicalGraph` is immutable after construction and safe to share
-across concurrent readers. Mutable state (bandwidth reservations) lives in
-a :class:`ResidualOverlay`, a PhysicalGraph that owns residual copies of
-the consumable columns. It is single-writer: concurrent reserve or release
-calls must be serialized externally.
+A :class:`PhysicalGraph`'s topology and metrics are fixed after
+construction. Its one mutable slot, ``mask_memo``, holds the link-bound
+pruning mask of the last bound set queried (see
+``neighborhoods._usable_mask``): a pure function of the link columns, which
+a plain graph only ever replaces whole. Mutable state (bandwidth
+reservations) lives in a :class:`ResidualOverlay`, a PhysicalGraph that owns
+residual copies of the consumable columns and its own memo, which
+``reserve`` and ``release`` keep exact on the edges they touch. Writing
+``link_cols`` by any other route once a solve has run leaves the memo stale
+and is unsupported. An overlay is single-writer: concurrent reserve or
+release calls, and solves racing them, must be serialized externally.
 """
 
 from dataclasses import dataclass
@@ -55,7 +61,13 @@ class PhysicalGraph:
         node_capacity: per-node capacity (CPU units).
         link_cols / path_cols: column-major metric storage,
             ``link_cols[j][e]`` is link metric j of edge e.
+        path_nonneg: ``path_nonneg[j]`` is True when no edge has a negative
+            path metric j (NaN counts as nonnegative), fixed at construction.
         labels: optional human-readable node names (display only).
+        mask_memo: None, or ``(link_bounds, mask)``: the link-bound pruning
+            mask of the last bound set queried, kept by
+            ``neighborhoods._usable_mask``. The only mutable slot; the mask
+            must only be read.
     """
 
     __slots__ = (
@@ -68,7 +80,9 @@ class PhysicalGraph:
         "path_arity",
         "link_cols",
         "path_cols",
+        "path_nonneg",
         "labels",
+        "mask_memo",
     )
 
     def __init__(
@@ -89,6 +103,8 @@ class PhysicalGraph:
 
         self.link_cols = [[m.link_metrics[j] for (_, _, m) in edges] for j in range(link_arity)]
         self.path_cols = [[m.path_metrics[j] for (_, _, m) in edges] for j in range(path_arity)]
+        self.path_nonneg = [not any(w < 0 for w in col) for col in self.path_cols]
+        self.mask_memo = None
 
         adjacency: list[list[tuple[int, int]]] = [[] for _ in range(node_count)]
         in_adjacency: list[list[tuple[int, int]]] = [[] for _ in range(node_count)]
@@ -185,8 +201,10 @@ class ResidualOverlay(PhysicalGraph):
 
     An overlay is a PhysicalGraph: solvers read it exactly like its base.
     It owns residual copies of ``link_cols`` (typically bandwidth) and
-    ``node_capacity``; every other attribute (topology, arities, path
-    metrics, labels) is the base graph's, shared since none of it is
+    ``node_capacity``, and its own ``mask_memo``, which starts empty and
+    which :meth:`reserve` and :meth:`release` keep exact on every edge they
+    touch; every other attribute (topology, arities, path metrics and their
+    signs, labels) is the base graph's, shared since none of it is
     consumable. The overlay does not track who reserved what; pairing
     reserves with releases is the caller's responsibility. The ledger checks
     allow a float slack proportional to each edge's or node's base value, so
@@ -202,6 +220,8 @@ class ResidualOverlay(PhysicalGraph):
         self.base = base
         self.link_cols = [col.copy() for col in base.link_cols]
         self.node_capacity = list(base.node_capacity)
+        # the base's mask is the base's: sharing it would let reserve edit it
+        self.mask_memo = None
 
     def _demand_vector(self, demand) -> tuple[float, ...]:
         link = tuple(demand)
@@ -210,6 +230,21 @@ class ResidualOverlay(PhysicalGraph):
                 f"demand has {len(link)} link metrics, graph declares {self.link_arity}"
             )
         return link
+
+    def _refresh_mask(self, handles) -> None:
+        """Recompute the memoized mask bit of each given edge with the full
+        scan's rule: 0 when some link metric is below its bound."""
+        if self.mask_memo is None:
+            return
+        bounds, mask = self.mask_memo
+        cols = self.link_cols
+        for e in handles:
+            bit = 1
+            for j, bound in bounds:
+                if cols[j][e] < bound:
+                    bit = 0
+                    break
+            mask[e] = bit
 
     def reserve(self, path, demand) -> None:
         """Subtract demand's link metrics from every edge on the path.
@@ -231,6 +266,7 @@ class ResidualOverlay(PhysicalGraph):
         for e in handles:
             for j, need in enumerate(link):
                 self.link_cols[j][e] -= need
+        self._refresh_mask(handles)
 
     def release(self, path, demand) -> None:
         """Add demand's link metrics back onto every edge on the path.
@@ -253,6 +289,7 @@ class ResidualOverlay(PhysicalGraph):
         for e in handles:
             for j, back in enumerate(link):
                 self.link_cols[j][e] += back
+        self._refresh_mask(handles)
 
     def reserve_node(self, node: int, cpu: float) -> None:
         """Subtract cpu units from a node's residual capacity."""

@@ -332,7 +332,10 @@ def build_vn_requests(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative sweep document (see parse_config); a bad entry raises ConfigError."""
+    """Declarative sweep document (see parse_config); a bad entry raises
+    ConfigError: an empty grid axis, a non-finite number, a count below its
+    minimum (pairs, requests >= 1; nodes, request_nodes >= 2) or a
+    non-positive demand_max, vne_cpu or vne_bw."""
 
     scenario: str
     model: str = "waxman"
@@ -368,9 +371,19 @@ class ExperimentConfig:
             raise ConfigError(f"scale must be desk or paper, got {self.scale!r}", key="scale")
         for f in fields(self):
             value = getattr(self, f.name)
+            if value == () and f.name != "constraints":
+                raise ConfigError(f"{f.name} is empty", key=f.name)
             for v in value if isinstance(value, tuple) else (value,):
                 if isinstance(v, float) and not math.isfinite(v):
                     raise ConfigError(f"{f.name} must be finite, got {v}", key=f.name)
+        for key, low in (("pairs", 1), ("nodes", 2), ("requests", 1), ("request_nodes", 2)):
+            value = getattr(self, key)
+            if value is not None and value < low:
+                raise ConfigError(f"{key} must be >= {low}, got {value}", key=key)
+        for key in ("demand_max", "vne_cpu", "vne_bw"):
+            value = getattr(self, key)
+            if value <= 0:
+                raise ConfigError(f"{key} must be positive, got {value}", key=key)
         if self.scenario == "steering":
             for level in self.bw_levels:
                 if level not in BW_LEVEL_GBPS:

@@ -59,13 +59,25 @@ def _check_query(g, src: int, dst: int, c: ConstraintSet) -> PathResult | None:
 def _usable_mask(g, c: ConstraintSet) -> bytearray:
     """Per-edge link-bound feasibility: ``mask[e]`` is 1 when edge e meets
     every link bound of c, 0 when it is pruned. All ones when c has no link
-    bounds."""
+    bounds.
+
+    The mask is memoized on g (``g.mask_memo``, one entry) and returned as
+    is, never copied, when the link bounds equal the memo's key; callers
+    must only read it. A ResidualOverlay keeps its memo exact through
+    reserve and release, so a run that re-solves under the same bounds
+    scans the edge list once. Other bounds cost one full scan, which
+    replaces the memo.
+    """
+    memo = g.mask_memo
+    if memo is not None and memo[0] == c.link_bounds:
+        return memo[1]
     mask = bytearray([1]) * g.edge_count
     for j, bound in c.link_bounds:
         col = g.link_cols[j]
         for e, value in enumerate(col):
             if value < bound:
                 mask[e] = 0
+    g.mask_memo = (c.link_bounds, mask)
     return mask
 
 
@@ -242,9 +254,9 @@ def solve_general(
     # it also settles obviously hopeless queries without any enumeration
     cost_floor = []
     for j, bound in c.path_bounds:
-        col = g.path_cols[j]
-        if any(w < 0 for w in col):
+        if not g.path_nonneg[j]:
             continue
+        col = g.path_cols[j]
         floor = _min_sums_to(g, dst, col, usable)
         bound_eff = bound if c.strict else math.nextafter(bound, math.inf)
         if floor[src] == math.inf:

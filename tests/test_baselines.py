@@ -79,6 +79,38 @@ def test_edijkstra_minimizes_metric_not_hops():
         assert abs(result.accumulated[0] - best) < 1e-9
 
 
+def test_edijkstra_breaks_ties_by_hops_then_node_sequence():
+    # delays in {0, 1} make exact ties on (delay, hops) common, zero-delay
+    # plateaus included; parallel edges tie on the node sequence too
+    rng = random.Random(7117)
+    ties = 0
+    for _ in range(400):
+        n = rng.randint(2, 8)
+        edges = [
+            (u, v, E((float(rng.randint(1, 3)),), (float(rng.randint(0, 1)),)))
+            for u in range(n)
+            for v in range(n)
+            for _copy in range(rng.choice((1, 1, 2)))
+            if u != v and rng.random() < 0.45
+        ]
+        g = build_graph(n, edges, [0.0] * n, link_arity=1, path_arity=1)
+        c = ConstraintSet(((0, float(rng.randint(1, 2))),), ((0, math.inf),))
+        src, dst = rng.sample(range(n), 2)
+        keys = []
+        for nodes, handles in all_simple_paths(n, edges, src, dst):
+            if all(edges[e][2].link_metrics[0] >= c.link_bounds[0][1] for e in handles):
+                keys.append((path_metrics(edges, handles)[0][0], len(handles), nodes))
+        if not keys:
+            with pytest.raises(UnreachableError):
+                solve_edijkstra(g, src, dst, c)
+            continue
+        keys.sort()
+        ties += len(keys) > 1 and keys[0][:2] == keys[1][:2]
+        result = solve_edijkstra(g, src, dst, c)
+        assert (result.accumulated[0], result.hop_count, list(result.nodes)) == keys[0]
+    assert ties > 25
+
+
 def test_l1_dominates_edijkstra_on_hops():
     rng = random.Random(4242)
     dominated = 0

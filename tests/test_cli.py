@@ -265,10 +265,17 @@ BAD_TOP = "nodes 2 link_metrics 1 path_metrics 1\nedge 0 1 5\n"
         ("scenario = steering\ntopology = {bad}\nseeds = 1 2\n", 2, 3),
         ("scenario = steering\nnodes = 30\ndegrees = 3 nan\n", 1, 2),
         ("scenario = steering\nnodes = 30\ndelay_percents = 100 inf\n", 1, 2),
+        ("scenario = steering\nnodes = 30\npairs = -3\n", 1, 2),
+        ("scenario = steering\nnodes = 0\n", 1, 2),
+        ("scenario = vne\nnodes = 30\ndemand_max = -5\n", 1, 2),
+        ("scenario = steering\nnodes = 30\nseeds =\n", 1, 2),
+        ("scenario = steering\nnodes = 30\nbackends =\n", 1, 2),
     ],
     ids=["solve-node-out-of-range", "solve-l1-without-path", "solve-bad-constraint",
          "solve-bound-beyond-arity", "solve-missing-topology", "steering-missing-topology",
-         "steering-unparsable-topology-jobs-2", "nan-degree", "inf-delay-percent"],
+         "steering-unparsable-topology-jobs-2", "nan-degree", "inf-delay-percent",
+         "negative-pairs", "zero-nodes", "negative-demand-max", "empty-seeds",
+         "empty-backends"],
 )
 def test_run_bad_input_is_one_line_error(tmp_path, fig_top, body, jobs, code):
     bad = tmp_path / "bad.top"
@@ -281,6 +288,18 @@ def test_run_bad_input_is_one_line_error(tmp_path, fig_top, body, jobs, code):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert not out.exists()
+
+
+def test_run_missing_output_directory_is_one_line_error(tmp_path):
+    # checked before the sweep, so a bad -o costs no run
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("scenario = steering\nnodes = 30\npairs = 2\n")
+    proc = _cli("run", str(cfg), "-o", str(tmp_path / "nodir" / "out.csv"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert "nodir" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_console_script_help():

@@ -4,15 +4,24 @@ import pytest
 
 from vpembed import (
     ArityMismatchError,
+    ConstraintSet,
     EdgeMetrics,
+    GenSpec,
     InsufficientResidualError,
+    NoPathError,
     OverReleaseError,
     PathResult,
     PhysicalGraph,
     ResidualOverlay,
     SelfLoopError,
     build_graph,
+    generate,
+    harness,
+    resolve_constraint_severity,
+    run_steering,
+    solve_l1,
 )
+from vpembed.neighborhoods import _usable_mask
 
 E = EdgeMetrics
 
@@ -213,3 +222,126 @@ def test_shuffled_release_tolerates_drift_at_large_capacity():
     overlay.reserve([0], (1.0,))
     with pytest.raises(OverReleaseError):
         overlay.release([0], (1.001,))
+
+
+# --- the memoized pruning mask ----------------------------------------------
+
+
+def _scanned_mask(g, c):
+    """The pruning mask straight from its definition, with no memo."""
+    return bytearray(
+        0 if any(g.link_cols[j][e] < bound for j, bound in c.link_bounds) else 1
+        for e in range(g.edge_count)
+    )
+
+
+def _two_metric_graph(rng, max_nodes=12):
+    n = rng.randint(2, max_nodes)
+    edges = [
+        (u, v, E((float(rng.randint(1, 9)), float(rng.randint(1, 5))), (1.0,)))
+        for u in range(n)
+        for v in range(n)
+        if u != v and rng.random() < 0.3
+    ]
+    return build_graph(n, edges, [0.0] * n, link_arity=2, path_arity=1)
+
+
+def test_path_nonneg_is_fixed_at_construction():
+    edges = [(0, 1, E((1.0,), (2.0, -1.0, float("nan")))), (1, 0, E((1.0,), (0.0, 3.0, 1.0)))]
+    g = build_graph(2, edges, [0.0, 0.0])
+    assert g.path_nonneg == [True, False, True]
+    assert ResidualOverlay(g).path_nonneg is g.path_nonneg
+
+
+def test_overlay_mask_stays_exact_over_shuffled_reserve_release():
+    rng = random.Random(5150)
+    checks = 0
+    for _ in range(60):
+        g = _two_metric_graph(rng)
+        if not g.edge_count:
+            continue
+        overlay = ResidualOverlay(g)
+        one = ConstraintSet(((0, float(rng.randint(1, 6))),))
+        two = ConstraintSet(((0, float(rng.randint(1, 6))), (1, float(rng.randint(1, 3)))))
+        c = one
+        outstanding = []
+        for _ in range(40):
+            if outstanding and rng.random() < 0.4:
+                overlay.release(*outstanding.pop(rng.randrange(len(outstanding))))
+            else:
+                handles = rng.sample(range(g.edge_count), rng.randint(1, min(4, g.edge_count)))
+                e = handles[0]
+                # half the time leave the first edge exactly at the bound
+                exact = {j: overlay.link_cols[j][e] - b for j, b in c.link_bounds}
+                demand = tuple(
+                    exact[j] if j in exact and exact[j] > 0 and rng.random() < 0.5
+                    else float(rng.randint(0, 2))
+                    for j in range(2)
+                )
+                try:
+                    overlay.reserve(handles, demand)
+                except InsufficientResidualError:
+                    continue
+                outstanding.append((handles, demand))
+            if rng.random() < 0.2:
+                c = two if c is one else one
+            assert _usable_mask(overlay, c) == _scanned_mask(overlay, c)
+            checks += 1
+    assert checks > 1000
+
+
+def test_overlay_reserve_leaves_the_base_mask_and_answers_alone():
+    rng = random.Random(8080)
+    for _ in range(30):
+        g = _two_metric_graph(rng, max_nodes=9)
+        c = ConstraintSet(((0, float(rng.randint(1, 5))),), ((0, 100.0),))
+        pairs = [(u, v) for u in range(g.node_count) for v in range(g.node_count) if u != v]
+
+        def answers(graph):
+            out = []
+            for u, v in pairs:
+                try:
+                    out.append(solve_l1(graph, u, v, c).nodes)
+                except NoPathError as exc:
+                    out.append(exc.status)
+            return out
+
+        base_answers = answers(g)
+        base_mask = bytes(_usable_mask(g, c))
+        overlay = ResidualOverlay(g)
+        assert overlay.mask_memo is None
+        answers(overlay)
+        for e in range(g.edge_count):
+            overlay.reserve([e], (overlay.link_cols[0][e], 0.0))
+        assert not any(_usable_mask(overlay, c))
+        assert bytes(_usable_mask(g, c)) == base_mask == bytes(_scanned_mask(g, c))
+        assert answers(g) == base_answers
+
+
+def test_steering_cell_solves_on_one_mask(monkeypatch):
+    # the mask is built once per cell: reserve keeps it current, so no solve
+    # after the first scans the edge list
+    masks = []
+    resolve = harness.resolve_backend
+
+    def recording(name):
+        solver = resolve(name)
+
+        def solve(overlay, src, dst, c):
+            try:
+                return solver(overlay, src, dst, c)
+            finally:
+                masks.append(overlay.mask_memo[1])
+                assert masks[-1] == _scanned_mask(overlay, c)
+
+        return solve
+
+    monkeypatch.setattr(harness, "resolve_backend", recording)
+    g = generate(GenSpec(node_count=60, target_avg_degree=4.0, seed=1))
+    c = resolve_constraint_severity(g, "low", "high")
+    for backend in ("nm-l1", "edijkstra", "nm-general"):
+        masks.clear()
+        report = run_steering(g, 8, c, backend, seed=3)
+        assert report.solve_calls == len(masks) > 8
+        assert report.vl_count > 0
+        assert all(mask is masks[0] for mask in masks)

@@ -472,3 +472,33 @@ def test_parse_config_rejects_non_finite_numbers(text, key):
     with pytest.raises(ConfigError) as err:
         parse_config(f"scenario = steering\n{text}\n")
     assert err.value.key == key
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("pairs = 0", "pairs"),
+        ("nodes = 1", "nodes"),
+        ("requests = 0", "requests"),
+        ("request_nodes = 1", "request_nodes"),
+        ("demand_max = 0", "demand_max"),
+        ("vne_cpu = -1", "vne_cpu"),
+        ("vne_bw = 0", "vne_bw"),
+        ("seeds =", "seeds"),
+        ("backends = ,", "backends"),
+        ("degrees =", "degrees"),
+        ("delay_percents =", "delay_percents"),
+    ],
+)
+def test_parse_config_rejects_out_of_range_values_and_empty_axes(text, key):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"scenario = steering\n{text}\n")
+    assert err.value.key == key
+
+
+def test_config_range_minimums_are_accepted():
+    cfg = parse_config(
+        "scenario = vne\nnodes = 2\npairs = 1\nrequests = 1\nrequest_nodes = 2\n"
+        "demand_max = 0.5\n"
+    )
+    assert (cfg.nodes, cfg.pairs, cfg.requests, cfg.request_nodes) == (2, 1, 1, 2)
