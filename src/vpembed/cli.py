@@ -200,6 +200,9 @@ def cmd_run(args) -> int:
     if not os.path.isdir(outdir):
         print(f"vpembed run: output directory {outdir} does not exist", file=sys.stderr)
         return EXIT_FLAGS
+    if os.path.isdir(output):
+        print(f"vpembed run: output path {output} is a directory", file=sys.stderr)
+        return EXIT_FLAGS
     if cfg.scale == "paper":
         print(
             f"vpembed run: paper scale selected ({cfg.effective_nodes()} nodes); "

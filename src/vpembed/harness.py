@@ -483,13 +483,18 @@ def _run_cell(cfg: ExperimentConfig, cell: _Cell, graph: PhysicalGraph | None = 
             link_util=report.link_utilization,
         )
     else:
+        pairs = cfg.effective_pairs()
+        if pairs > g.node_count * (g.node_count - 1):
+            raise ConfigError(
+                f"cannot draw {pairs} distinct pairs from {g.node_count} nodes", key="pairs"
+            )
         if cell.delay_token.endswith("%"):
             c = constraints_from_percent(g, cell.bw_level, float(cell.delay_token[:-1]))
         else:
             c = resolve_constraint_severity(g, cell.bw_level, cell.delay_token)
         report = run_steering(
             g,
-            cfg.effective_pairs(),
+            pairs,
             c,
             cell.backend,
             cell.seed,
@@ -518,7 +523,8 @@ def sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
     more than there are cells or CPUs.
 
     Raises:
-        ConfigError: jobs < 1.
+        ConfigError: jobs < 1, or a steering cell's topology has fewer
+            than ``pairs`` distinct (src, dst) pairs.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")

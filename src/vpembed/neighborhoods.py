@@ -1,14 +1,14 @@
-"""Minimum-hop constrained path search by level-by-level frontier expansion.
+"""Minimum-hop constrained path search on the link-bound-pruned graph.
 
-The search grows "neighborhood" levels outward from the source on the
-link-bound-pruned graph: level k holds the nodes reached at sweep round k.
-Two solvers share this skeleton:
+Both solvers first drop the edges that break a link bound. Then:
 
-- :func:`solve_general` accepts any number of link and path bounds. Level k
-  is the union of level k-1's out-neighbors; at each depth where dst
-  appears it enumerates the loop-free candidate paths of exactly that many
-  hops (worst-case exponential) and returns the first feasible candidate in
-  lexicographic order.
+- :func:`solve_general` accepts any number of link and path bounds. One
+  reverse BFS gives every node's hop distance to dst. The solver deepens
+  from src's hop distance to node_count - 1 hops, and at each depth
+  enumerates the loop-free candidate paths of exactly that many hops
+  (worst-case exponential) in lexicographic order, extending a prefix
+  only while its hop count plus its end's distance to dst fits the depth.
+  The first candidate that meets every path bound is the answer.
 - :func:`solve_l1` accepts exactly one path bound and runs in polynomial
   time: each round keeps one best accumulated value per node and re-labels
   a node only when a strictly better value arrives that still respects the
@@ -104,76 +104,42 @@ def _min_sums_to(g, dst: int, col, usable: bytearray) -> list[float]:
     return dist
 
 
-def _hop_distances_to(g, dst: int, usable: bytearray) -> list[float]:
+def _hop_distances_to(g, dst: int, usable: bytearray) -> list[int | float]:
     """Hop distance from every node to dst on the pruned graph, ignoring
-    path bounds (reverse BFS); math.inf where dst is unreachable."""
-    dist = [math.inf] * g.node_count
+    path bounds (reverse BFS). Entries are ints, math.inf where dst is
+    unreachable; the entry of dst is 0."""
+    inf = math.inf
+    dist = [inf] * g.node_count
     dist[dst] = 0
     queue = [dst]
     in_adj = g.in_adjacency
+    hops = 0
     while queue:
+        hops += 1
         nxt = []
         for v in queue:
             for u, e in in_adj[v]:
-                if dist[u] == math.inf and usable[e]:
-                    dist[u] = dist[v] + 1
+                if dist[u] == inf and usable[e]:
+                    dist[u] = hops
                     nxt.append(u)
         queue = nxt
     return dist
 
 
-def _grow_levels(g, src: int, usable: bytearray):
-    """Forward pass of the general sweep: yield levels 1, 2, ... in turn.
+def _iter_fixed_length_paths(g, depth, src, dst, usable, to_dst, limit, cost_floor=None):
+    """Yield (nodes, edge_handles) for every loop-free src->dst path of
+    exactly depth >= 1 hops, in lexicographic order.
 
-    Level k is the set of out-neighbors of level k-1 on the pruned graph
-    (level 0 is {src}), so a node may recur in several levels. Stops at the
-    first empty level, which is not yielded, or after level node_count - 1,
-    the length of the longest loop-free path.
-    """
-    adj = g.adjacency
-    level = {src}
-    for _ in range(g.node_count - 1):
-        level = {v for u in level for v, e in adj[u] if usable[e]}
-        if not level:
-            return
-        yield level
-
-
-def _iter_fixed_length_paths(g, levels, src, dst, usable, limit, cost_floor=None):
-    """Yield (nodes, edge_handles) for every loop-free src->dst path whose
-    hop count equals len(levels) - 1, in lexicographic order.
-
-    Walks forward through the levels in ascending (neighbor, handle) order,
-    restricted to nodes from which dst stays reachable level-by-level (the
-    per-level intersection of in-neighbors with the previous level).
+    Walks forward from src in ascending (neighbor, handle) order. A prefix
+    that ends k hops out at v is extended only while k + to_dst[v] <= depth,
+    to_dst being :func:`_hop_distances_to` of dst on the same mask; no
+    prefix that can still become a loop-free path of depth hops is cut.
 
     cost_floor optionally lists (metric col, per-node remaining-sum lower
     bound, effective upper bound) triples; prefixes that already provably
     exceed a bound are skipped. Only sound for nonnegative metrics, so the
     caller decides what to pass.
     """
-    depth = len(levels) - 1
-    if depth == 0:
-        if src == dst:
-            yield [src], []
-        return
-
-    # survivors[k]: members of level k that can still reach dst on schedule
-    survivors: list[set[int]] = [set() for _ in range(depth + 1)]
-    if dst not in levels[depth]:
-        return
-    survivors[depth] = {dst}
-    in_adj = g.in_adjacency
-    for k in range(depth - 1, -1, -1):
-        cur = survivors[k]
-        lev = levels[k]
-        for v in survivors[k + 1]:
-            for u, e in in_adj[v]:
-                if usable[e] and u in lev:
-                    cur.add(u)
-    if src not in survivors[0]:
-        return
-
     adj = g.adjacency
     on_path = bytearray(g.node_count)
     on_path[src] = 1
@@ -188,7 +154,7 @@ def _iter_fixed_length_paths(g, levels, src, dst, usable, limit, cost_floor=None
             if not usable[e]:
                 continue
             k = len(stack)
-            if v not in survivors[k] or on_path[v]:
+            if on_path[v] or k + to_dst[v] > depth:
                 continue
             if cost_floor:
                 dead = False
@@ -234,21 +200,27 @@ def solve_general(
 ) -> PathResult:
     """Minimum-hop loop-free path satisfying any mix of link and path bounds.
 
-    Prunes link-infeasible edges, then deepens the neighborhood levels; at
-    every depth where dst appears, candidates of exactly that hop count are
-    generated in lexicographic order and the first one meeting all path
-    bounds is returned. Depth never exceeds node_count - 1 hops.
+    Prunes link-infeasible edges and takes the hop distance of every node
+    to dst on what is left (one reverse BFS). Then, for each depth from
+    src's hop distance up to node_count - 1, it generates the candidates of
+    exactly that hop count in lexicographic order and returns the first
+    one meeting all path bounds. candidate_limit caps the partial paths
+    expanded at each depth.
 
     Raises:
-        UnreachableError: dst never appears in any level.
+        UnreachableError: dst is unreachable from src on the pruned graph.
         InfeasibleError: dst reachable but no loop-free path satisfies c.
-        ResourceLimitError: candidate expansion exceeded candidate_limit.
+        ResourceLimitError: candidate expansion at one depth exceeded
+            candidate_limit.
     """
     trivial = _check_query(g, src, dst, c)
     if trivial is not None:
         return trivial
 
     usable = _usable_mask(g, c)
+    to_dst = _hop_distances_to(g, dst, usable)
+    if to_dst[src] == math.inf:
+        raise UnreachableError(f"node {dst} is unreachable from {src} on the pruned graph")
 
     # admissible remaining-cost pruning, sound only for nonnegative metrics;
     # it also settles obviously hopeless queries without any enumeration
@@ -259,29 +231,20 @@ def solve_general(
         col = g.path_cols[j]
         floor = _min_sums_to(g, dst, col, usable)
         bound_eff = bound if c.strict else math.nextafter(bound, math.inf)
-        if floor[src] == math.inf:
-            raise UnreachableError(f"node {dst} is unreachable from {src} on the pruned graph")
         if floor[src] >= bound_eff:
             raise InfeasibleError(
                 f"minimum accumulated metric {floor[src]} already violates the bound {bound}"
             )
         cost_floor.append((col, floor, bound_eff))
 
-    levels: list[set[int]] = [{src}]
-    seen_dst = False
-    for level in _grow_levels(g, src, usable):
-        levels.append(level)
-        if dst in level:
-            seen_dst = True
-            for nodes, edges in _iter_fixed_length_paths(
-                g, levels, src, dst, usable, candidate_limit, cost_floor
-            ):
-                cand = path_from_edges(g, nodes, edges)
-                if path_feasible(cand.accumulated, c):
-                    return cand
-    if seen_dst:
-        raise InfeasibleError(f"no loop-free path from {src} to {dst} satisfies the constraints")
-    raise UnreachableError(f"node {dst} is unreachable from {src} on the pruned graph")
+    for depth in range(to_dst[src], g.node_count):
+        for nodes, edges in _iter_fixed_length_paths(
+            g, depth, src, dst, usable, to_dst, candidate_limit, cost_floor
+        ):
+            cand = path_from_edges(g, nodes, edges)
+            if path_feasible(cand.accumulated, c):
+                return cand
+    raise InfeasibleError(f"no loop-free path from {src} to {dst} satisfies the constraints")
 
 
 def _l1_forward(g, src: int, dst: int, c: ConstraintSet):

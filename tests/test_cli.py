@@ -270,12 +270,15 @@ BAD_TOP = "nodes 2 link_metrics 1 path_metrics 1\nedge 0 1 5\n"
         ("scenario = vne\nnodes = 30\ndemand_max = -5\n", 1, 2),
         ("scenario = steering\nnodes = 30\nseeds =\n", 1, 2),
         ("scenario = steering\nnodes = 30\nbackends =\n", 1, 2),
+        # 13 pairs > 4 * 3 on the 4-node topology, known only once it is loaded
+        ("scenario = steering\ntopology = {top}\npairs = 13\n", 1, 2),
+        ("scenario = steering\ntopology = {top}\npairs = 13\nseeds = 1 2\n", 2, 2),
     ],
     ids=["solve-node-out-of-range", "solve-l1-without-path", "solve-bad-constraint",
          "solve-bound-beyond-arity", "solve-missing-topology", "steering-missing-topology",
          "steering-unparsable-topology-jobs-2", "nan-degree", "inf-delay-percent",
          "negative-pairs", "zero-nodes", "negative-demand-max", "empty-seeds",
-         "empty-backends"],
+         "empty-backends", "too-many-pairs", "too-many-pairs-jobs-2"],
 )
 def test_run_bad_input_is_one_line_error(tmp_path, fig_top, body, jobs, code):
     bad = tmp_path / "bad.top"
@@ -299,6 +302,19 @@ def test_run_missing_output_directory_is_one_line_error(tmp_path):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert "nodir" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_run_output_path_is_a_directory_is_one_line_error(tmp_path):
+    # checked before the sweep, like a missing output directory
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("scenario = steering\nnodes = 30\npairs = 2\n")
+    (tmp_path / "adir").mkdir()
+    proc = _cli("run", str(cfg), "-o", str(tmp_path / "adir"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert "adir" in proc.stderr
     assert proc.stdout == ""
 
 

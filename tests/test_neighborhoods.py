@@ -1,4 +1,6 @@
+import math
 import random
+import time
 
 import pytest
 
@@ -7,17 +9,19 @@ from oracle import all_simple_paths, feasible, min_feasible_hops
 from vpembed import (
     ConstraintSet,
     EdgeMetrics,
+    GenSpec,
     InfeasibleError,
     NegativeWeightCycleError,
     NoPathError,
     ResourceLimitError,
     UnreachableError,
     build_graph,
+    generate,
     solve_general,
     solve_l1,
 )
 from vpembed.neighborhoods import (
-    _grow_levels,
+    _hop_distances_to,
     _iter_fixed_length_paths,
     _l1_forward,
     _usable_mask,
@@ -31,108 +35,82 @@ def _all_usable(g):
     return bytearray([1]) * g.edge_count
 
 
-def _levels_until(g, src, dst, usable=None):
-    """Levels 0..k of the general sweep, k being the first level holding dst."""
+def _candidates(g, depth, src, dst, usable=None):
+    """Every candidate of exactly depth hops, pruned by the hop distances
+    to dst as solve_general prunes them."""
     if usable is None:
         usable = _all_usable(g)
-    levels = [{src}]
-    for level in _grow_levels(g, src, usable):
-        levels.append(level)
-        if dst in level:
-            break
-    return levels
-
-
-def _candidates(g, levels, src, dst, usable=None):
-    if usable is None:
-        usable = _all_usable(g)
+    to_dst = _hop_distances_to(g, dst, usable)
     return [
         path_from_edges(g, nodes, edges)
-        for nodes, edges in _iter_fixed_length_paths(g, levels, src, dst, usable, 10**6)
+        for nodes, edges in _iter_fixed_length_paths(g, depth, src, dst, usable, to_dst, 10**6)
     ]
 
 
-# --- forward pass ---------------------------------------------------------
+# --- candidate enumeration --------------------------------------------------
 
 
-def test_fig_levels(fig_graph, fig_constraints):
-    assert _levels_until(fig_graph, X, Y) == [{X}, {A, B}, {A, B, Y}]
-    # pruning B->Y (bw 4 < 5) leaves Y at level 2, reached through A
+def test_fig_candidates_by_depth(fig_graph, fig_constraints):
+    assert [c.nodes for c in _candidates(fig_graph, 2, X, Y)] == [(X, A, Y), (X, B, Y)]
+    assert [c.nodes for c in _candidates(fig_graph, 3, X, Y)] == [(X, A, B, Y), (X, B, A, Y)]
+    # pruning B->Y (bw 4 < 5) leaves one candidate per depth, both through A->Y
     usable = _usable_mask(fig_graph, fig_constraints)
-    assert _levels_until(fig_graph, X, Y, usable) == [{X}, {A, B}, {A, B, Y}]
-    # the A<->B cycle never empties a level: growth stops at node_count - 1
-    levels = list(_grow_levels(fig_graph, X, _all_usable(fig_graph)))
-    assert len(levels) == fig_graph.node_count - 1
+    assert [c.nodes for c in _candidates(fig_graph, 2, X, Y, usable)] == [(X, A, Y)]
+    assert [c.nodes for c in _candidates(fig_graph, 3, X, Y, usable)] == [(X, B, A, Y)]
 
 
-def test_src_equals_dst_levels(fig_graph):
-    # depth 0: the level list is just {src} and the only path is the empty one
-    usable = _all_usable(fig_graph)
-    assert list(_iter_fixed_length_paths(fig_graph, [{X}], X, X, usable, 10)) == [([X], [])]
+def test_hop_distances_to(fig_graph, fig_constraints):
+    assert _hop_distances_to(fig_graph, Y, _all_usable(fig_graph)) == [2, 1, 1, 0]
+    usable = _usable_mask(fig_graph, fig_constraints)
+    dist = _hop_distances_to(fig_graph, Y, usable)
+    assert dist == [2, 1, 2, 0] and all(type(d) is int for d in dist)
+    # no edge enters X, so every other node is at distance inf from it
+    assert _hop_distances_to(fig_graph, X, usable) == [0, math.inf, math.inf, math.inf]
 
 
 def test_disconnected_unreachable():
     g = build_graph(4, [(0, 1, E((1.0,), (1.0,))), (2, 3, E((1.0,), (1.0,)))], [0.0] * 4)
-    assert list(_grow_levels(g, 0, _all_usable(g))) == [{1}]
     with pytest.raises(UnreachableError):
         solve_general(g, 0, 3, ConstraintSet((), ()))
 
 
-def test_levels_at_most_node_count():
-    rng = random.Random(5)
-    for _ in range(50):
-        g, _ = random_instance(rng, max_nodes=8)
-        levels = list(_grow_levels(g, 0, _all_usable(g)))
-        assert len(levels) <= g.node_count - 1
-        assert all(levels)  # an empty level ends the growth instead of being yielded
-
-
-# --- backward pass --------------------------------------------------------
-
-
 def test_fig_two_hop_candidates(fig_graph):
-    cands = _candidates(fig_graph, _levels_until(fig_graph, X, Y), X, Y)
+    cands = _candidates(fig_graph, 2, X, Y)
     assert [c.nodes for c in cands] == [(X, A, Y), (X, B, Y)]
 
 
 def test_fig_three_hop_candidates_include_detour(fig_graph):
-    levels = _levels_until(fig_graph, X, Y) + [{A, B, Y}]  # one more level
-    cands = _candidates(fig_graph, levels, X, Y)
+    cands = _candidates(fig_graph, 3, X, Y)
     assert (X, B, A, Y) in [c.nodes for c in cands]
 
 
 def test_single_edge_single_candidate():
     g = build_graph(2, [(0, 1, E((1.0,), (1.0,)))], [0.0, 0.0])
-    cands = _candidates(g, _levels_until(g, 0, 1), 0, 1)
+    cands = _candidates(g, 1, 0, 1)
     assert [c.nodes for c in cands] == [(0, 1)]
 
 
 def test_backward_pass_complete_against_enumeration():
-    # candidates at depth d = exactly the simple paths with d hops
+    # at every depth from src's hop distance to n - 1, the candidates are
+    # exactly the simple paths of that many hops, in lexicographic order
     rng = random.Random(23)
     checked = 0
     for _ in range(80):
         g, edges = random_instance(rng, max_nodes=10)
         src, dst = 0, g.node_count - 1
-        levels = _levels_until(g, src, dst)
-        if dst not in levels[-1]:
+        first = _hop_distances_to(g, dst, _all_usable(g))[src]
+        if first == math.inf:
             continue
-        depth = len(levels) - 1
-        cands = _candidates(g, levels, src, dst)
-        expected = sorted(
-            tuple(nodes)
-            for nodes, _e in all_simple_paths(g.node_count, edges, src, dst)
-            if len(nodes) - 1 == depth
-        )
-        got = [c.nodes for c in cands]
-        assert sorted(set(got)) == expected
-        assert got == sorted(got)  # lexicographic output order
-        checked += 1
-    assert checked > 20
+        simple = [tuple(nodes) for nodes, _e in all_simple_paths(g.node_count, edges, src, dst)]
+        for depth in range(first, g.node_count):
+            expected = sorted(nodes for nodes in simple if len(nodes) - 1 == depth)
+            assert [c.nodes for c in _candidates(g, depth, src, dst)] == expected
+            checked += 1
+    assert checked > 100
 
 
 def test_backward_pass_accumulates_metrics(fig_graph):
-    cands = _candidates(fig_graph, _levels_until(fig_graph, X, Y), X, Y)
+    cands = _candidates(fig_graph, 2, X, Y)
     xay = {c.nodes: c for c in cands}[(X, A, Y)]
     assert xay.accumulated == (7.0,)
     assert xay.min_link_metrics == (5.0,)
@@ -226,6 +204,104 @@ def test_general_matches_oracle_with_two_path_bounds():
         except NoPathError:
             assert expected is None
         trials += 1
+
+
+def _two_bound_oracle_check(n, edges, src, dst, rng, statuses):
+    """solve_general against min_feasible_hops for one random two-path-bound
+    query from src to dst on the given edge list."""
+    g = build_graph(n, edges, [0.0] * n, link_arity=1, path_arity=2)
+    c = ConstraintSet(
+        ((0, float(rng.randint(1, 4))),) if rng.random() < 0.5 else (),
+        ((0, float(rng.randint(-2, 20))), (1, float(rng.randint(-2, 20)))),
+        strict=rng.random() < 0.5,
+    )
+    expected = min_feasible_hops(n, edges, src, dst, c)
+    try:
+        result = solve_general(g, src, dst, c)
+    except NoPathError as exc:
+        assert expected is None
+        statuses[exc.status] = statuses.get(exc.status, 0) + 1
+        return
+    assert result.hop_count == expected
+    assert feasible(edges, list(result.edge_handles), c)
+    statuses["ok"] = statuses.get("ok", 0) + 1
+
+
+def _random_metrics(rng, negative):
+    low = -3 if negative else 0
+    return E((float(rng.randint(1, 9)),), (float(rng.randint(low, 9)), float(rng.randint(low, 9))))
+
+
+@pytest.mark.parametrize("negative", [False, True], ids=["nonneg", "negative"])
+def test_general_matches_oracle_on_bipartite_grids(negative):
+    # on a grid every src->dst path has the parity of their distance, which
+    # the hop-distance bound alone does not see; with both metrics negative
+    # somewhere there is no cost floor to prune by either
+    rng = random.Random(61 + negative)
+    statuses = {}
+    for _ in range(150):
+        rows, cols = rng.randint(2, 3), rng.randint(2, 4)
+        edges = []
+        for i in range(rows):
+            for j in range(cols):
+                u = i * cols + j
+                for v in ((u + 1,) if j + 1 < cols else ()) + ((u + cols,) if i + 1 < rows else ()):
+                    edges.append((u, v, _random_metrics(rng, negative)))
+                    edges.append((v, u, _random_metrics(rng, negative)))
+        n = rows * cols
+        _two_bound_oracle_check(n, edges, *rng.sample(range(n), 2), rng, statuses)
+    assert statuses.get("ok", 0) > 30 and statuses.get("infeasible", 0) > 30
+
+
+@pytest.mark.parametrize("negative", [False, True], ids=["nonneg", "negative"])
+def test_general_matches_oracle_on_dags(negative):
+    # on a DAG no path is longer than the longest chain, so every depth past
+    # it enumerates nothing; the answer must not change
+    rng = random.Random(71 + negative)
+    statuses = {}
+    for _ in range(150):
+        n = rng.randint(2, 10)
+        order = list(range(n))
+        rng.shuffle(order)
+        edges = [
+            (order[a], order[b], _random_metrics(rng, negative))
+            for a in range(n)
+            for b in range(a + 1, n)
+            if rng.random() < 0.5
+        ]
+        a, b = sorted(rng.sample(range(n), 2))
+        _two_bound_oracle_check(n, edges, order[a], order[b], rng, statuses)
+    assert statuses.get("ok", 0) > 20 and statuses.get("infeasible", 0) > 10
+
+
+def _reliability_graph(node_count, seed):
+    """A generated graph with a second path metric, -ln(reliability), drawn
+    per undirected link from U[0.95, 0.9999]."""
+    g = generate(GenSpec(node_count=node_count, target_avg_degree=4.0, seed=seed))
+    rng = random.Random(seed)
+    cost = {}
+    edges = []
+    for u, v, m in g.edges:
+        key = (min(u, v), max(u, v))
+        if key not in cost:
+            cost[key] = -math.log(rng.uniform(0.95, 0.9999))
+        edges.append((u, v, E(m.link_metrics, (m.path_metrics[0], cost[key]))))
+    return build_graph(g.node_count, edges, g.node_capacity)
+
+
+def test_general_infeasible_two_bound_query_is_fast():
+    # each bound alone is met, so both cost floors pass and the solver
+    # enumerates every depth up to n - 1 hops before it can answer
+    # infeasible: each of those ~300 depths must stay cheap
+    g = _reliability_graph(300, 1)
+    delay = (0, 2.5 * max(g.path_cols[0]))
+    cost = (1, 0.1)
+    for bound in (delay, cost):
+        assert solve_general(g, 14, 117, ConstraintSet(((0, 1.0),), (bound,))).hop_count > 0
+    start = time.process_time()
+    with pytest.raises(InfeasibleError):
+        solve_general(g, 14, 117, ConstraintSet(((0, 1.0),), (delay, cost)))
+    assert time.process_time() - start < 1.0
 
 
 # --- single-path-bound solver ----------------------------------------------
