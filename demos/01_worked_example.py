@@ -11,7 +11,6 @@ from vpembed import (
     ConstraintSet,
     EdgeMetrics,
     InfeasibleError,
-    KspConfig,
     build_graph,
     solve_edijkstra,
     solve_general,
@@ -66,7 +65,7 @@ print(f"pruned Dijkstra: {fmt(ed.nodes)}  delay={ed.accumulated[0]}")
 
 # A k=1 shortest-path embedder inspects only X->A->Y and gives up.
 try:
-    solve_ksp(g, X, Y, c, KspConfig(1))
+    solve_ksp(g, X, Y, c, k=1)
 except InfeasibleError as exc:
     print(f"ksp k=1: infeasible ({exc})")
-print("ksp k=4:", fmt(solve_ksp(g, X, Y, c, KspConfig(4)).nodes))
+print("ksp k=4:", fmt(solve_ksp(g, X, Y, c, k=4).nodes))

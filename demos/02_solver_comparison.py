@@ -17,7 +17,7 @@ c = resolve_constraint_severity(g, bw_level="med", delay_level="med")
 print(f"graph: {g.node_count} nodes, {g.edge_count} directed edges")
 print(f"constraints: bw >= {c.link_bounds[0][1]} Gbps, delay < {c.path_bounds[0][1]:.2f} ms\n")
 
-backends = ["nm-l1", "nm-general", "edijkstra", "ksp:3:by_hops"]
+backends = ["nm-l1", "nm-general", "edijkstra", "ksp:3"]
 rng = random.Random(1)
 queries = [(rng.randrange(200), rng.randrange(200)) for _ in range(8)]
 

@@ -7,7 +7,7 @@ for virtual network embedding and traffic steering.
 """
 
 from .backends import resolve_backend
-from .baselines import KspConfig, solve_edijkstra, solve_exhaustive, solve_ksp
+from .baselines import solve_edijkstra, solve_exhaustive, solve_ksp
 from .constraints import (
     ConstraintSet,
     parse_constraints,
@@ -63,7 +63,6 @@ __all__ = [
     "InfeasibleError",
     "InsufficientResidualError",
     "InvalidCountsError",
-    "KspConfig",
     "NegativeMetricError",
     "NegativeWeightCycleError",
     "NoPathError",

@@ -1,18 +1,18 @@
 """Solver registry: resolve name tokens to query callables.
 
 Token grammar:
-    nm-general | nm-l1 | edijkstra | ksp:<k>[:<ranking>[:<metric_index>]]
-    | exhaustive
+    nm-general | nm-l1 | edijkstra | ksp:<k> | exhaustive
 
+``ksp:<k>`` takes a positive integer k, the number of candidates tried.
 Every resolved backend has the uniform signature
 ``backend(g, src, dst, c) -> PathResult`` and raises NoPathError subclasses.
 """
 
-from .baselines import KspConfig, solve_edijkstra, solve_exhaustive, solve_ksp
+from .baselines import solve_edijkstra, solve_exhaustive, solve_ksp
 from .errors import UnknownBackendError
 from .neighborhoods import solve_general, solve_l1
 
-BACKEND_NAMES = ("nm-general", "nm-l1", "edijkstra", "ksp:<k>:<ranking>", "exhaustive")
+BACKEND_NAMES = ("nm-general", "nm-l1", "edijkstra", "ksp:<k>", "exhaustive")
 
 
 def resolve_backend(name: str):
@@ -30,18 +30,16 @@ def resolve_backend(name: str):
     if name == "exhaustive":
         return solve_exhaustive
     if name.startswith("ksp:"):
-        parts = name.split(":")
         try:
-            k = int(parts[1])
-            ranking = parts[2] if len(parts) > 2 else "by_hops"
-            metric_index = int(parts[3]) if len(parts) > 3 else 0
-            cfg = KspConfig(k, ranking, metric_index)
-        except (ValueError, IndexError) as exc:
+            k = int(name[4:])
+        except ValueError as exc:
             raise UnknownBackendError(f"bad ksp token {name!r}: {exc}") from exc
+        if k < 1:
+            raise UnknownBackendError(f"bad ksp token {name!r}: k must be >= 1")
 
-        def ksp_backend(g, src, dst, c, _cfg=cfg):
-            return solve_ksp(g, src, dst, c, _cfg)
+        def ksp_backend(g, src, dst, c):
+            # solve_ksp is looked up at call time, so a rebound name is honored
+            return solve_ksp(g, src, dst, c, k)
 
-        ksp_backend.__name__ = f"ksp_{k}_{ranking}"
         return ksp_backend
     raise UnknownBackendError(f"unknown backend {name!r}; known: {', '.join(BACKEND_NAMES)}")

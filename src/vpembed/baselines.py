@@ -8,7 +8,6 @@ the true minimum feasible hop count.
 
 import heapq
 import math
-from dataclasses import dataclass
 
 from .constraints import ConstraintSet, path_feasible
 from .errors import (
@@ -17,27 +16,14 @@ from .errors import (
     ResourceLimitError,
     UnreachableError,
 )
-from .neighborhoods import _check_query, _hop_distances_to, _usable_mask
+from .neighborhoods import (
+    DEFAULT_CANDIDATE_LIMIT,
+    _check_query,
+    _hop_distances_to,
+    _iter_fixed_length_paths,
+    _usable_mask,
+)
 from .paths import PathResult, path_from_edges
-
-DEFAULT_EXPANSION_LIMIT = 10**6
-
-RANKINGS = ("by_hops", "by_path_metric")
-
-
-@dataclass(frozen=True)
-class KspConfig:
-    """Candidate count and ranking for the k-shortest-path solver."""
-
-    k: int
-    ranking: str = "by_hops"
-    metric_index: int = 0
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.ranking not in RANKINGS:
-            raise ValueError(f"ranking must be one of {RANKINGS}, got {self.ranking!r}")
 
 
 def _chain_precedes(pred: list[int], a: int, b: int) -> bool:
@@ -138,82 +124,45 @@ def solve_edijkstra(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
     return path_from_edges(g, nodes, edges)
 
 
-def solve_ksp(
-    g,
-    src: int,
-    dst: int,
-    c: ConstraintSet,
-    cfg: KspConfig,
-    *,
-    expansion_limit: int = DEFAULT_EXPANSION_LIMIT,
-) -> PathResult:
+def solve_ksp(g, src: int, dst: int, c: ConstraintSet, k: int) -> PathResult:
     """First feasible path among the k best loop-free candidates.
 
-    Candidates are enumerated on the raw topology in cfg.ranking order
-    (ties broken lexicographically) and only then tested against c, so a
-    saturated shortest path is re-examined rather than routed around --
-    the behavior of embedders that rank paths once and cache them.
+    Candidates are the loop-free paths of the raw topology in (hop count,
+    lexicographic) order -- nm-general's fixed-length enumerator run on an
+    all-ones mask -- and only then tested against c, so a saturated
+    shortest path is re-examined rather than routed around: the behavior
+    of embedders that rank paths once and cache them.
 
     Raises:
-        UnreachableError: no loop-free path exists at all.
+        ValueError: k < 1.
+        UnreachableError: no path exists at all.
         InfeasibleError: none of the first k candidates satisfies c.
-        ResourceLimitError: enumeration exceeded expansion_limit pushes.
+        ResourceLimitError: candidate expansion at one hop count exceeded
+            DEFAULT_CANDIDATE_LIMIT partial paths.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     trivial = _check_query(g, src, dst, c)
     if trivial is not None:
         return trivial
 
-    n = g.node_count
-    if cfg.ranking == "by_hops":
-        lower = _hop_distances_to(g, dst, bytearray([1]) * g.edge_count)
-        if lower[src] == math.inf:
-            raise UnreachableError(f"no path from {src} to {dst}")
-        cost = None
-    else:
-        if cfg.metric_index >= g.path_arity:
-            raise ValueError(f"metric index {cfg.metric_index} >= path arity {g.path_arity}")
-        if not g.path_nonneg[cfg.metric_index]:
-            raise ValueError("by_path_metric ranking requires nonnegative metrics")
-        cost = g.path_cols[cfg.metric_index]
-        lower = [0.0] * n
-
-    adj = g.adjacency
-    # heap of (rank lower bound, node sequence, edge sequence); completed
-    # paths pop in exact (rank, lexicographic) order
-    heap = [(lower[src], (src,), ())]
-    pushes = 0
+    all_ones = bytearray([1]) * g.edge_count
+    to_dst = _hop_distances_to(g, dst, all_ones)
+    if to_dst[src] == math.inf:
+        raise UnreachableError(f"no path from {src} to {dst}")
     examined = 0
-    found_any = False
-    while heap:
-        f, nodes, edges = heapq.heappop(heap)
-        u = nodes[-1]
-        if u == dst:
-            found_any = True
-            examined += 1
-            cand = path_from_edges(g, list(nodes), list(edges))
+    for depth in range(to_dst[src], g.node_count):
+        for nodes, edges in _iter_fixed_length_paths(
+            g, depth, src, dst, all_ones, to_dst, DEFAULT_CANDIDATE_LIMIT
+        ):
+            cand = path_from_edges(g, nodes, edges)
             links_ok = all(cand.min_link_metrics[j] >= bound for j, bound in c.link_bounds)
             if links_ok and path_feasible(cand.accumulated, c):
                 return cand
-            if examined >= cfg.k:
-                raise InfeasibleError(f"none of the first {cfg.k} candidate paths satisfies c")
-            continue
-        for v, e in adj[u]:
-            if v in nodes:
-                continue
-            if cost is None:
-                nf = len(nodes) + lower[v]
-                if nf == math.inf:
-                    continue
-            else:
-                nf = f - lower[u] + cost[e]
-                nf = nf + lower[v]
-            pushes += 1
-            if pushes > expansion_limit:
-                raise ResourceLimitError(f"candidate enumeration exceeded {expansion_limit} pushes")
-            heapq.heappush(heap, (nf, nodes + (v,), edges + (e,)))
-    if found_any:
-        raise InfeasibleError(f"only {examined} candidate paths exist; none satisfies c")
-    raise UnreachableError(f"no path from {src} to {dst}")
+            examined += 1
+            if examined == k:
+                raise InfeasibleError(f"none of the first {k} candidate paths satisfies c")
+    raise InfeasibleError(f"only {examined} candidate paths exist; none satisfies c")
 
 
 def solve_exhaustive(g, src: int, dst: int, c: ConstraintSet, *, max_nodes: int = 14) -> PathResult:

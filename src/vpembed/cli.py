@@ -101,6 +101,16 @@ def _resolve_node(g, token: str) -> int:
     raise ValueError(f"unknown node {token!r}")
 
 
+def _output_problem(output) -> str | None:
+    """Why output cannot be written, found before any work; None if it can."""
+    outdir = os.path.dirname(os.path.abspath(output))
+    if not os.path.isdir(outdir):
+        return f"output directory {outdir} does not exist"
+    if os.path.isdir(output):
+        return f"output path {output} is a directory"
+    return None
+
+
 def cmd_gen(args) -> int:
     try:
         spec = GenSpec(
@@ -119,6 +129,10 @@ def cmd_gen(args) -> int:
         )
     except ValueError as exc:
         print(f"vpembed gen: invalid flags: {exc}", file=sys.stderr)
+        return EXIT_FLAGS
+    problem = _output_problem(args.output)
+    if problem is not None:
+        print(f"vpembed gen: {problem}", file=sys.stderr)
         return EXIT_FLAGS
     try:
         g = generate(spec)
@@ -186,7 +200,7 @@ def cmd_run(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as f:
             cfg = harness.parse_config(f.read())
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"vpembed run: {exc}", file=sys.stderr)
         return EXIT_FLAGS
     except ConfigError as exc:
@@ -196,12 +210,9 @@ def cmd_run(args) -> int:
     if output is None:
         print("vpembed run: no output path (config 'output' or -o)", file=sys.stderr)
         return EXIT_FLAGS
-    outdir = os.path.dirname(os.path.abspath(output))
-    if not os.path.isdir(outdir):
-        print(f"vpembed run: output directory {outdir} does not exist", file=sys.stderr)
-        return EXIT_FLAGS
-    if os.path.isdir(output):
-        print(f"vpembed run: output path {output} is a directory", file=sys.stderr)
+    problem = _output_problem(output)
+    if problem is not None:
+        print(f"vpembed run: {problem}", file=sys.stderr)
         return EXIT_FLAGS
     if cfg.scale == "paper":
         print(
@@ -240,7 +251,7 @@ def cmd_run(args) -> int:
     print(f"{len(rows)} rows -> {output}")
     if args.emit_plotdata or cfg.emit_plotdata:
         for name, text in harness.plotdata_series(rows, cfg).items():
-            path = os.path.join(outdir, name)
+            path = os.path.join(os.path.dirname(os.path.abspath(output)), name)
             with open(path, "w", encoding="utf-8") as f:
                 f.write(text)
             print(f"plotdata -> {path}")

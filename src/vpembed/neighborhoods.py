@@ -128,7 +128,9 @@ def _hop_distances_to(g, dst: int, usable: bytearray) -> list[int | float]:
 
 def _iter_fixed_length_paths(g, depth, src, dst, usable, to_dst, limit, cost_floor=None):
     """Yield (nodes, edge_handles) for every loop-free src->dst path of
-    exactly depth >= 1 hops, in lexicographic order.
+    exactly depth >= 1 hops, in lexicographic order. Both solve_general and
+    baselines.solve_ksp take their candidates from here, so the order is
+    part of both answers.
 
     Walks forward from src in ascending (neighbor, handle) order. A prefix
     that ends k hops out at v is extended only while k + to_dst[v] <= depth,

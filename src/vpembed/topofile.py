@@ -95,8 +95,10 @@ def dumps(g: PhysicalGraph) -> str:
 
 
 def fmt(value: float) -> str:
-    """Decimal rendering that round-trips and drops trailing .0 on integers."""
-    if value == int(value) and abs(value) < 1e15:
+    """Decimal rendering that round-trips and drops trailing .0 on integers.
+    The magnitude test comes first: it is false for inf and nan, which int()
+    rejects, so they render as repr gives them."""
+    if abs(value) < 1e15 and value == int(value):
         return str(int(value))
     return repr(value)
 

@@ -243,16 +243,12 @@ def resolve_constraint_severity(g: PhysicalGraph, bw_level: str, delay_level: st
     Delay: high/med/low = 400%/250%/80% of the maximum single-link delay,
     upper bound on path metric 0 (high = loose).
     """
-    if bw_level not in BW_LEVEL_GBPS:
-        raise ValueError(f"bw_level must be one of {sorted(BW_LEVEL_GBPS)}, got {bw_level!r}")
     if delay_level not in DELAY_LEVEL_FACTOR:
         raise ValueError(
             f"delay_level must be one of {sorted(DELAY_LEVEL_FACTOR)}, got {delay_level!r}"
         )
-    return ConstraintSet(
-        link_bounds=((0, BW_LEVEL_GBPS[bw_level]),),
-        path_bounds=((0, DELAY_LEVEL_FACTOR[delay_level] * max_link_delay(g)),),
-    )
+    # 100 * f / 100.0 == f exactly for every factor, so the bound is f * max delay
+    return constraints_from_percent(g, bw_level, 100 * DELAY_LEVEL_FACTOR[delay_level])
 
 
 def constraints_from_percent(g: PhysicalGraph, bw_level: str, delay_percent: float) -> ConstraintSet:

@@ -17,7 +17,6 @@ from vpembed import (
     EdgeMetrics,
     GenSpec,
     InfeasibleError,
-    KspConfig,
     NegativeWeightCycleError,
     NoPathError,
     build_graph,
@@ -137,7 +136,7 @@ def test_c03_worked_example(fig_graph, fig_constraints):
     l1 = _record(fig_constraints, solve_l1(fig_graph, X, Y, fig_constraints))
     ksp_infeasible = False
     try:
-        solve_ksp(fig_graph, X, Y, fig_constraints, KspConfig(1))
+        solve_ksp(fig_graph, X, Y, fig_constraints, 1)
     except InfeasibleError:
         ksp_infeasible = True
     ed = _record(fig_constraints, solve_edijkstra(fig_graph, X, Y, fig_constraints))

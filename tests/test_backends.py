@@ -14,15 +14,15 @@ def test_plain_tokens():
 
 
 def test_ksp_tokens(fig_graph, fig_constraints):
-    solver = resolve_backend("ksp:4:by_hops")
+    solver = resolve_backend("ksp:4")
     assert solver(fig_graph, X, Y, fig_constraints).nodes == (X, B, A, Y)
-    # default ranking
-    assert resolve_backend("ksp:4")(fig_graph, X, Y, fig_constraints).hop_count == 3
-    # metric ranking with index
-    resolve_backend("ksp:2:by_path_metric:0")
+    # the ranking suffixes are gone with the ranking choice
+    for retired in ("ksp:2:by_hops", "ksp:2:by_path_metric:0"):
+        with pytest.raises(UnknownBackendError):
+            resolve_backend(retired)
 
 
 def test_unknown_tokens():
-    for bad in ("dijkstra", "ksp", "ksp:zero", "ksp:2:by_magic", "nm"):
+    for bad in ("dijkstra", "ksp", "ksp:", "ksp:0", "ksp:-1", "ksp:zero", "ksp:2:by_magic", "nm"):
         with pytest.raises(UnknownBackendError):
             resolve_backend(bad)

@@ -10,7 +10,6 @@ from vpembed import (
     build_graph,
     EdgeMetrics,
     InfeasibleError,
-    KspConfig,
     NegativeMetricError,
     NoPathError,
     ResourceLimitError,
@@ -133,11 +132,11 @@ def test_l1_dominates_edijkstra_on_hops():
 
 def test_ksp_fig_k1_infeasible(fig_graph, fig_constraints):
     with pytest.raises(InfeasibleError):
-        solve_ksp(fig_graph, X, Y, fig_constraints, KspConfig(1))
+        solve_ksp(fig_graph, X, Y, fig_constraints, 1)
 
 
 def test_ksp_fig_k4_finds_detour(fig_graph, fig_constraints):
-    result = solve_ksp(fig_graph, X, Y, fig_constraints, KspConfig(4))
+    result = solve_ksp(fig_graph, X, Y, fig_constraints, 4)
     assert result.nodes == (X, B, A, Y)
     assert result.hop_count == 3
 
@@ -150,7 +149,7 @@ def test_ksp_unconstrained_k1_is_shortest_path():
         src, dst = 0, g.node_count - 1
         expected = min_feasible_hops(g.node_count, edges, src, dst, empty)
         try:
-            result = solve_ksp(g, src, dst, empty, KspConfig(1))
+            result = solve_ksp(g, src, dst, empty, 1)
             assert result.hop_count == expected
         except UnreachableError:
             assert expected is None
@@ -165,7 +164,7 @@ def test_ksp_monotone_in_k():
         solved_at = []
         for k in (1, 2, 4, 8):
             try:
-                solve_ksp(g, src, dst, c, KspConfig(k))
+                solve_ksp(g, src, dst, c, k)
                 solved_at.append(True)
             except NoPathError:
                 solved_at.append(False)
@@ -182,35 +181,44 @@ def test_ksp_general_dominates_on_hops():
         src, dst = 0, g.node_count - 1
         for k in (1, 3):
             try:
-                ksp = solve_ksp(g, src, dst, c, KspConfig(k))
+                ksp = solve_ksp(g, src, dst, c, k)
             except NoPathError:
                 continue
             nm = solve_general(g, src, dst, c)
             assert nm.hop_count <= ksp.hop_count
 
 
-def test_ksp_by_metric_ranking(fig_graph):
-    # delay ranking: X->B->Y (delay 2) comes first but fails the bandwidth
-    # bound; the second candidate X->B->A->Y (delay 4) is feasible
-    c = ConstraintSet(((0, 5.0),), ((0, 5.0),))
+def test_ksp_config_validation(fig_graph, fig_constraints):
+    with pytest.raises(ValueError):
+        solve_ksp(fig_graph, X, Y, fig_constraints, 0)
+
+
+def test_ksp_parallel_edges_follow_the_enumerator_order():
+    # P = 0->1->2->4 and Q = 0->1->3->4 over a doubled 0->1; P breaks the
+    # delay bound. Candidates come in (node, handle) order along the path, so
+    # the second candidate is Q over handle 0, not P over handle 1.
+    edges = [
+        (0, 1, E((1.0,), (1.0,))),
+        (0, 1, E((1.0,), (1.0,))),
+        (1, 2, E((1.0,), (1.0,))),
+        (1, 3, E((1.0,), (1.0,))),
+        (2, 4, E((1.0,), (10.0,))),
+        (3, 4, E((1.0,), (1.0,))),
+    ]
+    g = build_graph(5, edges, [0.0] * 5)
+    c = ConstraintSet((), ((0, 5.0),))
     with pytest.raises(InfeasibleError):
-        solve_ksp(fig_graph, X, Y, c, KspConfig(1, "by_path_metric", 0))
-    result = solve_ksp(fig_graph, X, Y, c, KspConfig(2, "by_path_metric", 0))
-    assert result.nodes == (X, B, A, Y)
-    assert result.accumulated == (4.0,)
-
-
-def test_ksp_config_validation():
-    with pytest.raises(ValueError):
-        KspConfig(0)
-    with pytest.raises(ValueError):
-        KspConfig(1, "by_weight")
+        solve_ksp(g, 0, 4, c, 1)
+    result = solve_ksp(g, 0, 4, c, 2)
+    assert result.nodes == (0, 1, 3, 4)
+    assert result.edge_handles == (0, 3, 5)
+    assert solve_general(g, 0, 4, c).edge_handles == result.edge_handles
 
 
 def test_ksp_unreachable(fig_graph, fig_constraints):
     g = build_graph(3, [(0, 1, E((1.0,), (1.0,)))], [0.0] * 3)
     with pytest.raises(UnreachableError):
-        solve_ksp(g, 0, 2, ConstraintSet((), ()), KspConfig(2))
+        solve_ksp(g, 0, 2, ConstraintSet((), ()), 2)
 
 
 # --- exhaustive search ------------------------------------------------------

@@ -70,6 +70,16 @@ def test_gen_bad_alpha_exit_2(tmp_path, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+def test_gen_missing_output_directory_is_one_line_error(tmp_path):
+    # checked before generation, as for run
+    proc = _cli("gen", "--nodes", "50", "-o", str(tmp_path / "nodir" / "x.top"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert "nodir" in proc.stderr
+    assert proc.stdout == ""
+
+
 # --- solve ---------------------------------------------------------------------
 
 
@@ -91,7 +101,7 @@ def test_solve_accepts_labels(fig_top, capsys):
 
 def test_solve_ksp1_infeasible_exit_4(fig_top, capsys):
     code = main(["solve", "--topology", fig_top, "--src", "0", "--dst", "3",
-                 "--backend", "ksp:1:by_hops", "--link", "0 >= 5", "--path", "0 < 5"])
+                 "--backend", "ksp:1", "--link", "0 >= 5", "--path", "0 < 5"])
     assert code == 4
     assert capsys.readouterr().out.startswith("status=infeasible")
 
@@ -303,6 +313,16 @@ def test_run_missing_output_directory_is_one_line_error(tmp_path):
     assert len(proc.stderr.splitlines()) == 1
     assert "nodir" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_run_config_path_is_a_directory_is_one_line_error(tmp_path):
+    (tmp_path / "cfgdir").mkdir()
+    proc = _cli("run", str(tmp_path / "cfgdir"), "-o", str(tmp_path / "out.csv"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert "cfgdir" in proc.stderr
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_run_output_path_is_a_directory_is_one_line_error(tmp_path):

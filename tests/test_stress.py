@@ -76,6 +76,28 @@ def test_general_with_parallel_edges():
         assert feasible(edges, list(result.edge_handles), c)
 
 
+def test_ksp_matches_general_on_parallel_edges():
+    # without link bounds both walk the same candidates in the same order, so
+    # a ksp answer is nm-general's answer, parallel-edge ties included
+    rng = random.Random(60616)
+    found = 0
+    for _ in range(150):
+        g, _edges = _instance(
+            rng, 7, 0.35, bw_pool=range(1, 10), delay_pool=range(1, 11), parallel_prob=0.5
+        )
+        c = ConstraintSet((), ((0, float(rng.randint(2, 25))),), strict=rng.random() < 0.5)
+        src, dst = 0, g.node_count - 1
+        for k in range(1, 7):
+            try:
+                ksp = resolve_backend(f"ksp:{k}")(g, src, dst, c)
+            except NoPathError:
+                continue
+            general = solve_general(g, src, dst, c)
+            assert (ksp.nodes, ksp.edge_handles) == (general.nodes, general.edge_handles)
+            found += 1
+    assert found > 100
+
+
 def test_l1_with_zero_delays_and_ties():
     rng = random.Random(60603)
     for _ in range(200):

@@ -50,6 +50,16 @@ def test_round_trip_fractional_values():
     assert g2.node_capacity == g.node_capacity
 
 
+def test_round_trip_infinite_metric():
+    text = "nodes 2 link_metrics 1 path_metrics 1\nedge 0 1 inf 1\n"
+    g = topofile.loads(text)
+    dumped = topofile.dumps(g)
+    assert "edge 0 1 inf 1" in dumped
+    g2 = topofile.loads(dumped)
+    assert g2.edges == g.edges
+    assert topofile.dumps(g2) == dumped
+
+
 def test_parse_error_reports_line_number():
     bad = "nodes 2 link_metrics 1 path_metrics 1\nnode 0 cap 1\nedge 0 1 5\n"
     with pytest.raises(TopologyParseError) as err:

@@ -2,6 +2,7 @@ import pytest
 
 from vpembed import DegreeUnreachableError, GenSpec, generate
 from vpembed.topogen import (
+    DELAY_LEVEL_FACTOR,
     constraints_from_percent,
     max_link_delay,
     realized_avg_degree,
@@ -124,6 +125,12 @@ def test_severity_resolution():
     assert abs(c.path_bounds[0][1] - 8.0) < 1e-9
     with pytest.raises(ValueError):
         resolve_constraint_severity(g, "medium", "high")
+    with pytest.raises(ValueError):
+        resolve_constraint_severity(g, "high", "medium")
+    # the delay bound is exactly the level's factor times the largest link delay
+    for level, factor in DELAY_LEVEL_FACTOR.items():
+        c = resolve_constraint_severity(g, "med", level)
+        assert c.path_bounds == ((0, factor * max_link_delay(g)),)
 
 
 def test_constraints_from_percent():
