@@ -225,7 +225,7 @@ def cmd_run(args) -> int:
             g = topofile.load(cfg.topology)
         else:
             rows = harness.sweep(cfg, jobs=args.jobs)
-    except (OSError, TopologyParseError) as exc:
+    except (OSError, TopologyParseError, ArityMismatchError) as exc:
         print(f"vpembed run: {_topology_error(cfg.topology, exc)}", file=sys.stderr)
         return EXIT_PARSE
     except ConfigError as exc:

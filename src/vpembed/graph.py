@@ -33,8 +33,8 @@ from .errors import (
 class EdgeMetrics:
     """Per-edge metric vectors.
 
-    link_metrics must be nonnegative; path_metrics may be negative (the
-    level-by-level solver detects negative-total cycles).
+    link_metrics must be nonnegative, not NaN; path_metrics may be negative
+    (the level-by-level solver detects negative-total cycles) or NaN.
     """
 
     link_metrics: tuple[float, ...]
@@ -44,7 +44,7 @@ class EdgeMetrics:
         object.__setattr__(self, "link_metrics", tuple(float(v) for v in self.link_metrics))
         object.__setattr__(self, "path_metrics", tuple(float(v) for v in self.path_metrics))
         for v in self.link_metrics:
-            if v < 0:
+            if not v >= 0:
                 raise ArityMismatchError(f"link metrics must be >= 0, got {v}")
 
 

@@ -2,13 +2,16 @@
 
 Both drivers embed constrained virtual links onto a shared substrate through
 a pluggable solver backend and account for every reservation on a
-ResidualOverlay. Sweeps expand a declarative ExperimentConfig into a grid of
+ResidualOverlay. A virtual link is one query in both, ``link 0 >= bw`` plus
+``path 0 < delay``, and consumes its link bounds on every edge of its path.
+Sweeps expand a declarative ExperimentConfig into a grid of
 independent cells (one CSV row each); cells are deterministic functions of
 their parameters, so reruns produce byte-identical output. Wall-clock
 measurement is opt-in (measure_time) because timing is inherently
 non-reproducible; with it off the timing column stays empty.
 """
 
+import itertools
 import math
 import os
 import random
@@ -20,7 +23,7 @@ from . import topofile
 from .backends import resolve_backend
 from .constraints import ConstraintSet
 from .errors import ConfigError, InvalidCountsError, NoPathError, UnknownBackendError
-from .graph import PhysicalGraph, ResidualOverlay, _slack
+from .graph import EdgeMetrics, PhysicalGraph, ResidualOverlay, _slack, build_graph
 from .paths import PathResult
 from .topogen import (
     BW_LEVEL_GBPS,
@@ -29,7 +32,6 @@ from .topogen import (
     constraints_from_percent,
     generate,
     realized_avg_degree,
-    resolve_constraint_severity,
 )
 
 CSV_HEADER = (
@@ -37,10 +39,6 @@ CSV_HEADER = (
     "vn_alloc_ratio,link_alloc_ratio,link_util,throughput_gbps,"
     "energy_eff,avg_hops,avg_us,n_used"
 )
-
-# Backends that require exactly one path bound; virtual links without a
-# declared delay bound get an infinite one so these remain usable.
-SINGLE_PATH_BOUND_BACKENDS = ("nm-l1", "edijkstra")
 
 
 @dataclass(frozen=True)
@@ -104,55 +102,50 @@ def energy_efficiency(total_nodes: int, used_nodes: int, bw_total: float) -> flo
     return (total_nodes - used_nodes) / total_nodes * bw_total
 
 
+def _demand(g: PhysicalGraph, c: ConstraintSet) -> tuple[float, ...]:
+    """What a virtual link routed under c consumes on each edge: each link
+    bound on its metric, 0 on the others. Raises ArityMismatchError when c
+    names a metric g does not declare."""
+    c.validate_arity(g.link_arity, g.path_arity)
+    demand = [0.0] * g.link_arity
+    for j, bound in c.link_bounds:
+        demand[j] = bound
+    return tuple(demand)
+
+
 def _place_nodes(overlay: ResidualOverlay, demands) -> tuple[int, ...] | None:
-    """Greedy placement: each demand goes to the unused feasible node with
-    maximum residual cpu, ties by smallest id. Returns None if any demand
-    cannot be hosted. Placements are applied to the overlay as they happen;
-    a node is feasible under the same float slack reserve_node allows."""
-    hosts = []
-    used = set()
+    """Greedy host choice for one request, reserving nothing: each demand
+    takes the first node, in one (-residual cpu, id) order sorted once per
+    request, that is unused and can host it under the float slack
+    reserve_node allows. Returns the hosts, or None if some demand fits no
+    unused node."""
     cap = overlay.node_capacity
     base_cap = overlay.base.node_capacity
+    # a NaN capacity hosts nothing, and left in it would unsettle the sort
+    usable = (v for v in range(overlay.node_count) if not math.isnan(cap[v]))
+    free = sorted(usable, key=lambda v: (-cap[v], v))
+    hosts = []
     for cpu in demands:
-        best = -1
-        best_cap = -1.0
-        for node in range(overlay.node_count):
-            if node in used:
-                continue
-            c = cap[node]
-            if c > best_cap and c >= cpu - _slack(base_cap[node]):
-                best = node
-                best_cap = c
-        if best < 0:
-            for h, d in zip(hosts, demands):
-                overlay.release_node(h, d)
+        host = next((v for v in free if cap[v] >= cpu - _slack(base_cap[v])), None)
+        if host is None:
             return None
-        overlay.reserve_node(best, cpu)
-        used.add(best)
-        hosts.append(best)
+        free.remove(host)
+        hosts.append(host)
     return tuple(hosts)
-
-
-def _vlink_constraints(backend: str, bw: float, delay: float | None) -> ConstraintSet:
-    if delay is not None:
-        path_bounds = ((0, delay),)
-    elif backend in SINGLE_PATH_BOUND_BACKENDS:
-        path_bounds = ((0, math.inf),)
-    else:
-        path_bounds = ()
-    return ConstraintSet(link_bounds=((0, bw),), path_bounds=path_bounds)
 
 
 def run_vne(g: PhysicalGraph, requests, backend: str) -> VneReport:
     """Embed a pool of VN requests in order through the named backend.
 
-    Per request: greedy node placement, then every virtual link is routed
-    against the residual overlay with its bw demand as the link bound (plus
-    the delay bound when present). Acceptance is all-or-nothing: any failed
-    link rejects the whole request and rolls back its reservations.
+    Per request: placement picks every host before anything is reserved,
+    then each virtual link is routed against the residual overlay under
+    ``link 0 >= bw`` plus ``path 0 < delay`` (inf when none is declared).
+    Acceptance is all-or-nothing: any failed link rejects the whole request
+    and rolls back its reservations.
 
     Raises:
         UnknownBackendError: backend does not name a registered solver.
+        ArityMismatchError: g lacks link metric 0 or path metric 0.
     """
     solver = resolve_backend(backend)
     overlay = ResidualOverlay(g)
@@ -167,21 +160,21 @@ def run_vne(g: PhysicalGraph, requests, backend: str) -> VneReport:
         if hosts is None:
             outcomes.append(VneOutcome(False))
             continue
+        for host, cpu in zip(hosts, req.virtual_nodes):
+            overlay.reserve_node(host, cpu)
         reserved: list[tuple[PathResult, tuple[float, ...]]] = []
-        ok = True
         for a, b, bw, delay in req.virtual_links:
-            c = _vlink_constraints(backend, bw, delay)
+            c = ConstraintSet(((0, bw),), ((0, math.inf if delay is None else delay),))
             try:
                 path = solver(overlay, hosts[a], hosts[b], c)
             except NoPathError:
-                ok = False
                 break
-            demand = (bw,) + (0.0,) * (g.link_arity - 1)
+            demand = _demand(g, c)
             overlay.reserve(path, demand)
             reserved.append((path, demand))
-        if ok:
+        if len(reserved) == len(req.virtual_links):
             accepted_vn += 1
-            accepted_vl += len(req.virtual_links)
+            accepted_vl += len(reserved)
             outcomes.append(
                 VneOutcome(True, hosts, [p for p, _ in reserved], [d[0] for _, d in reserved])
             )
@@ -237,18 +230,16 @@ def run_steering(
 
     Raises:
         UnknownBackendError: backend does not name a registered solver.
+        ArityMismatchError: c names a metric g does not declare.
         ValueError: the constraint set carries no positive link demand
             (allocation would never terminate).
     """
     solver = resolve_backend(backend)
     if pairs < 1:
         raise ValueError("pairs must be >= 1")
-    demand = [0.0] * g.link_arity
-    for j, bound in c.link_bounds:
-        demand[j] = bound
+    demand = _demand(g, c)
     if not demand or max(demand) <= 0:
         raise ValueError("steering requires a positive link-bound demand")
-    demand = tuple(demand)
 
     overlay = ResidualOverlay(g)
     used_nodes: set[int] = set()
@@ -265,11 +256,10 @@ def run_steering(
             try:
                 path = solver(overlay, u, v, c)
             except NoPathError:
+                break
+            finally:
                 if measure_time:
                     elapsed += time.perf_counter() - t0
-                break
-            if measure_time:
-                elapsed += time.perf_counter() - t0
             overlay.reserve(path, demand)
             allocations.append((u, v, path))
             throughput += demand[0]
@@ -294,8 +284,6 @@ def assign_link_bandwidth_from_node_budget(g: PhysicalGraph, budget: float) -> P
     capacity is the budget divided by each endpoint's degree, taking the
     tighter side. Turns a node-capacitated statement ("200 bandwidth units
     per node") into the link-capacitated model the embedder needs."""
-    from .graph import EdgeMetrics, build_graph
-
     degree = [len(adj) for adj in g.adjacency]
     edges = []
     for src, dst, m in g.edges:
@@ -412,65 +400,53 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class _Cell:
-    index: int
-    degree: float | None
+    """One grid point; delay is (CSV token, bound as a percent of the
+    largest link delay). VNE cells leave bw_level and delay unset."""
+
+    degree: float
     bw_level: str
-    delay_token: str
+    delay: tuple[str, float | None]
     backend: str
     seed: int
 
 
 def _cells(cfg: ExperimentConfig) -> list[_Cell]:
-    delay_axis = (
-        [f"{topofile.fmt(p)}%" for p in cfg.delay_percents]
-        if cfg.delay_percents is not None
-        else list(cfg.delay_levels)
-    )
-    bw_axis = list(cfg.bw_levels)
     if cfg.scenario == "vne":
-        bw_axis, delay_axis = [""], [""]
-    cells = []
-    index = 0
-    for degree in cfg.degrees:
-        for bw in bw_axis:
-            for dl in delay_axis:
-                for backend in cfg.backends:
-                    for seed in cfg.seeds:
-                        cells.append(_Cell(index, degree, bw, dl, backend, seed))
-                        index += 1
-    return cells
+        bw_axis, delay_axis = ("",), (("", None),)
+    else:
+        bw_axis = cfg.bw_levels
+        if cfg.delay_percents is not None:
+            delay_axis = tuple((f"{topofile.fmt(p)}%", p) for p in cfg.delay_percents)
+        else:
+            delay_axis = tuple((lv, 100 * DELAY_LEVEL_FACTOR[lv]) for lv in cfg.delay_levels)
+    grid = itertools.product(cfg.degrees, bw_axis, delay_axis, cfg.backends, cfg.seeds)
+    return [_Cell(*point) for point in grid]
 
 
 def _cell_graph(cfg: ExperimentConfig, cell: _Cell) -> PhysicalGraph:
     if cfg.topology:
         return topofile.load(cfg.topology)
-    if cfg.scenario == "vne":
-        spec = GenSpec(
-            model=cfg.model,
-            node_count=cfg.effective_nodes(),
-            target_avg_degree=cell.degree,
-            cpu_units=cfg.vne_cpu,
-            seed=cell.seed,
-        )
-        return assign_link_bandwidth_from_node_budget(generate(spec), cfg.vne_bw)
-    else:
-        spec = GenSpec(
-            model=cfg.model,
-            node_count=cfg.effective_nodes(),
-            target_avg_degree=cell.degree,
-            seed=cell.seed,
-        )
-    return generate(spec)
+    vne = cfg.scenario == "vne"
+    spec = GenSpec(
+        model=cfg.model,
+        node_count=cfg.effective_nodes(),
+        target_avg_degree=cell.degree,
+        cpu_units=cfg.vne_cpu if vne else GenSpec.cpu_units,
+        seed=cell.seed,
+    )
+    g = generate(spec)
+    return assign_link_bandwidth_from_node_budget(g, cfg.vne_bw) if vne else g
 
 
-def _run_cell(cfg: ExperimentConfig, cell: _Cell, graph: PhysicalGraph | None = None) -> dict:
-    g = graph if graph is not None else _cell_graph(cfg, cell)
+def _run_cell(cfg: ExperimentConfig, cell: _Cell, g: PhysicalGraph) -> dict:
+    # every cell routes under bounds on link metric 0 and path metric 0
+    ConstraintSet(((0, 0.0),), ((0, math.inf),)).validate_arity(g.link_arity, g.path_arity)
     row = {
         "model": cfg.model if not cfg.topology else "file",
         "nodes": g.node_count,
         "avg_degree": realized_avg_degree(g) if cfg.topology else cell.degree,
         "bw_level": cell.bw_level,
-        "delay_level": cell.delay_token,
+        "delay_level": cell.delay[0],
         "backend": cell.backend,
         "seed": cell.seed,
     }
@@ -488,10 +464,7 @@ def _run_cell(cfg: ExperimentConfig, cell: _Cell, graph: PhysicalGraph | None = 
             raise ConfigError(
                 f"cannot draw {pairs} distinct pairs from {g.node_count} nodes", key="pairs"
             )
-        if cell.delay_token.endswith("%"):
-            c = constraints_from_percent(g, cell.bw_level, float(cell.delay_token[:-1]))
-        else:
-            c = resolve_constraint_severity(g, cell.bw_level, cell.delay_token)
+        c = constraints_from_percent(g, cell.bw_level, cell.delay[1])
         report = run_steering(
             g,
             pairs,
@@ -513,7 +486,7 @@ def _run_cell(cfg: ExperimentConfig, cell: _Cell, graph: PhysicalGraph | None = 
 
 def _cell_worker(args):
     cfg, cell = args
-    return _run_cell(cfg, cell)
+    return _run_cell(cfg, cell, _cell_graph(cfg, cell))
 
 
 def sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
@@ -525,6 +498,8 @@ def sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
     Raises:
         ConfigError: jobs < 1, or a steering cell's topology has fewer
             than ``pairs`` distinct (src, dst) pairs.
+        ArityMismatchError: a cell's topology lacks link metric 0 or path
+            metric 0.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
@@ -537,24 +512,35 @@ def sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
     cache: dict[tuple, PhysicalGraph] = {}
     rows = []
     for cell in cells:
-        key = (cfg.model, cfg.topology, cfg.effective_nodes(), cell.degree, cell.seed)
+        key = (cell.degree, cell.seed)
         if key not in cache:
             cache[key] = _cell_graph(cfg, cell)
         rows.append(_run_cell(cfg, cell, cache[key]))
     return rows
 
 
+def _list_of(convert):
+    return lambda text: tuple(convert(v) for v in text.replace(",", " ").split())
+
+
+def _bool(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(f"expected true/false, got {text!r}")
+    return text.lower() == "true"
+
+
+# the converter of every key; "constraint" may repeat and fills `constraints`
 _CONFIG_KEYS = {
     "scenario": str,
     "model": str,
     "topology": str,
     "nodes": int,
-    "degrees": "float_list",
-    "bw_levels": "str_list",
-    "delay_levels": "str_list",
-    "delay_percents": "float_list",
-    "backends": "str_list",
-    "seeds": "int_list",
+    "degrees": _list_of(float),
+    "bw_levels": _list_of(str),
+    "delay_levels": _list_of(str),
+    "delay_percents": _list_of(float),
+    "backends": _list_of(str),
+    "seeds": _list_of(int),
     "pairs": int,
     "requests": int,
     "request_nodes": int,
@@ -562,12 +548,12 @@ _CONFIG_KEYS = {
     "vne_cpu": float,
     "vne_bw": float,
     "scale": str,
-    "measure_time": "bool",
+    "measure_time": _bool,
     "output": str,
-    "emit_plotdata": "bool",
+    "emit_plotdata": _bool,
     "src": int,
     "dst": int,
-    "constraint": "repeat",
+    "constraint": str,
 }
 
 
@@ -588,27 +574,16 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}", key=key)
-        kind = _CONFIG_KEYS[key]
         try:
-            if kind == "repeat":
-                constraints.append(value)
-            elif kind == "bool":
-                if value.lower() not in ("true", "false"):
-                    raise ValueError(f"expected true/false, got {value!r}")
-                values[key] = value.lower() == "true"
-            elif kind == "str_list":
-                values[key] = tuple(value.replace(",", " ").split())
-            elif kind == "int_list":
-                values[key] = tuple(int(v) for v in value.replace(",", " ").split())
-            elif kind == "float_list":
-                values[key] = tuple(float(v) for v in value.replace(",", " ").split())
-            else:
-                values[key] = kind(value)
+            value = _CONFIG_KEYS[key](value.strip())
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}", key=key) from exc
+        if key == "constraint":
+            constraints.append(value)
+        else:
+            values[key] = value
     if constraints:
         values["constraints"] = tuple(constraints)
     if "scenario" not in values:

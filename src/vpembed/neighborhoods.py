@@ -225,10 +225,11 @@ def solve_general(
         raise UnreachableError(f"node {dst} is unreachable from {src} on the pruned graph")
 
     # admissible remaining-cost pruning, sound only for nonnegative metrics;
-    # it also settles obviously hopeless queries without any enumeration
+    # it also settles obviously hopeless queries without any enumeration. An
+    # infinite bound leaves every finite prefix hopeful, so it gets no floor
     cost_floor = []
     for j, bound in c.path_bounds:
-        if not g.path_nonneg[j]:
+        if not g.path_nonneg[j] or bound == math.inf:
             continue
         col = g.path_cols[j]
         floor = _min_sums_to(g, dst, col, usable)

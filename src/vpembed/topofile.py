@@ -6,10 +6,11 @@
     edge <src> <dst> <lm_1 ... lm_l> <pm_1 ... pm_p>
 
 All values are decimal. A trailing ``# <text>`` on a node line is kept as
-that node's display label. Parse errors report the 1-based line number.
+that node's display label. Parse errors report the 1-based number of the
+offending line (line 1 for a missing header).
 """
 
-from .errors import TopologyParseError
+from .errors import ArityMismatchError, TopologyParseError
 from .graph import EdgeMetrics, PhysicalGraph, build_graph
 
 
@@ -31,9 +32,13 @@ def loads(text: str) -> PhysicalGraph:
             if kind == "nodes":
                 if len(fields) != 6 or fields[2] != "link_metrics" or fields[4] != "path_metrics":
                     raise ValueError("expected: nodes <N> link_metrics <l> path_metrics <p>")
+                if node_count is not None:
+                    raise ValueError("repeated nodes header")
                 node_count = int(fields[1])
                 link_arity = int(fields[3])
                 path_arity = int(fields[5])
+                if min(node_count, link_arity, path_arity) < 0:
+                    raise ValueError("node count and metric arities must be >= 0")
                 caps = [0.0] * node_count
                 labels = [None] * node_count
             elif kind == "node":
@@ -55,6 +60,10 @@ def loads(text: str) -> PhysicalGraph:
                 if len(fields) != expected:
                     raise ValueError(f"expected {expected} fields on an edge line, got {len(fields)}")
                 src, dst = int(fields[1]), int(fields[2])
+                if not (0 <= src < node_count and 0 <= dst < node_count):
+                    raise ValueError(f"edge ({src}, {dst}) outside [0, {node_count})")
+                if src == dst:
+                    raise ValueError(f"self-loop at node {src}")
                 values = [float(v) for v in fields[3:]]
                 metrics = EdgeMetrics(
                     tuple(values[:link_arity]), tuple(values[link_arity:])
@@ -62,22 +71,20 @@ def loads(text: str) -> PhysicalGraph:
                 edges.append((src, dst, metrics))
             else:
                 raise ValueError(f"unknown line kind {kind!r}")
-        except (ValueError, IndexError) as exc:
+        except (ValueError, IndexError, ArityMismatchError) as exc:
             raise TopologyParseError(str(exc), lineno) from exc
 
     if node_count is None:
         raise TopologyParseError("missing nodes header", 1)
-    try:
-        return build_graph(
-            node_count,
-            edges,
-            caps,
-            link_arity=link_arity,
-            path_arity=path_arity,
-            labels=labels if any(lab is not None for lab in labels) else None,
-        )
-    except Exception as exc:
-        raise TopologyParseError(str(exc), 1) from exc
+    # every line is checked above, so the graph builds
+    return build_graph(
+        node_count,
+        edges,
+        caps,
+        link_arity=link_arity,
+        path_arity=path_arity,
+        labels=labels if any(lab is not None for lab in labels) else None,
+    )
 
 
 def dumps(g: PhysicalGraph) -> str:

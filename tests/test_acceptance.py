@@ -173,8 +173,9 @@ TREND_CFG = ExperimentConfig(
 
 @pytest.fixture(scope="module")
 def trend_rows():
+    # two worker processes; test_c10 checks the rows against serial runs
     t0 = time.monotonic()
-    rows = sweep(TREND_CFG)
+    rows = sweep(TREND_CFG, jobs=2)
     elapsed = time.monotonic() - t0
     print(f"\n[info] trend grid: {len(rows)} cells in {elapsed:.0f}s (budget 1800s)")
     assert elapsed < 1800.0

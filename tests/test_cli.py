@@ -121,6 +121,17 @@ def test_solve_parse_error_exit_3(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_solve_nan_link_metric_is_parse_error(tmp_path):
+    # a NaN bandwidth would clear every link bound
+    top = tmp_path / "nan.top"
+    top.write_text("nodes 2 link_metrics 1 path_metrics 1\nedge 0 1 nan 5\n")
+    proc = _cli("solve", "--topology", str(top), "--src", "0", "--dst", "1", "--link", "0 >= 1")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    message = f"vpembed solve: {top}: line 2: link metrics must be >= 0, got nan"
+    assert proc.stderr.splitlines() == [message]
+
+
 def test_solve_unknown_backend_exit_2(fig_top, capsys):
     code = main(["solve", "--topology", fig_top, "--src", "0", "--dst", "3",
                  "--backend", "bogus"])
@@ -259,6 +270,9 @@ def test_run_solve_scenario(tmp_path, fig_top):
 
 SOLVE_CFG = "scenario = solve\ntopology = {top}\nsrc = 0\n"
 BAD_TOP = "nodes 2 link_metrics 1 path_metrics 1\nedge 0 1 5\n"
+# sweep cells bound link metric 0 and path metric 0; these files lack one
+NOPATH_TOP = "nodes 3 link_metrics 1 path_metrics 0\nedge 0 1 5\nedge 1 2 5\nedge 2 0 5\n"
+NOLINK_TOP = "nodes 3 link_metrics 0 path_metrics 1\nedge 0 1 1\nedge 1 2 1\nedge 2 0 1\n"
 
 
 @pytest.mark.parametrize(
@@ -283,18 +297,27 @@ BAD_TOP = "nodes 2 link_metrics 1 path_metrics 1\nedge 0 1 5\n"
         # 13 pairs > 4 * 3 on the 4-node topology, known only once it is loaded
         ("scenario = steering\ntopology = {top}\npairs = 13\n", 1, 2),
         ("scenario = steering\ntopology = {top}\npairs = 13\nseeds = 1 2\n", 2, 2),
+        ("scenario = steering\ntopology = {nopath}\npairs = 2\n", 1, 3),
+        ("scenario = steering\ntopology = {nolink}\npairs = 2\nseeds = 1 2\n", 2, 3),
+        ("scenario = vne\ntopology = {nolink}\nrequests = 2\nrequest_nodes = 2\n", 1, 3),
+        ("scenario = vne\ntopology = {nopath}\nrequests = 2\nrequest_nodes = 2\n"
+         "seeds = 1 2\n", 2, 3),
     ],
     ids=["solve-node-out-of-range", "solve-l1-without-path", "solve-bad-constraint",
          "solve-bound-beyond-arity", "solve-missing-topology", "steering-missing-topology",
          "steering-unparsable-topology-jobs-2", "nan-degree", "inf-delay-percent",
          "negative-pairs", "zero-nodes", "negative-demand-max", "empty-seeds",
-         "empty-backends", "too-many-pairs", "too-many-pairs-jobs-2"],
+         "empty-backends", "too-many-pairs", "too-many-pairs-jobs-2",
+         "steering-no-path-metric", "steering-no-link-metric-jobs-2",
+         "vne-no-link-metric", "vne-no-path-metric-jobs-2"],
 )
 def test_run_bad_input_is_one_line_error(tmp_path, fig_top, body, jobs, code):
-    bad = tmp_path / "bad.top"
-    bad.write_text(BAD_TOP)
+    files = {}
+    for name, text in (("bad", BAD_TOP), ("nopath", NOPATH_TOP), ("nolink", NOLINK_TOP)):
+        files[name] = tmp_path / f"{name}.top"
+        files[name].write_text(text)
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(body.format(top=fig_top, missing=tmp_path / "none.top", bad=bad))
+    cfg.write_text(body.format(top=fig_top, missing=tmp_path / "none.top", **files))
     out = tmp_path / "out.txt"
     proc = _cli("run", str(cfg), "-o", str(out), "--jobs", str(jobs))
     assert proc.returncode == code

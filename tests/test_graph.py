@@ -80,6 +80,12 @@ def test_negative_link_metric_rejected():
         E((-1.0,), (1.0,))
 
 
+def test_nan_link_metric_rejected():
+    # a NaN bandwidth would pass every link bound
+    with pytest.raises(ArityMismatchError):
+        E((float("nan"),), (1.0,))
+
+
 def test_negative_path_metric_allowed():
     m = E((1.0,), (-3.0,))
     assert m.path_metrics == (-3.0,)

@@ -1,5 +1,8 @@
 import hashlib
 import random
+import types
+import typing
+from dataclasses import fields
 
 import pytest
 
@@ -163,6 +166,23 @@ def test_placement_tolerates_drift_at_large_capacity():
         assert _place_nodes(overlay, [base]) == (0,)
     # the slack stays a rounding allowance: a real excess is still refused
     assert _place_nodes(ResidualOverlay(g), [base * (1 + 1e-9)]) is None
+
+
+def test_placement_reserves_nothing():
+    # hosts come in one (-residual cpu, id) order; the caller reserves them
+    overlay = ResidualOverlay(_small_substrate(cpu=10.0))
+    overlay.reserve_node(2, 4.0)
+    before = list(overlay.node_capacity)
+    assert _place_nodes(overlay, [5.0, 7.0, 3.0, 6.0, 9.0, 6.0]) == (0, 1, 3, 4, 5, 2)
+    assert _place_nodes(overlay, [9.0] * 5 + [7.0]) is None
+    assert overlay.node_capacity == before
+
+
+def test_placement_never_picks_a_nan_capacity():
+    nan = float("nan")
+    g = build_graph(7, [(0, 1, E((1.0,), (1.0,)))], [3.0, nan, 7.0, 5.0, 9.0, nan, 1.0])
+    assert _place_nodes(ResidualOverlay(g), [1.0] * 3) == (4, 2, 3)
+    assert _place_nodes(ResidualOverlay(g), [1.0] * 6) is None
 
 
 def test_node_budget_bandwidth_assignment():
@@ -502,3 +522,31 @@ def test_config_range_minimums_are_accepted():
         "demand_max = 0.5\n"
     )
     assert (cfg.nodes, cfg.pairs, cfg.requests, cfg.request_nodes) == (2, 1, 1, 2)
+
+
+def _holds(value, kind) -> bool:
+    if isinstance(kind, types.UnionType):
+        return any(_holds(value, k) for k in typing.get_args(kind))
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        return type(value) is tuple and all(type(v) is item for v in value)
+    return type(value) is kind
+
+
+def test_config_table_covers_every_field_with_its_type():
+    # `constraint` repeats, one bound literal per line, and fills
+    # `constraints`; every other field has a key of its own name
+    table = dict(harness._CONFIG_KEYS)
+    assert table.pop("constraint")("link 0 >= 1") == "link 0 >= 1"
+    kinds = {f.name: f.type for f in fields(ExperimentConfig)}
+    assert set(table) == set(kinds) - {"constraints"}
+    for key, convert in table.items():
+        converted = []
+        for text in ("1", "true"):
+            try:
+                converted.append(convert(text))
+            except ValueError:
+                pass
+        assert converted, key
+        for value in converted:
+            assert _holds(value, kinds[key]), (key, value)

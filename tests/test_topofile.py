@@ -77,6 +77,45 @@ def test_parse_error_survives_pickling():
     assert str(copy) == str(err.value) == "line 2: expected 5 fields on an edge line, got 4"
 
 
+HEADED = "nodes 2 link_metrics 1 path_metrics 1\n# nodes\nnode 0 cap 1\nnode 1 cap 1\n\n"
+
+
+@pytest.mark.parametrize(
+    "edge, message",
+    [
+        ("edge 0 1 -1 5", "link metrics must be >= 0, got -1.0"),
+        ("edge 0 1 nan 5", "link metrics must be >= 0, got nan"),
+        ("edge 0 9 5 5", "edge (0, 9) outside [0, 2)"),
+        ("edge 1 1 5 5", "self-loop at node 1"),
+    ],
+    ids=["negative-link-metric", "nan-link-metric", "endpoint-out-of-range", "self-loop"],
+)
+def test_bad_edge_names_its_line(edge, message):
+    with pytest.raises(TopologyParseError) as err:
+        topofile.loads(HEADED + edge + "\n")
+    assert (err.value.line, err.value.args[0]) == (6, message)
+
+
+def test_nan_path_metric_parses():
+    g = topofile.loads(HEADED + "edge 0 1 5 nan\n")
+    assert g.edge_count == 1
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("# counts\nnodes -2 link_metrics 1 path_metrics 1\n", 2),
+        ("nodes 2 link_metrics 1 path_metrics -1\n", 1),
+        (HEADED + "edge 0 1 5 5\nnodes 1 link_metrics 1 path_metrics 1\n", 7),
+    ],
+    ids=["negative-node-count", "negative-arity", "repeated-header"],
+)
+def test_bad_header_names_its_line(text, line):
+    with pytest.raises(TopologyParseError) as err:
+        topofile.loads(text)
+    assert err.value.line == line
+
+
 def test_missing_header():
     with pytest.raises(TopologyParseError):
         topofile.loads("node 0 cap 1\n")
