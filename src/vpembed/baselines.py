@@ -7,6 +7,7 @@ the true minimum feasible hop count.
 """
 
 import heapq
+import itertools
 import math
 
 from .constraints import ConstraintSet, path_feasible
@@ -124,6 +125,26 @@ def solve_edijkstra(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
     return path_from_edges(g, nodes, edges)
 
 
+def _ranked_paths(g, src: int, dst: int):
+    """Yield (nodes, edge_handles) for every loop-free src->dst path of the
+    bare topology in (hop count, lexicographic) order: one all-ones reverse
+    BFS, then nm-general's fixed-length enumerator at each hop count. Yields
+    nothing when dst is unreachable.
+
+    Raises:
+        ResourceLimitError: candidate expansion at one hop count exceeded
+            DEFAULT_CANDIDATE_LIMIT partial paths.
+    """
+    all_ones = bytearray([1]) * g.edge_count
+    to_dst = _hop_distances_to(g, dst, all_ones)
+    if to_dst[src] == math.inf:
+        return
+    for depth in range(to_dst[src], g.node_count):
+        yield from _iter_fixed_length_paths(
+            g, depth, src, dst, all_ones, to_dst, DEFAULT_CANDIDATE_LIMIT
+        )
+
+
 def solve_ksp(g, src: int, dst: int, c: ConstraintSet, k: int) -> PathResult:
     """First feasible path among the k best loop-free candidates.
 
@@ -132,6 +153,15 @@ def solve_ksp(g, src: int, dst: int, c: ConstraintSet, k: int) -> PathResult:
     all-ones mask -- and only then tested against c, so a saturated
     shortest path is re-examined rather than routed around: the behavior
     of embedders that rank paths once and cache them.
+
+    The ranking depends on the topology alone, so it is done once per
+    topology: ``g.ranked_paths`` maps (src, dst) to the candidates ranked so
+    far and whether that list is complete, and a ResidualOverlay shares its
+    base's dict. A query reads candidate i from there and enumerates (BFS
+    included, from the first candidate) only when candidate i is needed and
+    not yet ranked, stopping at the candidate it needs; a repeated query
+    tests feasibility only. Each extension replaces the entry whole; one
+    that raises ResourceLimitError stores nothing, so a repeat raises again.
 
     Raises:
         ValueError: k < 1.
@@ -146,23 +176,30 @@ def solve_ksp(g, src: int, dst: int, c: ConstraintSet, k: int) -> PathResult:
     if trivial is not None:
         return trivial
 
-    all_ones = bytearray([1]) * g.edge_count
-    to_dst = _hop_distances_to(g, dst, all_ones)
-    if to_dst[src] == math.inf:
+    key = (src, dst)
+    ranked, exhausted = g.ranked_paths.get(key, ((), False))
+    more = None
+    for i in range(k):
+        if i == len(ranked) and not exhausted:
+            if more is None:
+                more = itertools.islice(_ranked_paths(g, src, dst), i, None)
+            nxt = next(more, None)
+            exhausted = nxt is None
+            if not exhausted:
+                ranked += ((tuple(nxt[0]), tuple(nxt[1])),)
+            g.ranked_paths[key] = (ranked, exhausted)
+        if i == len(ranked):
+            break
+        nodes, edges = ranked[i]
+        cand = path_from_edges(g, nodes, edges)
+        links_ok = all(cand.min_link_metrics[j] >= bound for j, bound in c.link_bounds)
+        if links_ok and path_feasible(cand.accumulated, c):
+            return cand
+    else:
+        raise InfeasibleError(f"none of the first {k} candidate paths satisfies c")
+    if not ranked:
         raise UnreachableError(f"no path from {src} to {dst}")
-    examined = 0
-    for depth in range(to_dst[src], g.node_count):
-        for nodes, edges in _iter_fixed_length_paths(
-            g, depth, src, dst, all_ones, to_dst, DEFAULT_CANDIDATE_LIMIT
-        ):
-            cand = path_from_edges(g, nodes, edges)
-            links_ok = all(cand.min_link_metrics[j] >= bound for j, bound in c.link_bounds)
-            if links_ok and path_feasible(cand.accumulated, c):
-                return cand
-            examined += 1
-            if examined == k:
-                raise InfeasibleError(f"none of the first {k} candidate paths satisfies c")
-    raise InfeasibleError(f"only {examined} candidate paths exist; none satisfies c")
+    raise InfeasibleError(f"only {len(ranked)} candidate paths exist; none satisfies c")
 
 
 def solve_exhaustive(g, src: int, dst: int, c: ConstraintSet, *, max_nodes: int = 14) -> PathResult:

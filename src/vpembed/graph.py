@@ -7,16 +7,19 @@ upper bounds (e.g. delay in ms). Metric arities are declared graph-wide so
 constraint validation is O(1).
 
 A :class:`PhysicalGraph`'s topology and metrics are fixed after
-construction. Its one mutable slot, ``mask_memo``, holds the link-bound
-pruning mask of the last bound set queried (see
-``neighborhoods._usable_mask``): a pure function of the link columns, which
-a plain graph only ever replaces whole. Mutable state (bandwidth
-reservations) lives in a :class:`ResidualOverlay`, a PhysicalGraph that owns
-residual copies of the consumable columns and its own memo, which
-``reserve`` and ``release`` keep exact on the edges they touch. Writing
-``link_cols`` by any other route once a solve has run leaves the memo stale
-and is unsupported. An overlay is single-writer: concurrent reserve or
-release calls, and solves racing them, must be serialized externally.
+construction. It has two mutable slots, both caches that solvers fill:
+``mask_memo`` holds the link-bound pruning mask of the last bound set
+queried (see ``neighborhoods._usable_mask``), a pure function of the link
+columns, which a plain graph only ever replaces whole; ``ranked_paths``
+holds ksp's candidates per (src, dst) (see ``baselines.solve_ksp``), a pure
+function of the topology, each entry replaced whole and never invalidated.
+Mutable state (bandwidth reservations) lives in a :class:`ResidualOverlay`,
+a PhysicalGraph that owns residual copies of the consumable columns and its
+own mask memo, which ``reserve`` and ``release`` keep exact on the edges
+they touch, and shares its base's ``ranked_paths``. Writing ``link_cols``
+by any other route once a solve has run leaves the memo stale and is
+unsupported. An overlay is single-writer: concurrent reserve or release
+calls, and solves racing them, must be serialized externally.
 """
 
 from dataclasses import dataclass
@@ -66,8 +69,14 @@ class PhysicalGraph:
         labels: optional human-readable node names (display only).
         mask_memo: None, or ``(link_bounds, mask)``: the link-bound pruning
             mask of the last bound set queried, kept by
-            ``neighborhoods._usable_mask``. The only mutable slot; the mask
-            must only be read.
+            ``neighborhoods._usable_mask``. Mutable; the mask must only be
+            read.
+        ranked_paths: dict from (src, dst) to ``(candidates, exhausted)``,
+            kept by ``baselines.solve_ksp``: the loop-free paths of the
+            topology ranked so far, as (nodes, edge_handles) tuples in
+            (hop count, lexicographic) order, and whether that is all of
+            them. Mutable, entries replaced whole; overlays share their
+            base's dict.
     """
 
     __slots__ = (
@@ -83,6 +92,7 @@ class PhysicalGraph:
         "path_nonneg",
         "labels",
         "mask_memo",
+        "ranked_paths",
     )
 
     def __init__(
@@ -105,6 +115,7 @@ class PhysicalGraph:
         self.path_cols = [[m.path_metrics[j] for (_, _, m) in edges] for j in range(path_arity)]
         self.path_nonneg = [not any(w < 0 for w in col) for col in self.path_cols]
         self.mask_memo = None
+        self.ranked_paths = {}
 
         adjacency: list[list[tuple[int, int]]] = [[] for _ in range(node_count)]
         in_adjacency: list[list[tuple[int, int]]] = [[] for _ in range(node_count)]
@@ -204,7 +215,8 @@ class ResidualOverlay(PhysicalGraph):
     ``node_capacity``, and its own ``mask_memo``, which starts empty and
     which :meth:`reserve` and :meth:`release` keep exact on every edge they
     touch; every other attribute (topology, arities, path metrics and their
-    signs, labels) is the base graph's, shared since none of it is
+    signs, labels, and the ``ranked_paths`` cache, which depends on the
+    topology alone) is the base graph's, shared since none of it is
     consumable. The overlay does not track who reserved what; pairing
     reserves with releases is the caller's responsibility. The ledger checks
     allow a float slack proportional to each edge's or node's base value, so

@@ -493,7 +493,8 @@ def sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
     """Expand the config into cells and run them, returning one row dict per
     cell in deterministic grid order. Cells are independent; jobs > 1 runs
     them in worker processes (each regenerates its own topology), never
-    more than there are cells or CPUs.
+    more than there are cells or CPUs. Run serially, the cells of one
+    (degree, seed), or all cells of a topology file, share one graph.
 
     Raises:
         ConfigError: jobs < 1, or a steering cell's topology has fewer
@@ -508,11 +509,12 @@ def sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
             return list(ex.map(_cell_worker, [(cfg, cell) for cell in cells]))
-    # cells with the same topology parameters share one generated graph
+    # cells with the same topology parameters share one graph, and with it
+    # ksp's ranked candidates; a topology file is one graph for every cell
     cache: dict[tuple, PhysicalGraph] = {}
     rows = []
     for cell in cells:
-        key = (cell.degree, cell.seed)
+        key = () if cfg.topology else (cell.degree, cell.seed)
         if key not in cache:
             cache[key] = _cell_graph(cfg, cell)
         rows.append(_run_cell(cfg, cell, cache[key]))

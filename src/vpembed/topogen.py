@@ -232,8 +232,10 @@ def realized_avg_degree(g: PhysicalGraph) -> float:
 
 
 def max_link_delay(g: PhysicalGraph, metric_index: int = 0) -> float:
-    """Largest single-link delay present in the graph."""
-    return max(g.path_cols[metric_index])
+    """Largest single-link delay present in the graph; 0.0 when it has no
+    edges, so every delay bound derived from it is 0 and each pair of an
+    edgeless topology is simply unreachable."""
+    return max(g.path_cols[metric_index], default=0.0)
 
 
 def resolve_constraint_severity(g: PhysicalGraph, bw_level: str, delay_level: str) -> ConstraintSet:

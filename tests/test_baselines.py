@@ -3,10 +3,12 @@ import random
 
 import pytest
 
-from conftest import A, B, X, Y, random_instance, random_l1_bounds
+from conftest import A, B, FIG_EDGES, X, Y, random_instance, random_l1_bounds
 from oracle import all_simple_paths, feasible, min_feasible_hops, path_metrics
+from vpembed import baselines
 from vpembed import (
     ConstraintSet,
+    ResidualOverlay,
     build_graph,
     EdgeMetrics,
     InfeasibleError,
@@ -219,6 +221,139 @@ def test_ksp_unreachable(fig_graph, fig_constraints):
     g = build_graph(3, [(0, 1, E((1.0,), (1.0,)))], [0.0] * 3)
     with pytest.raises(UnreachableError):
         solve_ksp(g, 0, 2, ConstraintSet((), ()), 2)
+
+
+# --- ksp's ranked-candidate cache ---------------------------------------------
+
+
+def _multigraph(rng: random.Random):
+    """Seeded <= 12-node multigraph: about one ordered pair in four is
+    linked, and a linked pair gets a parallel edge with probability 0.4."""
+    n = rng.randint(2, 12)
+    edges = []
+    for u in range(n):
+        for v in range(n):
+            if u != v and rng.random() < 0.25:
+                edges.append((u, v, E((float(rng.randint(1, 9)),), (float(rng.randint(1, 10)),))))
+                while rng.random() < 0.4:
+                    edges.append(
+                        (u, v, E((float(rng.randint(1, 9)),), (float(rng.randint(1, 10)),)))
+                    )
+    return n, edges
+
+
+def _ksp_outcome(g, src, dst, c, k):
+    try:
+        result = solve_ksp(g, src, dst, c, k)
+    except NoPathError as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", result.nodes, result.edge_handles
+
+
+def _random_query(rng, n):
+    link = ((0, float(rng.randint(1, 9))),) if rng.random() < 0.7 else ()
+    path = ((0, float(rng.randint(3, 40))),) if rng.random() < 0.7 else ()
+    c = ConstraintSet(link, path, strict=rng.random() < 0.5)
+    return rng.randrange(n), rng.randrange(n), c, rng.randint(1, 6)
+
+
+def test_ksp_cache_answers_like_a_fresh_graph():
+    # a graph warmed by earlier queries, large k first or small k first,
+    # answers every query exactly as a freshly built graph does; so does an
+    # overlay of a warm graph after random reservations
+    rng = random.Random(90901)
+    statuses = set()
+    for _ in range(120):
+        n, edges = _multigraph(rng)
+
+        def build():
+            return build_graph(n, edges, [0.0] * n, link_arity=1, path_arity=1)
+
+        queries = [_random_query(rng, n) for _ in range(12)]
+        # the first pair is also asked with k = 1..6 under one bound set
+        src, dst, c, _k = queries[0]
+        queries += [(src, dst, c, k) for k in range(1, 7)]
+        for order in (-1, 1):
+            warm = build()
+            for q in sorted(queries, key=lambda q: order * q[3]) * 2:
+                got = _ksp_outcome(warm, *q)
+                assert got == _ksp_outcome(build(), *q)
+                statuses.add(got[0] if got[0] == "ok" else got[1].split()[0])
+        overlay, fresh_overlay = ResidualOverlay(warm), ResidualOverlay(build())
+        for _ in range(rng.randint(1, 6) if edges else 0):
+            e = rng.randrange(len(edges))
+            cap = int(overlay.link_cols[0][e])
+            if cap >= 1:
+                amount = (float(rng.randint(1, cap)),)
+                overlay.reserve([e], amount)
+                fresh_overlay.reserve([e], amount)
+        for q in queries:
+            assert _ksp_outcome(overlay, *q) == _ksp_outcome(fresh_overlay, *q)
+    # "none of the first k", "only n candidates exist", "no path"
+    assert statuses == {"ok", "none", "only", "no"}
+
+
+def test_ksp_cache_is_shared_and_skips_the_search_on_repeat(monkeypatch):
+    calls = {"_iter_fixed_length_paths": 0, "_hop_distances_to": 0}
+    for name in calls:
+        original = getattr(baselines, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(baselines, name, counting)
+
+    g = build_graph(4, FIG_EDGES, [10.0] * 4)
+    overlay = ResidualOverlay(g)
+    assert overlay.ranked_paths is g.ranked_paths
+    c = ConstraintSet(((0, 5.0),), ((0, 5.0),))
+    blocked = ConstraintSet((), ((0, 0.5),))
+
+    def queries():
+        # the fourth and last X->Y candidate is the answer; Y reaches nothing
+        assert solve_ksp(overlay, X, Y, c, 4).nodes == (X, B, A, Y)
+        with pytest.raises(InfeasibleError, match="only 4 "):
+            solve_ksp(overlay, X, Y, blocked, 6)
+        with pytest.raises(UnreachableError):
+            solve_ksp(overlay, Y, X, c, 2)
+
+    queries()
+    assert calls["_hop_distances_to"] == 3 and calls["_iter_fixed_length_paths"] > 0
+    # the overlay ranked on its base's dict: an exhausted entry per pair
+    assert g.ranked_paths[(X, Y)][1] and g.ranked_paths[(Y, X)] == ((), True)
+    assert len(g.ranked_paths[(X, Y)][0]) == 4
+    calls.update(dict.fromkeys(calls, 0))
+    queries()
+    overlay = ResidualOverlay(g)
+    queries()
+    with pytest.raises(InfeasibleError, match="first 2 "):
+        solve_ksp(g, X, Y, c, 2)
+    assert calls == {"_iter_fixed_length_paths": 0, "_hop_distances_to": 0}
+
+
+def test_ksp_resource_limit_repeats_and_caches_nothing_new(monkeypatch):
+    # on a complete 7-node graph the 2-hop candidates 0->v->6 cost two
+    # expansions each, so a limit of 6 per hop count lets the 1-hop path and
+    # three 2-hop ones through and stops the search for the fifth candidate
+    monkeypatch.setattr(baselines, "DEFAULT_CANDIDATE_LIMIT", 6)
+    n = 7
+    edges = [(u, v, E((1.0,), (1.0,))) for u in range(n) for v in range(n) if u != v]
+    g = build_graph(n, edges, [0.0] * n)
+    blocked = ConstraintSet((), ((0, 0.5),))  # no path fits
+    assert solve_ksp(g, 0, 6, ConstraintSet((), ((0, 2.5),)), 1).nodes == (0, 6)
+    with pytest.raises(InfeasibleError, match="first 4 "):
+        solve_ksp(g, 0, 6, blocked, 4)
+    ranked = g.ranked_paths[(0, 6)]
+    assert len(ranked[0]) == 4 and not ranked[1]
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError):
+            solve_ksp(g, 0, 6, blocked, 5)
+        assert g.ranked_paths[(0, 6)] is ranked
+    fresh = build_graph(n, edges, [0.0] * n)
+    with pytest.raises(ResourceLimitError):
+        solve_ksp(fresh, 0, 6, blocked, 5)
+    assert fresh.ranked_paths[(0, 6)] == ranked
 
 
 # --- exhaustive search ------------------------------------------------------

@@ -326,6 +326,28 @@ def test_run_bad_input_is_one_line_error(tmp_path, fig_top, body, jobs, code):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_steering_on_an_edgeless_topology_routes_nothing(tmp_path, jobs):
+    # its largest link delay is 0.0, so every pair is simply unreachable
+    top = tmp_path / "edgeless.top"
+    top.write_text("nodes 3 link_metrics 1 path_metrics 1\n")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        f"scenario = steering\ntopology = {top}\npairs = 4\nseeds = 1 2\n"
+        "backends = nm-l1 edijkstra\n"
+    )
+    out = tmp_path / "out.csv"
+    proc = _cli("run", str(cfg), "-o", str(out), "--jobs", str(jobs))
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    header, *rows = out.read_text().splitlines()
+    cols = header.split(",")
+    assert len(rows) == 4  # nm-l1 and edijkstra, two seeds
+    for row in rows:
+        cells = dict(zip(cols, row.split(",")))
+        assert cells["throughput_gbps"] == "0" and cells["n_used"] == "0"
+
+
 def test_run_missing_output_directory_is_one_line_error(tmp_path):
     # checked before the sweep, so a bad -o costs no run
     cfg = tmp_path / "exp.cfg"

@@ -6,7 +6,7 @@ from dataclasses import fields
 
 import pytest
 
-from vpembed import harness
+from vpembed import harness, topofile
 from vpembed import (
     ConfigError,
     ConstraintSet,
@@ -390,6 +390,23 @@ def test_sweep_csv_matches_golden_digest():
     )
     csv = rows_to_csv(sweep(cfg))
     assert hashlib.sha256(csv.encode()).hexdigest() == GOLDEN_SWEEP_SHA256
+
+
+def test_sweep_loads_a_topology_file_once(tmp_path, monkeypatch):
+    # every cell of a file sweep shares one graph, whatever its seed, and
+    # sharing it (ksp's ranked candidates included) changes no row
+    path = tmp_path / "t.top"
+    topofile.dump(generate(GenSpec(node_count=30, target_avg_degree=3.0, seed=5)), path)
+    cfg = _steering_cfg(topology=str(path), degrees=(3.0,), bw_levels=("low",),
+                        backends=("nm-l1", "ksp:3"), seeds=(1, 2, 3, 4), pairs=8)
+    fresh = [harness._run_cell(cfg, cell, topofile.load(path)) for cell in harness._cells(cfg)]
+    loads = []
+    load = topofile.load
+    monkeypatch.setattr(topofile, "load", lambda p: loads.append(p) or load(p))
+    rows = sweep(cfg)
+    assert len(loads) == 1
+    assert len(rows) == 8
+    assert rows == fresh
 
 
 def test_vne_sweep_rows():

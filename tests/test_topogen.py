@@ -1,6 +1,6 @@
 import pytest
 
-from vpembed import DegreeUnreachableError, GenSpec, generate
+from vpembed import DegreeUnreachableError, GenSpec, build_graph, generate
 from vpembed.topogen import (
     DELAY_LEVEL_FACTOR,
     constraints_from_percent,
@@ -89,6 +89,10 @@ def test_euclidean_delay_scaling():
     g = generate(GenSpec(node_count=200, target_avg_degree=4.0, max_delay=10.0, seed=2))
     assert abs(max_link_delay(g) - 10.0) < 1e-9
     assert min(g.path_cols[0]) >= 0
+
+
+def test_max_link_delay_of_an_edgeless_graph_is_zero():
+    assert max_link_delay(build_graph(3, [], link_arity=1, path_arity=1)) == 0.0
 
 
 def test_uniform_delay_model():
