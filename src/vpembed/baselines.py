@@ -22,6 +22,8 @@ from .neighborhoods import (
     _check_query,
     _hop_distances_to,
     _iter_fixed_length_paths,
+    _recall_answer,
+    _remember_answer,
     _usable_mask,
 )
 from .paths import PathResult, path_from_edges
@@ -51,7 +53,9 @@ def solve_edijkstra(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
 
     The mask comes from g's memo (``neighborhoods._usable_mask``) and the
     sign check reads ``g.path_nonneg``, so only a metric that has negative
-    values costs a pass over the edge list.
+    values costs a pass over the edge list. A repeat of a query on an
+    unchanged mask returns the last answer without a search
+    (``neighborhoods._recall_answer``).
 
     Raises:
         UnreachableError: dst unreachable on the pruned graph.
@@ -68,6 +72,10 @@ def solve_edijkstra(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
     n = g.node_count
     p_idx, p_bound = c.path_bounds[0]
     usable = _usable_mask(g, c)
+    key = ("edijkstra", src, dst, c)
+    kept = _recall_answer(g, key)
+    if kept is not None:
+        return kept
     wcol = g.path_cols[p_idx]
     if not g.path_nonneg[p_idx]:
         for e, w in enumerate(wcol):
@@ -122,7 +130,7 @@ def solve_edijkstra(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
         nodes.append(v)
     nodes.reverse()
     edges.reverse()
-    return path_from_edges(g, nodes, edges)
+    return _remember_answer(g, key, path_from_edges(g, nodes, edges))
 
 
 def _ranked_paths(g, src: int, dst: int):
@@ -226,39 +234,35 @@ def solve_exhaustive(g, src: int, dst: int, c: ConstraintSet, *, max_nodes: int 
     if lower[src] == math.inf:
         raise UnreachableError(f"node {dst} is unreachable from {src} on the pruned graph")
 
-    # partial-sum pruning is sound only for bounds on nonnegative metrics
-    prunable = []
-    for j, bound in c.path_bounds:
-        if all(w >= 0 for w in g.path_cols[j]):
-            prunable.append((j, bound))
+    # partial-sum pruning is sound only for bounds on nonnegative metrics;
+    # a NaN prefix sum already fails sum_ok, so NaN values do not stop it
+    prunable = [(j, bound) for j, bound in c.path_bounds if g.path_nonneg[j]]
 
     adj = g.adjacency
     path_cols = g.path_cols
-    sums = [0.0] * g.path_arity
-    on_path = bytearray(n)
+    # prefix sums of the path so far, one entry per node on it: a branch
+    # pops its own, so siblings never see a NaN, inf or rounding left behind
+    sums = [[0.0] * g.path_arity]
 
     def dfs(u: int, depth: int, budget: int):
         if depth == budget:
-            if u == dst and path_feasible(sums, c):
-                return True
-            return False
+            return u == dst and path_feasible(sums[-1], c)
         for v, e in adj[u]:
             if not usable[e] or on_path[v] or depth + 1 + lower[v] > budget:
                 continue
-            for j in range(g.path_arity):
-                sums[j] += path_cols[j][e]
-            ok = all(c.sum_ok(sums[j], b) for j, b in prunable)
-            if ok:
-                on_path[v] = 1
-                nodes.append(v)
-                edges.append(e)
-                if dfs(v, depth + 1, budget):
-                    return True
-                nodes.pop()
-                edges.pop()
-                on_path[v] = 0
-            for j in range(g.path_arity):
-                sums[j] -= path_cols[j][e]
+            prefix = [s + path_cols[j][e] for j, s in enumerate(sums[-1])]
+            if not all(c.sum_ok(prefix[j], b) for j, b in prunable):
+                continue
+            on_path[v] = 1
+            nodes.append(v)
+            edges.append(e)
+            sums.append(prefix)
+            if dfs(v, depth + 1, budget):
+                return True
+            nodes.pop()
+            edges.pop()
+            sums.pop()
+            on_path[v] = 0
         return False
 
     for budget in range(int(lower[src]), n):
@@ -266,8 +270,6 @@ def solve_exhaustive(g, src: int, dst: int, c: ConstraintSet, *, max_nodes: int 
         edges: list[int] = []
         on_path = bytearray(n)
         on_path[src] = 1
-        for j in range(g.path_arity):
-            sums[j] = 0.0
         if dfs(src, 0, budget):
             return path_from_edges(g, nodes, edges)
     raise InfeasibleError(f"no loop-free path from {src} to {dst} satisfies the constraints")

@@ -10,16 +10,19 @@ A :class:`PhysicalGraph`'s topology and metrics are fixed after
 construction. It has two mutable slots, both caches that solvers fill:
 ``mask_memo`` holds the link-bound pruning mask of the last bound set
 queried (see ``neighborhoods._usable_mask``), a pure function of the link
-columns, which a plain graph only ever replaces whole; ``ranked_paths``
+columns, which a plain graph only ever replaces whole, and the last answer
+an nm-l1, edijkstra or nm-general search found on that mask (see
+``neighborhoods._recall_answer``), keyed by the whole query; ``ranked_paths``
 holds ksp's candidates per (src, dst) (see ``baselines.solve_ksp``), a pure
 function of the topology, each entry replaced whole and never invalidated.
 Mutable state (bandwidth reservations) lives in a :class:`ResidualOverlay`,
 a PhysicalGraph that owns residual copies of the consumable columns and its
 own mask memo, which ``reserve`` and ``release`` keep exact on the edges
-they touch, and shares its base's ``ranked_paths``. Writing ``link_cols``
-by any other route once a solve has run leaves the memo stale and is
-unsupported. An overlay is single-writer: concurrent reserve or release
-calls, and solves racing them, must be serialized externally.
+they touch, emptying its answer slot when a mask bit flips, and shares its
+base's ``ranked_paths``. Writing ``link_cols`` by any other route once a
+solve has run leaves the memo stale and is unsupported. An overlay is
+single-writer: concurrent reserve or release calls, and solves racing them,
+must be serialized externally.
 """
 
 from dataclasses import dataclass
@@ -67,10 +70,12 @@ class PhysicalGraph:
         path_nonneg: ``path_nonneg[j]`` is True when no edge has a negative
             path metric j (NaN counts as nonnegative), fixed at construction.
         labels: optional human-readable node names (display only).
-        mask_memo: None, or ``(link_bounds, mask)``: the link-bound pruning
-            mask of the last bound set queried, kept by
-            ``neighborhoods._usable_mask``. Mutable; the mask must only be
-            read.
+        mask_memo: None, or ``[link_bounds, mask, answer]``: the
+            link-bound pruning mask of the last bound set queried, kept by
+            ``neighborhoods._usable_mask``, and None or ``(key, nodes,
+            edge_handles)``, the last answer a search found on that mask
+            (``neighborhoods._recall_answer``). Mutable; the mask must only
+            be read.
         ranked_paths: dict from (src, dst) to ``(candidates, exhausted)``,
             kept by ``baselines.solve_ksp``: the loop-free paths of the
             topology ranked so far, as (nodes, edge_handles) tuples in
@@ -214,10 +219,10 @@ class ResidualOverlay(PhysicalGraph):
     It owns residual copies of ``link_cols`` (typically bandwidth) and
     ``node_capacity``, and its own ``mask_memo``, which starts empty and
     which :meth:`reserve` and :meth:`release` keep exact on every edge they
-    touch; every other attribute (topology, arities, path metrics and their
-    signs, labels, and the ``ranked_paths`` cache, which depends on the
-    topology alone) is the base graph's, shared since none of it is
-    consumable. The overlay does not track who reserved what; pairing
+    touch, emptying its answer slot when they flip a bit; every other
+    attribute (topology, arities, path metrics and their signs, labels, and
+    the ``ranked_paths`` cache, which depends on the topology alone) is the
+    base graph's, shared since none of it is consumable. The overlay does not track who reserved what; pairing
     reserves with releases is the caller's responsibility. The ledger checks
     allow a float slack proportional to each edge's or node's base value, so
     rounding drift from any order of reserves and releases is tolerated at
@@ -245,18 +250,25 @@ class ResidualOverlay(PhysicalGraph):
 
     def _refresh_mask(self, handles) -> None:
         """Recompute the memoized mask bit of each given edge with the full
-        scan's rule: 0 when some link metric is below its bound."""
-        if self.mask_memo is None:
+        scan's rule: 0 when some link metric is below its bound. Empties the
+        memo's answer slot when a bit flips, and only then."""
+        memo = self.mask_memo
+        if memo is None:
             return
-        bounds, mask = self.mask_memo
+        bounds, mask, _answer = memo
         cols = self.link_cols
+        flipped = False
         for e in handles:
             bit = 1
             for j, bound in bounds:
                 if cols[j][e] < bound:
                     bit = 0
                     break
-            mask[e] = bit
+            if mask[e] != bit:
+                mask[e] = bit
+                flipped = True
+        if flipped:
+            memo[2] = None
 
     def reserve(self, path, demand) -> None:
         """Subtract demand's link metrics from every edge on the path.

@@ -53,3 +53,26 @@ def random_l1_bounds(rng: random.Random) -> ConstraintSet:
         ((0, float(rng.randint(1, 9))),),
         ((0, float(rng.randint(3, 25))),),
     )
+
+
+def random_multigraph(rng: random.Random, max_nodes=12):
+    """Seeded multigraph of 2..max_nodes nodes, bw in {1..9} and delay in
+    {1..10}: about one ordered pair in four is linked, and a linked pair gets
+    a parallel edge with probability 0.4. Returns (node count, edge list)."""
+    n = rng.randint(2, max_nodes)
+    edges = []
+    for u in range(n):
+        for v in range(n):
+            if u != v and rng.random() < 0.25:
+                edges.append(
+                    (u, v, EdgeMetrics((float(rng.randint(1, 9)),), (float(rng.randint(1, 10)),)))
+                )
+                while rng.random() < 0.4:
+                    edges.append(
+                        (
+                            u,
+                            v,
+                            EdgeMetrics((float(rng.randint(1, 9)),), (float(rng.randint(1, 10)),)),
+                        )
+                    )
+    return n, edges

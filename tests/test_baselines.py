@@ -3,7 +3,16 @@ import random
 
 import pytest
 
-from conftest import A, B, FIG_EDGES, X, Y, random_instance, random_l1_bounds
+from conftest import (
+    A,
+    B,
+    FIG_EDGES,
+    X,
+    Y,
+    random_instance,
+    random_l1_bounds,
+    random_multigraph,
+)
 from oracle import all_simple_paths, feasible, min_feasible_hops, path_metrics
 from vpembed import baselines
 from vpembed import (
@@ -226,22 +235,6 @@ def test_ksp_unreachable(fig_graph, fig_constraints):
 # --- ksp's ranked-candidate cache ---------------------------------------------
 
 
-def _multigraph(rng: random.Random):
-    """Seeded <= 12-node multigraph: about one ordered pair in four is
-    linked, and a linked pair gets a parallel edge with probability 0.4."""
-    n = rng.randint(2, 12)
-    edges = []
-    for u in range(n):
-        for v in range(n):
-            if u != v and rng.random() < 0.25:
-                edges.append((u, v, E((float(rng.randint(1, 9)),), (float(rng.randint(1, 10)),))))
-                while rng.random() < 0.4:
-                    edges.append(
-                        (u, v, E((float(rng.randint(1, 9)),), (float(rng.randint(1, 10)),)))
-                    )
-    return n, edges
-
-
 def _ksp_outcome(g, src, dst, c, k):
     try:
         result = solve_ksp(g, src, dst, c, k)
@@ -264,7 +257,7 @@ def test_ksp_cache_answers_like_a_fresh_graph():
     rng = random.Random(90901)
     statuses = set()
     for _ in range(120):
-        n, edges = _multigraph(rng)
+        n, edges = random_multigraph(rng)
 
         def build():
             return build_graph(n, edges, [0.0] * n, link_arity=1, path_arity=1)
@@ -407,6 +400,59 @@ def test_exhaustive_matches_naive_enumeration():
             assert result.nodes == best
         except NoPathError:
             assert expected is None
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_exhaustive_survives_a_nan_or_inf_sibling(value):
+    # running sums restored by subtraction stayed NaN after the 0->1 branch
+    # (nan - nan, inf - inf), so the sibling 0->2->3 looked infeasible too
+    edges = [
+        (0, 1, E((1.0,), (value,))),
+        (0, 2, E((1.0,), (1.0,))),
+        (1, 3, E((1.0,), (1.0,))),
+        (2, 3, E((1.0,), (1.0,))),
+    ]
+    g = build_graph(4, edges, [0.0] * 4)
+    for strict in (True, False):
+        c = ConstraintSet((), ((0, 10.0),), strict=strict)
+        assert solve_exhaustive(g, 0, 3, c).nodes == (0, 2, 3)
+        assert solve_general(g, 0, 3, c).nodes == (0, 2, 3)
+
+
+def test_exhaustive_matches_naive_enumeration_with_nan_and_inf():
+    rng = random.Random(31337)
+    found = 0
+    for _ in range(300):
+        _g, edges = random_instance(rng, max_nodes=8, edge_prob=0.4)
+        edges = [
+            (u, v, E(m.link_metrics, (rng.choice((math.nan, math.inf)),)))
+            if rng.random() < 0.2
+            else (u, v, m)
+            for u, v, m in edges
+        ]
+        n = _g.node_count
+        g = build_graph(n, edges, [0.0] * n, link_arity=1, path_arity=1)
+        c = ConstraintSet(
+            random_l1_bounds(rng).link_bounds, ((0, float(rng.randint(3, 25))),),
+            strict=rng.random() < 0.5,
+        )
+        src, dst = rng.sample(range(n), 2)
+        expected = min_feasible_hops(n, edges, src, dst, c)
+        try:
+            result = solve_exhaustive(g, src, dst, c)
+        except NoPathError:
+            assert expected is None
+            continue
+        assert result.hop_count == expected
+        assert feasible(edges, list(result.edge_handles), c)
+        best = min(
+            tuple(nodes)
+            for nodes, handles in all_simple_paths(n, edges, src, dst)
+            if len(nodes) - 1 == expected and feasible(edges, handles, c)
+        )
+        assert result.nodes == best
+        found += 1
+    assert found > 40
 
 
 def test_exhaustive_never_contradicted_by_other_solvers():

@@ -1,7 +1,10 @@
+import heapq
 import random
 
 import pytest
 
+from conftest import A, B, FIG_EDGES, X, Y, random_multigraph
+from vpembed import baselines, neighborhoods
 from vpembed import (
     ArityMismatchError,
     ConstraintSet,
@@ -13,12 +16,15 @@ from vpembed import (
     PathResult,
     PhysicalGraph,
     ResidualOverlay,
+    ResourceLimitError,
     SelfLoopError,
     build_graph,
     generate,
     harness,
     resolve_constraint_severity,
     run_steering,
+    solve_edijkstra,
+    solve_general,
     solve_l1,
 )
 from vpembed.neighborhoods import _usable_mask
@@ -351,3 +357,172 @@ def test_steering_cell_solves_on_one_mask(monkeypatch):
         assert report.solve_calls == len(masks) > 8
         assert report.vl_count > 0
         assert all(mask is masks[0] for mask in masks)
+
+
+# --- the answer slot of the mask memo -----------------------------------------
+
+SOLVERS = {"nm-l1": solve_l1, "edijkstra": solve_edijkstra, "nm-general": solve_general}
+
+
+def _answer(solver, g, src, dst, c):
+    try:
+        result = solver(g, src, dst, c)
+    except NoPathError as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", result.nodes, result.edge_handles, result.accumulated, result.min_link_metrics
+
+
+def test_answer_slot_answers_like_a_graph_without_memo(monkeypatch):
+    # random reserve/release sequences on an overlay of a <= 10-node
+    # multigraph, with every query repeated by random solvers and paths
+    # reserved as steering does; each answer equals the one a graph rebuilt
+    # from the overlay's residuals gives with an empty memo
+    hits = {"n": 0}
+    for module in (neighborhoods, baselines):
+        original = module._recall_answer
+
+        def counting(*args, _original=original):
+            kept = _original(*args)
+            hits["n"] += kept is not None
+            return kept
+
+        monkeypatch.setattr(module, "_recall_answer", counting)
+
+    rng = random.Random(271828)
+    statuses = set()
+    for _ in range(80):
+        n, edges = random_multigraph(rng, max_nodes=10)
+        if not edges:
+            continue
+        overlay = ResidualOverlay(build_graph(n, edges, [0.0] * n, link_arity=1, path_arity=1))
+        bounds = [
+            ConstraintSet(
+                ((0, float(rng.randint(1, 6))),) if rng.random() < 0.8 else (),
+                ((0, float(rng.randint(3, 30))),),
+                strict=rng.random() < 0.5,
+            )
+            for _ in range(2)
+        ]
+        outstanding = []
+        for _ in range(40):
+            roll = rng.random()
+            if roll < 0.15 and outstanding:
+                overlay.release(*outstanding.pop(rng.randrange(len(outstanding))))
+                continue
+            if roll < 0.3:
+                handles = rng.sample(range(len(edges)), rng.randint(1, min(3, len(edges))))
+                room = int(min(overlay.link_cols[0][e] for e in handles))
+                if room >= 1:
+                    demand = (float(rng.randint(1, room)),)
+                    overlay.reserve(handles, demand)
+                    outstanding.append((handles, demand))
+                continue
+            src, dst = rng.sample(range(n), 2)
+            c = rng.choice(bounds)
+            # the query again, by the same solver or another one
+            for name in rng.choices(sorted(SOLVERS), k=rng.randint(2, 4)):
+                fresh = build_graph(
+                    n,
+                    [(u, v, E((overlay.link_cols[0][e],), m.path_metrics))
+                     for e, (u, v, m) in enumerate(edges)],
+                    [0.0] * n,
+                    link_arity=1,
+                    path_arity=1,
+                )
+                got = _answer(SOLVERS[name], overlay, src, dst, c)
+                assert got == _answer(SOLVERS[name], fresh, src, dst, c)
+                statuses.add(got[0])
+                if got[0] != "ok" or rng.random() < 0.5:
+                    continue
+                # steering: reserve on the path found, then ask again
+                room = int(min(overlay.link_cols[0][e] for e in got[2]))
+                if room >= 1:
+                    demand = (float(rng.randint(1, room)),)
+                    overlay.reserve(got[2], demand)
+                    outstanding.append((got[2], demand))
+    assert statuses == {"ok", "InfeasibleError", "UnreachableError"}
+    assert hits["n"] > 200
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Count the searches each solver runs: nm-l1's forward sweep,
+    nm-general's reverse BFS and edijkstra's heap pops."""
+    counts = dict.fromkeys(SOLVERS, 0)
+
+    def counting(name, original):
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        neighborhoods, "_l1_forward", counting("nm-l1", neighborhoods._l1_forward)
+    )
+    monkeypatch.setattr(
+        neighborhoods,
+        "_hop_distances_to",
+        counting("nm-general", neighborhoods._hop_distances_to),
+    )
+    monkeypatch.setattr(heapq, "heappop", counting("edijkstra", heapq.heappop))
+    return counts
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_answer_slot_decides_when_a_search_runs(name, searches):
+    solver = SOLVERS[name]
+    base = build_graph(4, FIG_EDGES, [10.0] * 4)
+    overlay = ResidualOverlay(base)
+    c = ConstraintSet(((0, 5.0),), ((0, 5.0),))
+
+    def solve(graph=overlay, src=X, dst=Y, bounds=c):
+        # how many searches the query ran, and its answer
+        before = searches[name]
+        result = solver(graph, src, dst, bounds)
+        return searches[name] - before > 0, result
+
+    searched, first = solve()
+    assert searched and first.nodes == (X, B, A, Y) and first.min_link_metrics == (7.0,)
+    # a repeat on an unchanged mask
+    assert solve() == (False, first)
+    # a reserve that flips no bit: 9, 8, 7 -> 8, 7, 6 against >= 5
+    overlay.reserve(first, (1.0,))
+    searched, again = solve()
+    assert not searched and again.edge_handles == first.edge_handles
+    assert again.min_link_metrics == (6.0,)
+    # a reserve that flips a bit, off the path: X->A 5 -> 4
+    overlay.reserve([0], (1.0,))
+    assert solve()[0]
+    assert not solve()[0]
+    # and a release that flips it back
+    overlay.release([0], (1.0,))
+    assert solve()[0]
+    # another src, dst, path bound or strictness
+    for query in (
+        {"src": B},
+        {"dst": A},
+        {"bounds": ConstraintSet(((0, 5.0),), ((0, 6.0),))},
+        {"bounds": ConstraintSet(((0, 5.0),), ((0, 5.0),), strict=False)},
+    ):
+        solve()
+        assert solve(**query)[0], query
+    # two overlays of one base, and the base itself, keep their own slots
+    solve()
+    assert solve(graph=base)[0]
+    other = ResidualOverlay(base)
+    assert solve(graph=other)[0]
+    assert not solve(graph=base)[0]
+    assert not solve(graph=other)[0]
+    assert not solve()[0]
+
+
+def test_answer_slot_keys_nm_general_by_candidate_limit(searches):
+    g = build_graph(4, FIG_EDGES, [10.0] * 4)
+    c = ConstraintSet(((0, 5.0),), ((0, 5.0),))
+    solve_general(g, X, Y, c)
+    solve_general(g, X, Y, c, candidate_limit=10**5)
+    assert searches["nm-general"] == 2
+    with pytest.raises(ResourceLimitError):
+        solve_general(g, X, Y, c, candidate_limit=0)
+    assert searches["nm-general"] == 3

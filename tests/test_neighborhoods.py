@@ -5,7 +5,7 @@ import time
 import pytest
 
 from conftest import A, B, X, Y, random_instance, random_l1_bounds
-from oracle import all_simple_paths, feasible, min_feasible_hops
+from oracle import all_simple_paths, feasible, min_feasible_hops, reachable
 from vpembed import (
     ConstraintSet,
     EdgeMetrics,
@@ -377,7 +377,7 @@ def test_l1_rounds_equal_hop_count():
         g, _edges = random_instance(rng, max_nodes=10)
         c = random_l1_bounds(rng)
         dst = g.node_count - 1
-        status, rounds, _label, _usable = _l1_forward(g, 0, dst, c)
+        status, rounds, _label, _usable = _l1_forward(g, 0, dst, c, _usable_mask(g, c))
         if status == "found":
             assert rounds == solve_l1(g, 0, dst, c).hop_count
             found += 1
@@ -398,6 +398,56 @@ def test_l1_matches_oracle_seeded():
             assert len(set(result.nodes)) == len(result.nodes)
         except NoPathError:
             assert expected is None
+
+
+def test_l1_nan_path_metric_never_breaks_the_bound():
+    # a NaN sum compares false against everything, so a sweep that skipped
+    # an offer only when nd >= bound carried (nan,) to dst and returned it
+    nan = float("nan")
+    g = build_graph(3, [(0, 1, E((1.0,), (nan,))), (1, 2, E((1.0,), (1.0,)))], [0.0] * 3)
+    for strict in (True, False):
+        c = ConstraintSet((), ((0, 10.0),), strict=strict)
+        for solver in (solve_l1, solve_general):
+            with pytest.raises(InfeasibleError):
+                solver(g, 0, 2, c)
+    # a NaN shortcut loses to a longer path with a real sum
+    g = build_graph(
+        3,
+        [(0, 2, E((1.0,), (nan,))), (0, 1, E((1.0,), (1.0,))), (1, 2, E((1.0,), (1.0,)))],
+        [0.0] * 3,
+    )
+    result = solve_l1(g, 0, 2, ConstraintSet((), ((0, 10.0),)))
+    assert result.nodes == (0, 1, 2) and result.accumulated == (2.0,)
+
+
+def test_l1_matches_oracle_with_nan_path_metrics():
+    rng = random.Random(4077)
+    statuses = {}
+    for _ in range(300):
+        _g, edges = random_instance(rng, max_nodes=9, edge_prob=0.35)
+        edges = [
+            (u, v, E(m.link_metrics, (float("nan"),))) if rng.random() < 0.2 else (u, v, m)
+            for u, v, m in edges
+        ]
+        n = _g.node_count
+        g = build_graph(n, edges, [0.0] * n, link_arity=1, path_arity=1)
+        bw, delay = random_l1_bounds(rng).link_bounds[0][1], float(rng.randint(3, 25))
+        c = ConstraintSet(((0, bw),), ((0, delay),), strict=rng.random() < 0.5)
+        src, dst = rng.sample(range(n), 2)
+        expected = min_feasible_hops(n, edges, src, dst, c)
+        try:
+            result = solve_l1(g, src, dst, c)
+        except NoPathError as exc:
+            assert expected is None
+            link_ok = [(u, v, m) for u, v, m in edges if m.link_metrics[0] >= bw]
+            reach = reachable(n, link_ok, src, dst)
+            assert exc.status == ("infeasible" if reach else "unreachable")
+            statuses[exc.status] = statuses.get(exc.status, 0) + 1
+            continue
+        assert result.hop_count == expected
+        assert feasible(edges, list(result.edge_handles), c)
+        statuses["ok"] = statuses.get("ok", 0) + 1
+    assert min(statuses.get(s, 0) for s in ("ok", "infeasible", "unreachable")) > 20
 
 
 def test_general_and_l1_agree_on_hop_count():
