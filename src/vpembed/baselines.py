@@ -19,14 +19,16 @@ from .errors import (
 )
 from .neighborhoods import (
     DEFAULT_CANDIDATE_LIMIT,
+    _answer,
     _check_query,
     _hop_distances_to,
     _iter_fixed_length_paths,
-    _recall_answer,
-    _remember_answer,
+    _no_path,
     _usable_mask,
 )
 from .paths import PathResult, path_from_edges
+
+EXHAUSTIVE_NODE_LIMIT = 14
 
 
 def _chain_precedes(pred: list[int], a: int, b: int) -> bool:
@@ -51,31 +53,27 @@ def solve_edijkstra(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
     lexicographic node sequence. An exact tie costs a walk back to the two
     chains' last common node and allocates nothing.
 
-    The mask comes from g's memo (``neighborhoods._usable_mask``) and the
-    sign check reads ``g.path_nonneg``, so only a metric that has negative
-    values costs a pass over the edge list. A repeat of a query on an
-    unchanged mask returns the last answer without a search
-    (``neighborhoods._recall_answer``).
+    The mask comes from g's memo and a repeat of a query on an unchanged
+    mask returns the last answer without a search (``neighborhoods._answer``).
+    The sign check reads ``g.path_nonneg``, so only a metric that has
+    negative values costs a pass over the edge list.
 
     Raises:
         UnreachableError: dst unreachable on the pruned graph.
-        InfeasibleError: the minimum accumulated metric violates the bound.
+        InfeasibleError: dst reachable, but the minimum accumulated metric
+            violates the bound or is not finite.
         NegativeMetricError: a surviving edge has a negative path metric.
         ValueError: c does not have exactly one path bound.
     """
     if c.path_count != 1:
         raise ValueError(f"solve_edijkstra requires exactly one path bound, got {c.path_count}")
-    trivial = _check_query(g, src, dst, c)
-    if trivial is not None:
-        return trivial
+    return _answer(g, src, dst, c, "edijkstra", _search_edijkstra)
 
+
+def _search_edijkstra(g, src: int, dst: int, c: ConstraintSet, usable: bytearray) -> PathResult:
+    """:func:`solve_edijkstra`'s Dijkstra on the pruning mask usable."""
     n = g.node_count
     p_idx, p_bound = c.path_bounds[0]
-    usable = _usable_mask(g, c)
-    key = ("edijkstra", src, dst, c)
-    kept = _recall_answer(g, key)
-    if kept is not None:
-        return kept
     wcol = g.path_cols[p_idx]
     if not g.path_nonneg[p_idx]:
         for e, w in enumerate(wcol):
@@ -116,7 +114,8 @@ def solve_edijkstra(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
                     pred_edge[v] = e
 
     if dist[dst] == math.inf:
-        raise UnreachableError(f"node {dst} is unreachable from {src} on the pruned graph")
+        # no route has a finite sum: +inf and NaN metrics are never relaxed
+        raise _no_path(g, src, dst, usable)
     if not c.sum_ok(dist[dst], p_bound):
         raise InfeasibleError(
             f"minimum accumulated metric {dist[dst]} violates the bound {p_bound}"
@@ -130,7 +129,7 @@ def solve_edijkstra(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
         nodes.append(v)
     nodes.reverse()
     edges.reverse()
-    return _remember_answer(g, key, path_from_edges(g, nodes, edges))
+    return path_from_edges(g, nodes, edges)
 
 
 def _ranked_paths(g, src: int, dst: int):
@@ -210,7 +209,7 @@ def solve_ksp(g, src: int, dst: int, c: ConstraintSet, k: int) -> PathResult:
     raise InfeasibleError(f"only {len(ranked)} candidate paths exist; none satisfies c")
 
 
-def solve_exhaustive(g, src: int, dst: int, c: ConstraintSet, *, max_nodes: int = 14) -> PathResult:
+def solve_exhaustive(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
     """Enumerate every loop-free path and return the feasible one minimizing
     (hop count, lexicographic node sequence). Exponential; guarded by size.
 
@@ -219,12 +218,14 @@ def solve_exhaustive(g, src: int, dst: int, c: ConstraintSet, *, max_nodes: int 
     length, so the first feasible hit is the answer.
 
     Raises:
-        ResourceLimitError: node_count exceeds max_nodes.
+        ResourceLimitError: node_count exceeds EXHAUSTIVE_NODE_LIMIT, read
+            at call time.
         UnreachableError / InfeasibleError: as for the other solvers.
     """
     n = g.node_count
-    if n > max_nodes:
-        raise ResourceLimitError(f"{n} nodes exceeds the exhaustive-search guard {max_nodes}")
+    limit = EXHAUSTIVE_NODE_LIMIT
+    if n > limit:
+        raise ResourceLimitError(f"{n} nodes exceeds the exhaustive-search guard {limit}")
     trivial = _check_query(g, src, dst, c)
     if trivial is not None:
         return trivial

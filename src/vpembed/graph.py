@@ -7,22 +7,17 @@ upper bounds (e.g. delay in ms). Metric arities are declared graph-wide so
 constraint validation is O(1).
 
 A :class:`PhysicalGraph`'s topology and metrics are fixed after
-construction. It has two mutable slots, both caches that solvers fill:
-``mask_memo`` holds the link-bound pruning mask of the last bound set
-queried (see ``neighborhoods._usable_mask``), a pure function of the link
-columns, which a plain graph only ever replaces whole, and the last answer
-an nm-l1, edijkstra or nm-general search found on that mask (see
-``neighborhoods._recall_answer``), keyed by the whole query; ``ranked_paths``
-holds ksp's candidates per (src, dst) (see ``baselines.solve_ksp``), a pure
-function of the topology, each entry replaced whole and never invalidated.
-Mutable state (bandwidth reservations) lives in a :class:`ResidualOverlay`,
-a PhysicalGraph that owns residual copies of the consumable columns and its
-own mask memo, which ``reserve`` and ``release`` keep exact on the edges
-they touch, emptying its answer slot when a mask bit flips, and shares its
-base's ``ranked_paths``. Writing ``link_cols`` by any other route once a
-solve has run leaves the memo stale and is unsupported. An overlay is
-single-writer: concurrent reserve or release calls, and solves racing them,
-must be serialized externally.
+construction. Its two mutable slots are caches that solvers fill:
+``mask_memo``, the link-bound pruning mask of the last bound set queried
+and the last answer found on it, which only ``neighborhoods`` reads or
+writes; and ``ranked_paths``, ksp's candidates per (src, dst) (see
+``baselines.solve_ksp``), a pure function of the topology. Bandwidth
+reservations live in a :class:`ResidualOverlay`, which owns residual
+copies of the consumable columns and its own mask memo, and shares its
+base's ``ranked_paths``. Writing ``link_cols`` other than through
+``reserve``/``release`` once a solve has run leaves the memo stale and is
+unsupported. An overlay is single-writer: concurrent reserve or release
+calls, and solves racing them, must be serialized externally.
 """
 
 from dataclasses import dataclass
@@ -33,6 +28,7 @@ from .errors import (
     OverReleaseError,
     SelfLoopError,
 )
+from .neighborhoods import _refresh_mask
 
 
 @dataclass(frozen=True)
@@ -70,12 +66,10 @@ class PhysicalGraph:
         path_nonneg: ``path_nonneg[j]`` is True when no edge has a negative
             path metric j (NaN counts as nonnegative), fixed at construction.
         labels: optional human-readable node names (display only).
-        mask_memo: None, or ``[link_bounds, mask, answer]``: the
-            link-bound pruning mask of the last bound set queried, kept by
-            ``neighborhoods._usable_mask``, and None or ``(key, nodes,
-            edge_handles)``, the last answer a search found on that mask
-            (``neighborhoods._recall_answer``). Mutable; the mask must only
-            be read.
+        mask_memo: None, or the pruning-mask memo of the last bound set
+            queried, with the last answer found on that mask; kept by
+            ``neighborhoods`` (``_usable_mask``, ``_answer``), the only
+            module that reads or writes it. Mutable.
         ranked_paths: dict from (src, dst) to ``(candidates, exhausted)``,
             kept by ``baselines.solve_ksp``: the loop-free paths of the
             topology ranked so far, as (nodes, edge_handles) tuples in
@@ -219,14 +213,17 @@ class ResidualOverlay(PhysicalGraph):
     It owns residual copies of ``link_cols`` (typically bandwidth) and
     ``node_capacity``, and its own ``mask_memo``, which starts empty and
     which :meth:`reserve` and :meth:`release` keep exact on every edge they
-    touch, emptying its answer slot when they flip a bit; every other
-    attribute (topology, arities, path metrics and their signs, labels, and
-    the ``ranked_paths`` cache, which depends on the topology alone) is the
-    base graph's, shared since none of it is consumable. The overlay does not track who reserved what; pairing
-    reserves with releases is the caller's responsibility. The ledger checks
-    allow a float slack proportional to each edge's or node's base value, so
-    rounding drift from any order of reserves and releases is tolerated at
-    every capacity scale.
+    touch (``neighborhoods._refresh_mask``); every other attribute
+    (topology, arities, path metrics and their signs, labels, and the
+    ``ranked_paths`` cache, which depends on the topology alone) is the
+    base graph's, shared since none of it is consumable.
+
+    The overlay does not track who reserved what; pairing reserves with
+    releases is the caller's responsibility. The ledger checks allow a float
+    slack proportional to each edge's or node's base value, so rounding
+    drift from any order of reserves and releases is tolerated at every
+    capacity scale. Each call names distinct edges, or one node, of the
+    graph; anything else is refused before any state changes.
     """
 
     __slots__ = ("base",)
@@ -240,46 +237,37 @@ class ResidualOverlay(PhysicalGraph):
         # the base's mask is the base's: sharing it would let reserve edit it
         self.mask_memo = None
 
-    def _demand_vector(self, demand) -> tuple[float, ...]:
+    def _request(self, path, demand):
+        """(edge handles, link demand) of a reserve or release, checked
+        before anything is mutated: the handles must be distinct edges of
+        the graph and the demand must have the graph's link arity."""
         link = tuple(demand)
         if len(link) != self.link_arity:
             raise ArityMismatchError(
                 f"demand has {len(link)} link metrics, graph declares {self.link_arity}"
             )
-        return link
+        handles = getattr(path, "edge_handles", path)
+        if handles and not 0 <= min(handles) <= max(handles) < self.edge_count:
+            raise IndexError(f"edge handles {handles} outside [0, {self.edge_count})")
+        if len(set(handles)) != len(handles):
+            raise ValueError(f"edge handles {handles} repeat an edge")
+        return handles, link
 
-    def _refresh_mask(self, handles) -> None:
-        """Recompute the memoized mask bit of each given edge with the full
-        scan's rule: 0 when some link metric is below its bound. Empties the
-        memo's answer slot when a bit flips, and only then."""
-        memo = self.mask_memo
-        if memo is None:
-            return
-        bounds, mask, _answer = memo
-        cols = self.link_cols
-        flipped = False
-        for e in handles:
-            bit = 1
-            for j, bound in bounds:
-                if cols[j][e] < bound:
-                    bit = 0
-                    break
-            if mask[e] != bit:
-                mask[e] = bit
-                flipped = True
-        if flipped:
-            memo[2] = None
+    def _base_cpu(self, node: int) -> float:
+        if not 0 <= node < self.node_count:
+            raise IndexError(f"node {node} outside [0, {self.node_count})")
+        return self.base.node_capacity[node]
 
     def reserve(self, path, demand) -> None:
         """Subtract demand's link metrics from every edge on the path.
 
-        Atomic: if any edge lacks headroom, nothing is mutated.
+        Atomic: if any check fails, nothing is mutated.
 
         Raises:
             InsufficientResidualError: some on-path edge residual < demand.
+            IndexError / ValueError: a handle is out of range or repeats.
         """
-        link = self._demand_vector(demand)
-        handles = getattr(path, "edge_handles", path)
+        handles, link = self._request(path, demand)
         base_cols = self.base.link_cols
         for e in handles:
             for j, need in enumerate(link):
@@ -290,7 +278,7 @@ class ResidualOverlay(PhysicalGraph):
         for e in handles:
             for j, need in enumerate(link):
                 self.link_cols[j][e] -= need
-        self._refresh_mask(handles)
+        _refresh_mask(self, handles)
 
     def release(self, path, demand) -> None:
         """Add demand's link metrics back onto every edge on the path.
@@ -299,9 +287,9 @@ class ResidualOverlay(PhysicalGraph):
 
         Raises:
             OverReleaseError: some edge would exceed its base metric.
+            IndexError / ValueError: a handle is out of range or repeats.
         """
-        link = self._demand_vector(demand)
-        handles = getattr(path, "edge_handles", path)
+        handles, link = self._request(path, demand)
         base_cols = self.base.link_cols
         for e in handles:
             for j, back in enumerate(link):
@@ -313,11 +301,12 @@ class ResidualOverlay(PhysicalGraph):
         for e in handles:
             for j, back in enumerate(link):
                 self.link_cols[j][e] += back
-        self._refresh_mask(handles)
+        _refresh_mask(self, handles)
 
     def reserve_node(self, node: int, cpu: float) -> None:
         """Subtract cpu units from a node's residual capacity."""
-        if self.node_capacity[node] < cpu - _slack(self.base.node_capacity[node]):
+        base = self._base_cpu(node)
+        if self.node_capacity[node] < cpu - _slack(base):
             raise InsufficientResidualError(
                 f"node {node} residual cpu {self.node_capacity[node]}, demand {cpu}"
             )
@@ -325,7 +314,7 @@ class ResidualOverlay(PhysicalGraph):
 
     def release_node(self, node: int, cpu: float) -> None:
         """Return cpu units to a node's residual capacity."""
-        base = self.base.node_capacity[node]
+        base = self._base_cpu(node)
         if self.node_capacity[node] + cpu > base + _slack(base):
             raise OverReleaseError(f"node {node} cpu would exceed base capacity")
         self.node_capacity[node] += cpu

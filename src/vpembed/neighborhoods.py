@@ -21,9 +21,9 @@ hop optimality -- without them a node improved mid-round can propagate one
 round early and the back track can splice a detour into the answer.
 
 Both solvers, and baselines.solve_edijkstra, read link state only through
-the pruning mask, so each keeps its last answer in the graph's mask memo
-and returns it again, without a search, to the same query on the same mask
-(:func:`_recall_answer`).
+the pruning mask, so one front (:func:`_answer`) returns each one's last
+answer again, without a search, to the same query on the same mask, and
+one rule tells unreachable from infeasible (:func:`_no_path`).
 """
 
 import math
@@ -66,12 +66,13 @@ def _usable_mask(g, c: ConstraintSet) -> bytearray:
     every link bound of c, 0 when it is pruned. All ones when c has no link
     bounds.
 
-    The mask is memoized on g (``g.mask_memo``, one entry) and returned as
-    is, never copied, when the link bounds equal the memo's key; callers
-    must only read it. A ResidualOverlay keeps its memo exact through
-    reserve and release, so a run that re-solves under the same bounds
-    scans the edge list once. Other bounds cost one full scan, which
-    replaces the memo, answer slot included (see :func:`_recall_answer`).
+    The mask is memoized on g (``g.mask_memo``, ``[link_bounds, mask,
+    answer]``) and returned as is, never copied, when the link bounds equal
+    the memo's key; callers must only read it. A ResidualOverlay keeps its
+    memo exact through reserve and release (:func:`_refresh_mask`), so a
+    run that re-solves under the same bounds scans the edge list once.
+    Other bounds cost one full scan, which replaces the memo, answer slot
+    included (see :func:`_answer`).
     """
     memo = g.mask_memo
     if memo is not None and memo[0] == c.link_bounds:
@@ -86,29 +87,55 @@ def _usable_mask(g, c: ConstraintSet) -> bytearray:
     return mask
 
 
-def _recall_answer(g, key) -> PathResult | None:
-    """The answer last found under key on g's current mask, rebuilt on g's
-    current residuals, or None. Call after :func:`_usable_mask`.
+def _refresh_mask(g, handles) -> None:
+    """Recompute g's memoized mask bit of each given edge with the full
+    scan's rule, 0 when some link metric is below its bound, after those
+    edges' link metrics changed (ResidualOverlay.reserve and release).
+    Empties the memo's answer slot when a bit flips, and only then."""
+    memo = g.mask_memo
+    if memo is None:
+        return
+    bounds, mask, _ = memo
+    cols = g.link_cols
+    for e in handles:
+        bit = 1
+        for j, bound in bounds:
+            if cols[j][e] < bound:
+                bit = 0
+                break
+        if mask[e] != bit:
+            mask[e] = bit
+            memo[2] = None
 
-    The memo's third slot holds ``(key, nodes, edge_handles)`` of the last
-    successful nm-l1, edijkstra or nm-general search on its mask; the key is
-    the solver's name, src, dst, the whole ConstraintSet and, for
-    nm-general, candidate_limit. Those solvers read link state only through
-    the mask, so while no mask bit changes the same key gets the same
-    answer: ResidualOverlay empties the slot when reserve or release flips a
-    bit, and other bounds replace the memo. NoPathErrors are not kept.
-    """
-    kept = g.mask_memo[2]
-    if kept is None or kept[0] != key:
-        return None
-    return path_from_edges(g, kept[1], kept[2])
 
-
-def _remember_answer(g, key, result: PathResult) -> PathResult:
-    """Store result under key in the answer slot of g's current mask,
-    replacing what it held, and return result."""
-    g.mask_memo[2] = (key, result.nodes, result.edge_handles)
+def _answer(g, src: int, dst: int, c: ConstraintSet, name: str, search) -> PathResult:
+    """Answer a query of a solver that reads link state only through the
+    mask: validate it, take the mask once, and return the path kept in the
+    memo's answer slot under ``(name, src, dst, c)``, rebuilt on g's current
+    residuals; else keep and return ``search(g, src, dst, c, mask)`` (a
+    NoPathError is not kept). While no mask bit changes, the answer cannot:
+    :func:`_refresh_mask` empties the slot when a bit flips."""
+    trivial = _check_query(g, src, dst, c)
+    if trivial is not None:
+        return trivial
+    usable = _usable_mask(g, c)
+    memo = g.mask_memo
+    key = (name, src, dst, c)
+    kept = memo[2]
+    if kept is not None and kept[0] == key:
+        return path_from_edges(g, kept[1], kept[2])
+    result = search(g, src, dst, c, usable)
+    memo[2] = (key, result.nodes, result.edge_handles)
     return result
+
+
+def _no_path(g, src: int, dst: int, usable: bytearray) -> UnreachableError | InfeasibleError:
+    """The verdict on a query whose search found no path on the mask usable:
+    UnreachableError when a reverse BFS (:func:`_hop_distances_to`) finds
+    dst cut off from src, InfeasibleError otherwise."""
+    if _hop_distances_to(g, dst, usable)[src] == math.inf:
+        return UnreachableError(f"node {dst} is unreachable from {src} on the pruned graph")
+    return InfeasibleError(f"the path bound rejects every route from {src} to {dst}")
 
 
 def _min_sums_to(g, dst: int, col, usable: bytearray) -> list[float]:
@@ -222,39 +249,29 @@ def _iter_fixed_length_paths(g, depth, src, dst, usable, to_dst, limit, cost_flo
                     partial.pop()
 
 
-def solve_general(
-    g,
-    src: int,
-    dst: int,
-    c: ConstraintSet,
-    *,
-    candidate_limit: int = DEFAULT_CANDIDATE_LIMIT,
-) -> PathResult:
+def solve_general(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
     """Minimum-hop loop-free path satisfying any mix of link and path bounds.
 
     Prunes link-infeasible edges and takes the hop distance of every node
     to dst on what is left (one reverse BFS). Then, for each depth from
     src's hop distance up to node_count - 1, it generates the candidates of
     exactly that hop count in lexicographic order and returns the first
-    one meeting all path bounds. candidate_limit caps the partial paths
-    expanded at each depth. A repeat of a query on an unchanged mask
-    returns the last answer without a search (:func:`_recall_answer`).
+    one meeting all path bounds. DEFAULT_CANDIDATE_LIMIT, read at call
+    time, caps the partial paths expanded at each depth. A repeat of a
+    query on an unchanged mask returns the last answer without a search
+    (:func:`_answer`).
 
     Raises:
         UnreachableError: dst is unreachable from src on the pruned graph.
         InfeasibleError: dst reachable but no loop-free path satisfies c.
         ResourceLimitError: candidate expansion at one depth exceeded
-            candidate_limit.
+            DEFAULT_CANDIDATE_LIMIT partial paths.
     """
-    trivial = _check_query(g, src, dst, c)
-    if trivial is not None:
-        return trivial
+    return _answer(g, src, dst, c, "nm-general", _search_general)
 
-    usable = _usable_mask(g, c)
-    key = ("nm-general", src, dst, c, candidate_limit)
-    kept = _recall_answer(g, key)
-    if kept is not None:
-        return kept
+
+def _search_general(g, src: int, dst: int, c: ConstraintSet, usable: bytearray) -> PathResult:
+    """:func:`solve_general`'s search on the pruning mask usable."""
     to_dst = _hop_distances_to(g, dst, usable)
     if to_dst[src] == math.inf:
         raise UnreachableError(f"node {dst} is unreachable from {src} on the pruned graph")
@@ -277,11 +294,11 @@ def solve_general(
 
     for depth in range(to_dst[src], g.node_count):
         for nodes, edges in _iter_fixed_length_paths(
-            g, depth, src, dst, usable, to_dst, candidate_limit, cost_floor
+            g, depth, src, dst, usable, to_dst, DEFAULT_CANDIDATE_LIMIT, cost_floor
         ):
             cand = path_from_edges(g, nodes, edges)
             if path_feasible(cand.accumulated, c):
-                return _remember_answer(g, key, cand)
+                return cand
     raise InfeasibleError(f"no loop-free path from {src} to {dst} satisfies the constraints")
 
 
@@ -352,10 +369,8 @@ def solve_l1(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
     back down, so feasibility is conservative there; the supported use of
     negative values is cycle detection.
 
-    When the sweep stalls, a reverse BFS from dst on the pruned topology
-    (:func:`_hop_distances_to`) tells an infeasible query from an
-    unreachable one. A repeat of a query on an unchanged mask returns the
-    last answer without a sweep (:func:`_recall_answer`).
+    When the sweep stalls, :func:`_no_path` gives the verdict. A repeat of
+    a query on an unchanged mask returns the last answer (:func:`_answer`).
 
     Raises:
         UnreachableError: dst unreachable on the pruned topology.
@@ -367,22 +382,16 @@ def solve_l1(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
     """
     if c.path_count != 1:
         raise ValueError(f"solve_l1 requires exactly one path bound, got {c.path_count}")
-    trivial = _check_query(g, src, dst, c)
-    if trivial is not None:
-        return trivial
+    return _answer(g, src, dst, c, "nm-l1", _search_l1)
 
-    usable = _usable_mask(g, c)
-    key = ("nm-l1", src, dst, c)
-    kept = _recall_answer(g, key)
-    if kept is not None:
-        return kept
+
+def _search_l1(g, src: int, dst: int, c: ConstraintSet, usable: bytearray) -> PathResult:
+    """:func:`solve_l1`'s forward sweep and back track on the mask usable."""
     status, _rounds, label, usable = _l1_forward(g, src, dst, c, usable)
     if status == "negcycle":
         raise NegativeWeightCycleError("round count reached the node count; relaxation is cycling")
     if status == "stalled":
-        if _hop_distances_to(g, dst, usable)[src] < math.inf:
-            raise InfeasibleError(f"the path bound rejects every route from {src} to {dst}")
-        raise UnreachableError(f"node {dst} is unreachable from {src} on the pruned graph")
+        raise _no_path(g, src, dst, usable)
 
     nodes = []
     edges = []
@@ -399,4 +408,4 @@ def solve_l1(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
         chain = parent
     nodes.reverse()
     edges.reverse()
-    return _remember_answer(g, key, path_from_edges(g, nodes, edges))
+    return path_from_edges(g, nodes, edges)

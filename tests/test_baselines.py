@@ -13,7 +13,7 @@ from conftest import (
     random_l1_bounds,
     random_multigraph,
 )
-from oracle import all_simple_paths, feasible, min_feasible_hops, path_metrics
+from oracle import all_simple_paths, feasible, min_feasible_hops, path_metrics, reachable
 from vpembed import baselines
 from vpembed import (
     ConstraintSet,
@@ -136,6 +136,59 @@ def test_l1_dominates_edijkstra_on_hops():
         assert nm.hop_count <= ed.hop_count
         dominated += 1
     assert dominated > 30
+
+
+# --- the no-path verdict of the mask-reading solvers --------------------------
+
+MASK_SOLVERS = (solve_edijkstra, solve_l1, solve_general)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+def test_a_route_with_no_finite_sum_is_infeasible_not_unreachable(value):
+    # dst is reachable, but only through a +inf or NaN delay: every solver
+    # must say infeasible, although edijkstra never relaxes such an edge and
+    # so never reaches dst
+    g = build_graph(3, [(0, 1, E((5.0,), (value,))), (1, 2, E((5.0,), (1.0,)))], [0.0] * 3)
+    for strict in (True, False):
+        c = ConstraintSet(((0, 1.0),), ((0, 10.0),), strict=strict)
+        for solver in MASK_SOLVERS:
+            with pytest.raises(InfeasibleError):
+                solver(g, 0, 2, c)
+    # once the link bound prunes the cut, the same route is unreachable
+    g = build_graph(3, [(0, 1, E((2.0,), (value,))), (1, 2, E((5.0,), (1.0,)))], [0.0] * 3)
+    for solver in MASK_SOLVERS:
+        with pytest.raises(UnreachableError):
+            solver(g, 0, 2, ConstraintSet(((0, 3.0),), ((0, 10.0),)))
+
+
+def test_edijkstra_verdict_matches_oracle_with_nan_and_inf_delays():
+    rng = random.Random(6021)
+    statuses = {}
+    for _ in range(300):
+        _g, edges = random_instance(rng, max_nodes=9, edge_prob=0.35)
+        edges = [
+            (u, v, E(m.link_metrics, (rng.choice((math.inf, math.nan)),)))
+            if rng.random() < 0.2 else (u, v, m)
+            for u, v, m in edges
+        ]
+        n = _g.node_count
+        g = build_graph(n, edges, [0.0] * n, link_arity=1, path_arity=1)
+        bw, delay = random_l1_bounds(rng).link_bounds[0][1], float(rng.randint(3, 25))
+        c = ConstraintSet(((0, bw),), ((0, delay),), strict=rng.random() < 0.5)
+        src, dst = rng.sample(range(n), 2)
+        try:
+            result = solve_edijkstra(g, src, dst, c)
+        except NoPathError as exc:
+            # the least-sum path clears the bound whenever any path does
+            assert min_feasible_hops(n, edges, src, dst, c) is None
+            link_ok = [(u, v, m) for u, v, m in edges if m.link_metrics[0] >= bw]
+            reach = reachable(n, link_ok, src, dst)
+            assert exc.status == ("infeasible" if reach else "unreachable")
+            statuses[exc.status] = statuses.get(exc.status, 0) + 1
+            continue
+        assert feasible(edges, list(result.edge_handles), c)
+        statuses["ok"] = statuses.get("ok", 0) + 1
+    assert min(statuses.get(s, 0) for s in ("ok", "infeasible", "unreachable")) > 20
 
 
 # --- k shortest paths ------------------------------------------------------
@@ -369,13 +422,14 @@ def test_exhaustive_complete_graph_unconstrained():
     assert result.nodes == (0, 4)
 
 
-def test_exhaustive_size_guard():
+def test_exhaustive_size_guard(monkeypatch):
     edges = [(i, i + 1, E((1.0,), (1.0,))) for i in range(15)]
     g = build_graph(16, edges, [0.0] * 16)
     empty = ConstraintSet((), ())
     with pytest.raises(ResourceLimitError):
         solve_exhaustive(g, 0, 15, empty)
-    assert solve_exhaustive(g, 0, 15, empty, max_nodes=16).hop_count == 15
+    monkeypatch.setattr(baselines, "EXHAUSTIVE_NODE_LIMIT", 16)
+    assert solve_exhaustive(g, 0, 15, empty).hop_count == 15
 
 
 def test_exhaustive_matches_naive_enumeration():

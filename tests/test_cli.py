@@ -172,6 +172,16 @@ def test_solve_non_strict_flag(tmp_path, capsys):
     assert lax == 0
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_solve_edijkstra_route_with_no_finite_sum_is_infeasible_exit_4(tmp_path, capsys, value):
+    top = tmp_path / "cut.top"
+    top.write_text(f"nodes 3 link_metrics 1 path_metrics 1\nedge 0 1 5 {value}\nedge 1 2 5 1\n")
+    code = main(["solve", "--topology", str(top), "--src", "0", "--dst", "2",
+                 "--backend", "edijkstra", "--path", "0 < 10"])
+    assert code == 4
+    assert capsys.readouterr().out.startswith("status=infeasible")
+
+
 # --- run -----------------------------------------------------------------------
 
 

@@ -16,7 +16,6 @@ from vpembed import (
     PathResult,
     PhysicalGraph,
     ResidualOverlay,
-    ResourceLimitError,
     SelfLoopError,
     build_graph,
     generate,
@@ -158,6 +157,45 @@ def test_reserve_accepts_path_result():
     path = PathResult((0, 1, 2), tuple(handles), (2.0,), (9.0,))
     overlay.reserve(path, (4.0,))
     assert overlay.link_cols[0] == [5.0, 5.0]
+
+
+@pytest.mark.parametrize("verb", ["reserve", "release"])
+@pytest.mark.parametrize(
+    "handles, error",
+    [([0, 0], ValueError), ([1, 0, 1], ValueError), ([-1], IndexError), ([2], IndexError),
+     ([0, 2], IndexError)],
+    ids=["repeat", "repeat-apart", "negative", "past-the-end", "second-past-the-end"],
+)
+def test_ledger_refuses_repeated_or_out_of_range_edges(verb, handles, error):
+    # a repeated handle would take the demand once per occurrence (5 - 2 * 4
+    # = -3) and -1 would reach the last edge: both are refused before the
+    # residuals or the mask change
+    g, _ = _chain_graph([5.0, 5.0])
+    overlay = ResidualOverlay(g)
+    if verb == "release":
+        overlay.reserve([0, 1], (4.0,))
+    c = ConstraintSet(((0, 1.0),))
+    mask = bytes(_usable_mask(overlay, c))
+    before = overlay.link_cols[0].copy()
+    with pytest.raises(error):
+        getattr(overlay, verb)(handles, (4.0,))
+    assert overlay.link_cols[0] == before
+    assert bytes(_usable_mask(overlay, c)) == mask
+
+
+@pytest.mark.parametrize("verb", ["reserve_node", "release_node"])
+@pytest.mark.parametrize("node", [-1, 2])
+def test_ledger_refuses_a_node_out_of_range(verb, node):
+    g, _ = _chain_graph([5.0])
+    g.node_capacity[:] = [4.0, 6.0]
+    overlay = ResidualOverlay(g)
+    if verb == "release_node":
+        overlay.reserve_node(0, 1.0)
+        overlay.reserve_node(1, 1.0)
+    before = list(overlay.node_capacity)
+    with pytest.raises(IndexError):
+        getattr(overlay, verb)(node, 1.0)
+    assert overlay.node_capacity == before
 
 
 def test_residuals_stay_within_base_over_random_sequences():
@@ -377,16 +415,19 @@ def test_answer_slot_answers_like_a_graph_without_memo(monkeypatch):
     # multigraph, with every query repeated by random solvers and paths
     # reserved as steering does; each answer equals the one a graph rebuilt
     # from the overlay's residuals gives with an empty memo
+    # a hit is a query on the overlay that runs no search
     hits = {"n": 0}
-    for module in (neighborhoods, baselines):
-        original = module._recall_answer
+    for module, search in (
+        (neighborhoods, "_search_l1"),
+        (neighborhoods, "_search_general"),
+        (baselines, "_search_edijkstra"),
+    ):
 
-        def counting(*args, _original=original):
-            kept = _original(*args)
-            hits["n"] += kept is not None
-            return kept
+        def counting(g, *args, _original=getattr(module, search)):
+            hits["n"] -= g is overlay
+            return _original(g, *args)
 
-        monkeypatch.setattr(module, "_recall_answer", counting)
+        monkeypatch.setattr(module, search, counting)
 
     rng = random.Random(271828)
     statuses = set()
@@ -430,6 +471,7 @@ def test_answer_slot_answers_like_a_graph_without_memo(monkeypatch):
                     path_arity=1,
                 )
                 got = _answer(SOLVERS[name], overlay, src, dst, c)
+                hits["n"] += 1
                 assert got == _answer(SOLVERS[name], fresh, src, dst, c)
                 statuses.add(got[0])
                 if got[0] != "ok" or rng.random() < 0.5:
@@ -516,13 +558,3 @@ def test_answer_slot_decides_when_a_search_runs(name, searches):
     assert not solve(graph=other)[0]
     assert not solve()[0]
 
-
-def test_answer_slot_keys_nm_general_by_candidate_limit(searches):
-    g = build_graph(4, FIG_EDGES, [10.0] * 4)
-    c = ConstraintSet(((0, 5.0),), ((0, 5.0),))
-    solve_general(g, X, Y, c)
-    solve_general(g, X, Y, c, candidate_limit=10**5)
-    assert searches["nm-general"] == 2
-    with pytest.raises(ResourceLimitError):
-        solve_general(g, X, Y, c, candidate_limit=0)
-    assert searches["nm-general"] == 3

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import A, B, X, Y, random_instance, random_l1_bounds
 from oracle import all_simple_paths, feasible, min_feasible_hops, reachable
+from vpembed import neighborhoods
 from vpembed import (
     ConstraintSet,
     EdgeMetrics,
@@ -144,9 +145,10 @@ def test_general_unreachable_vs_infeasible():
         solve_general(g, 0, 1, ConstraintSet((), ((0, 1.0),)))
 
 
-def test_general_candidate_limit():
+def test_general_candidate_limit(monkeypatch):
     # complete graph, unsatisfiable bound, one negative metric so the
     # remaining-cost pruning cannot help: expansion must hit the cap
+    monkeypatch.setattr(neighborhoods, "DEFAULT_CANDIDATE_LIMIT", 50)
     edges = []
     for u in range(7):
         for v in range(7):
@@ -156,11 +158,12 @@ def test_general_candidate_limit():
     g = build_graph(7, edges, [0.0] * 7)
     c = ConstraintSet((), ((0, 0.5),))  # best possible total is exactly 0.5
     with pytest.raises(ResourceLimitError):
-        solve_general(g, 0, 6, c, candidate_limit=50)
+        solve_general(g, 0, 6, c)
 
 
-def test_general_short_circuits_hopeless_bound():
+def test_general_short_circuits_hopeless_bound(monkeypatch):
     # with nonnegative metrics the same query answers infeasible instantly
+    monkeypatch.setattr(neighborhoods, "DEFAULT_CANDIDATE_LIMIT", 50)
     edges = []
     for u in range(7):
         for v in range(7):
@@ -168,7 +171,7 @@ def test_general_short_circuits_hopeless_bound():
                 edges.append((u, v, E((1.0,), (1.0,))))
     g = build_graph(7, edges, [0.0] * 7)
     with pytest.raises(InfeasibleError):
-        solve_general(g, 0, 6, ConstraintSet((), ((0, 0.5),)), candidate_limit=50)
+        solve_general(g, 0, 6, ConstraintSet((), ((0, 0.5),)))
 
 
 def test_general_matches_oracle_with_two_path_bounds():
