@@ -223,7 +223,8 @@ class ResidualOverlay(PhysicalGraph):
     slack proportional to each edge's or node's base value, so rounding
     drift from any order of reserves and releases is tolerated at every
     capacity scale. Each call names distinct edges, or one node, of the
-    graph; anything else is refused before any state changes.
+    graph and a demand with no negative or NaN component; anything else is
+    refused before any state changes.
     """
 
     __slots__ = ("base",)
@@ -240,12 +241,16 @@ class ResidualOverlay(PhysicalGraph):
     def _request(self, path, demand):
         """(edge handles, link demand) of a reserve or release, checked
         before anything is mutated: the handles must be distinct edges of
-        the graph and the demand must have the graph's link arity."""
+        the graph and the demand must have the graph's link arity, with no
+        negative or NaN component."""
         link = tuple(demand)
         if len(link) != self.link_arity:
             raise ArityMismatchError(
                 f"demand has {len(link)} link metrics, graph declares {self.link_arity}"
             )
+        for need in link:
+            if not need >= 0:
+                raise ValueError(f"demand {link} has a negative or NaN component")
         handles = getattr(path, "edge_handles", path)
         if handles and not 0 <= min(handles) <= max(handles) < self.edge_count:
             raise IndexError(f"edge handles {handles} outside [0, {self.edge_count})")
@@ -253,9 +258,14 @@ class ResidualOverlay(PhysicalGraph):
             raise ValueError(f"edge handles {handles} repeat an edge")
         return handles, link
 
-    def _base_cpu(self, node: int) -> float:
+    def _base_cpu(self, node: int, cpu: float) -> float:
+        """Base capacity of the node a reserve_node or release_node names,
+        checked before anything is mutated: the node must be in range and
+        cpu neither negative nor NaN."""
         if not 0 <= node < self.node_count:
             raise IndexError(f"node {node} outside [0, {self.node_count})")
+        if not cpu >= 0:
+            raise ValueError(f"node {node} cpu demand must be >= 0, got {cpu}")
         return self.base.node_capacity[node]
 
     def reserve(self, path, demand) -> None:
@@ -265,7 +275,8 @@ class ResidualOverlay(PhysicalGraph):
 
         Raises:
             InsufficientResidualError: some on-path edge residual < demand.
-            IndexError / ValueError: a handle is out of range or repeats.
+            IndexError / ValueError: a handle is out of range or repeats,
+                or a demand component is negative or NaN.
         """
         handles, link = self._request(path, demand)
         base_cols = self.base.link_cols
@@ -287,7 +298,8 @@ class ResidualOverlay(PhysicalGraph):
 
         Raises:
             OverReleaseError: some edge would exceed its base metric.
-            IndexError / ValueError: a handle is out of range or repeats.
+            IndexError / ValueError: a handle is out of range or repeats,
+                or a demand component is negative or NaN.
         """
         handles, link = self._request(path, demand)
         base_cols = self.base.link_cols
@@ -305,7 +317,7 @@ class ResidualOverlay(PhysicalGraph):
 
     def reserve_node(self, node: int, cpu: float) -> None:
         """Subtract cpu units from a node's residual capacity."""
-        base = self._base_cpu(node)
+        base = self._base_cpu(node, cpu)
         if self.node_capacity[node] < cpu - _slack(base):
             raise InsufficientResidualError(
                 f"node {node} residual cpu {self.node_capacity[node]}, demand {cpu}"
@@ -314,7 +326,7 @@ class ResidualOverlay(PhysicalGraph):
 
     def release_node(self, node: int, cpu: float) -> None:
         """Return cpu units to a node's residual capacity."""
-        base = self._base_cpu(node)
+        base = self._base_cpu(node, cpu)
         if self.node_capacity[node] + cpu > base + _slack(base):
             raise OverReleaseError(f"node {node} cpu would exceed base capacity")
         self.node_capacity[node] += cpu

@@ -46,7 +46,8 @@ class VnRequest:
     """One virtual network request: node CPU demands plus constrained links.
 
     virtual_links entries are (vnode_a, vnode_b, bw_demand, delay_bound);
-    delay_bound may be None.
+    delay_bound may be None (no bound) but not NaN. Demands must be
+    positive, so NaN is refused there too.
     """
 
     virtual_nodes: tuple[float, ...]
@@ -55,13 +56,15 @@ class VnRequest:
     def __post_init__(self):
         n = len(self.virtual_nodes)
         for cpu in self.virtual_nodes:
-            if cpu <= 0:
+            if not cpu > 0:
                 raise ValueError(f"virtual node cpu demand must be positive, got {cpu}")
-        for a, b, bw, _delay in self.virtual_links:
+        for a, b, bw, delay in self.virtual_links:
             if a == b or not (0 <= a < n) or not (0 <= b < n):
                 raise ValueError(f"bad virtual link endpoints ({a}, {b}) for {n} nodes")
-            if bw <= 0:
+            if not bw > 0:
                 raise ValueError(f"virtual link bw demand must be positive, got {bw}")
+            if delay is not None and math.isnan(delay):
+                raise ValueError(f"virtual link ({a}, {b}) delay bound is NaN")
 
 
 @dataclass
@@ -439,8 +442,6 @@ def _cell_graph(cfg: ExperimentConfig, cell: _Cell) -> PhysicalGraph:
 
 
 def _run_cell(cfg: ExperimentConfig, cell: _Cell, g: PhysicalGraph) -> dict:
-    # every cell routes under bounds on link metric 0 and path metric 0
-    ConstraintSet(((0, 0.0),), ((0, math.inf),)).validate_arity(g.link_arity, g.path_arity)
     row = {
         "model": cfg.model if not cfg.topology else "file",
         "nodes": g.node_count,
@@ -459,15 +460,10 @@ def _run_cell(cfg: ExperimentConfig, cell: _Cell, g: PhysicalGraph) -> dict:
             link_util=report.link_utilization,
         )
     else:
-        pairs = cfg.effective_pairs()
-        if pairs > g.node_count * (g.node_count - 1):
-            raise ConfigError(
-                f"cannot draw {pairs} distinct pairs from {g.node_count} nodes", key="pairs"
-            )
         c = constraints_from_percent(g, cell.bw_level, cell.delay[1])
         report = run_steering(
             g,
-            pairs,
+            cfg.effective_pairs(),
             c,
             cell.backend,
             cell.seed,
@@ -484,17 +480,32 @@ def _run_cell(cfg: ExperimentConfig, cell: _Cell, g: PhysicalGraph) -> dict:
     return row
 
 
-def _cell_worker(args):
-    cfg, cell = args
-    return _run_cell(cfg, cell, _cell_graph(cfg, cell))
+def _run_task(cfg: ExperimentConfig, cells: list[tuple[int, _Cell]]) -> list[tuple[int, dict]]:
+    """Build the graph the cells share once, check it once, and run the
+    cells on it in order; returns (cell index, row) pairs."""
+    g = _cell_graph(cfg, cells[0][1])
+    # every cell routes under bounds on link metric 0 and path metric 0
+    ConstraintSet(((0, 0.0),), ((0, math.inf),)).validate_arity(g.link_arity, g.path_arity)
+    pairs = cfg.effective_pairs()
+    if cfg.scenario != "vne" and pairs > g.node_count * (g.node_count - 1):
+        raise ConfigError(
+            f"cannot draw {pairs} distinct pairs from {g.node_count} nodes", key="pairs"
+        )
+    return [(i, _run_cell(cfg, cell, g)) for i, cell in cells]
 
 
 def sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
     """Expand the config into cells and run them, returning one row dict per
-    cell in deterministic grid order. Cells are independent; jobs > 1 runs
-    them in worker processes (each regenerates its own topology), never
-    more than there are cells or CPUs. Run serially, the cells of one
-    (degree, seed), or all cells of a topology file, share one graph.
+    cell in deterministic grid order.
+
+    Cells are grouped by the graph they share: one per (degree, seed), or
+    one for all cells of a topology file. Each group is one task that
+    builds its graph once and runs its cells on it, so they share ksp's
+    ranked candidates too. The workers are min(jobs, cells, CPUs); with
+    fewer groups than workers, each group's cells are dealt into
+    ceil(workers / groups) tasks, each building its own copy of the graph.
+    One worker runs the tasks in this process, more run them in a process
+    pool; either way a process holds one graph at a time.
 
     Raises:
         ConfigError: jobs < 1, or a steering cell's topology has fewer
@@ -506,19 +517,19 @@ def sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     cells = _cells(cfg)
     workers = min(jobs, len(cells), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(_cell_worker, [(cfg, cell) for cell in cells]))
-    # cells with the same topology parameters share one graph, and with it
-    # ksp's ranked candidates; a topology file is one graph for every cell
-    cache: dict[tuple, PhysicalGraph] = {}
-    rows = []
-    for cell in cells:
+    groups: dict[tuple, list[tuple[int, _Cell]]] = {}
+    for i, cell in enumerate(cells):
         key = () if cfg.topology else (cell.degree, cell.seed)
-        if key not in cache:
-            cache[key] = _cell_graph(cfg, cell)
-        rows.append(_run_cell(cfg, cell, cache[key]))
-    return rows
+        groups.setdefault(key, []).append((i, cell))
+    split = math.ceil(workers / len(groups))
+    tasks = [group[k::split] for group in groups.values() for k in range(min(split, len(group)))]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(_run_task, itertools.repeat(cfg), tasks))
+    else:
+        done = map(_run_task, itertools.repeat(cfg), tasks)
+    rows = dict(pair for task_rows in done for pair in task_rows)
+    return [rows[i] for i in range(len(cells))]
 
 
 def _list_of(convert):

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from vpembed import ConstraintSet, EdgeMetrics, build_graph
+from vpembed import ConstraintSet, EdgeMetrics, build_graph, harness
 
 # The 4-node worked example: directed graph over X=0, A=1, B=2, Y=3 with
 # [bandwidth, delay] per edge. Under bw >= 5 and delay < 5 the only feasible
@@ -76,3 +76,26 @@ def random_multigraph(rng: random.Random, max_nodes=12):
                         )
                     )
     return n, edges
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Replace the sweep's process pool by an in-process stand-in, so no
+    process is started; returns the list of worker counts it was given."""
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    return seen

@@ -1,4 +1,5 @@
 import heapq
+import math
 import random
 
 import pytest
@@ -161,15 +162,18 @@ def test_reserve_accepts_path_result():
 
 @pytest.mark.parametrize("verb", ["reserve", "release"])
 @pytest.mark.parametrize(
-    "handles, error",
-    [([0, 0], ValueError), ([1, 0, 1], ValueError), ([-1], IndexError), ([2], IndexError),
-     ([0, 2], IndexError)],
-    ids=["repeat", "repeat-apart", "negative", "past-the-end", "second-past-the-end"],
+    "handles, demand, error",
+    [([0, 0], 4.0, ValueError), ([1, 0, 1], 4.0, ValueError), ([-1], 4.0, IndexError),
+     ([2], 4.0, IndexError), ([0, 2], 4.0, IndexError), ([0], -4.0, ValueError),
+     ([0], math.nan, ValueError)],
+    ids=["repeat", "repeat-apart", "negative", "past-the-end", "second-past-the-end",
+         "negative-demand", "nan-demand"],
 )
-def test_ledger_refuses_repeated_or_out_of_range_edges(verb, handles, error):
+def test_ledger_refuses_repeated_or_out_of_range_edges(verb, handles, demand, error):
     # a repeated handle would take the demand once per occurrence (5 - 2 * 4
-    # = -3) and -1 would reach the last edge: both are refused before the
-    # residuals or the mask change
+    # = -3), -1 would reach the last edge, a negative demand would lift a
+    # residual above its base (5 + 4 = 9) and a NaN one would leave NaN: all
+    # are refused before the residuals or the mask change
     g, _ = _chain_graph([5.0, 5.0])
     overlay = ResidualOverlay(g)
     if verb == "release":
@@ -178,14 +182,19 @@ def test_ledger_refuses_repeated_or_out_of_range_edges(verb, handles, error):
     mask = bytes(_usable_mask(overlay, c))
     before = overlay.link_cols[0].copy()
     with pytest.raises(error):
-        getattr(overlay, verb)(handles, (4.0,))
+        getattr(overlay, verb)(handles, (demand,))
     assert overlay.link_cols[0] == before
     assert bytes(_usable_mask(overlay, c)) == mask
 
 
 @pytest.mark.parametrize("verb", ["reserve_node", "release_node"])
-@pytest.mark.parametrize("node", [-1, 2])
-def test_ledger_refuses_a_node_out_of_range(verb, node):
+@pytest.mark.parametrize(
+    "node, cpu, error",
+    [(-1, 1.0, IndexError), (2, 1.0, IndexError), (0, -2.0, ValueError),
+     (0, math.nan, ValueError)],
+    ids=["-1", "2", "negative-cpu", "nan-cpu"],
+)
+def test_ledger_refuses_a_node_out_of_range(verb, node, cpu, error):
     g, _ = _chain_graph([5.0])
     g.node_capacity[:] = [4.0, 6.0]
     overlay = ResidualOverlay(g)
@@ -193,9 +202,21 @@ def test_ledger_refuses_a_node_out_of_range(verb, node):
         overlay.reserve_node(0, 1.0)
         overlay.reserve_node(1, 1.0)
     before = list(overlay.node_capacity)
-    with pytest.raises(IndexError):
-        getattr(overlay, verb)(node, 1.0)
+    with pytest.raises(error):
+        getattr(overlay, verb)(node, cpu)
     assert overlay.node_capacity == before
+
+
+def test_ledger_takes_a_zero_demand():
+    # steering demands are 0 on the link metrics a query leaves unbounded
+    g, _ = _chain_graph([5.0])
+    overlay = ResidualOverlay(g)
+    overlay.reserve([0], (0.0,))
+    overlay.reserve_node(0, 0.0)
+    overlay.release([0], (0.0,))
+    overlay.release_node(0, 0.0)
+    assert overlay.link_cols == g.link_cols
+    assert overlay.node_capacity == g.node_capacity
 
 
 def test_residuals_stay_within_base_over_random_sequences():

@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import math
 import random
 import types
 import typing
@@ -13,6 +15,7 @@ from vpembed import (
     EdgeMetrics,
     GenSpec,
     InvalidCountsError,
+    PhysicalGraph,
     ResidualOverlay,
     UnknownBackendError,
     VnRequest,
@@ -138,6 +141,20 @@ def test_vne_delay_bounded_links():
     tight = VnRequest((1.0, 1.0), ((0, 1, 1.0, 0.5),))
     report = run_vne(g, [ok, tight], "nm-general")
     assert [o.accepted for o in report.per_request_outcomes] == [True, False]
+
+
+@pytest.mark.parametrize(
+    "cpu, bw, delay",
+    [(math.nan, 1.0, None), (1.0, math.nan, None), (1.0, 1.0, math.nan)],
+    ids=["cpu", "bw", "delay"],
+)
+def test_vn_request_refuses_nan(cpu, bw, delay):
+    # NaN passed the old `<= 0` checks: a NaN bw or delay then broke
+    # run_vne mid-pool inside ConstraintSet, and a NaN cpu fit no host
+    with pytest.raises(ValueError):
+        VnRequest((cpu, 1.0), ((0, 1, bw, delay),))
+    for legal in (None, math.inf):
+        VnRequest((1.0, 1.0), ((0, 1, 1.0, legal),))
 
 
 def test_vne_l1_backend_gets_synthetic_bound():
@@ -340,25 +357,8 @@ def test_sweep_rejects_jobs_below_one():
             sweep(_steering_cfg(), jobs=jobs)
 
 
-def test_sweep_clamps_workers_to_cells_and_cpus(monkeypatch):
-    # an in-process stand-in for the pool records the worker count it is
-    # given, so no process is started
-    seen = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+def test_sweep_clamps_workers_to_cells_and_cpus(recording_pool, monkeypatch):
+    seen = recording_pool
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
     three_cells = _steering_cfg(nodes=30, degrees=(3.0,), bw_levels=("low",), seeds=(1,),
                                 backends=("nm-l1", "edijkstra", "ksp:1"))
@@ -407,6 +407,80 @@ def test_sweep_loads_a_topology_file_once(tmp_path, monkeypatch):
     assert len(loads) == 1
     assert len(rows) == 8
     assert rows == fresh
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name so that each call appends its arguments to the
+    returned list."""
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+def _file_cfg(tmp_path):
+    path = tmp_path / "t.top"
+    topofile.dump(generate(GenSpec(node_count=30, target_avg_degree=3.0, seed=5)), path)
+    return _steering_cfg(topology=str(path), degrees=(3.0,), bw_levels=("low",),
+                         backends=("nm-l1", "ksp:3"), seeds=(1, 2, 3, 4), pairs=8)
+
+
+def test_sweep_builds_one_graph_per_key_at_any_jobs(recording_pool, monkeypatch):
+    # 24 cells on 6 (degree, seed) keys: each key's graph is built once,
+    # in first-appearance order, whether the tasks run here or in a pool
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    cfg = _steering_cfg(nodes=30, pairs=2)
+    builds = _count_calls(monkeypatch, harness, "generate")
+    serial = sweep(cfg)
+    keys = [(d, s) for d in cfg.degrees for s in cfg.seeds]
+    assert [(spec.target_avg_degree, spec.seed) for spec, in builds] == keys
+    builds.clear()
+    assert sweep(cfg, jobs=2) == serial
+    assert recording_pool == [2]
+    assert [(spec.target_avg_degree, spec.seed) for spec, in builds] == keys
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_parallel_file_sweep_loads_the_file_once_per_task(tmp_path, recording_pool, monkeypatch,
+                                                         jobs):
+    # one group (the file) and more workers than groups: its 8 cells are
+    # dealt into one task per worker, and each task loads the file once
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    cfg = _file_cfg(tmp_path)
+    serial = sweep(cfg)
+    loads = _count_calls(monkeypatch, topofile, "load")
+    assert sweep(cfg, jobs=jobs) == serial
+    assert recording_pool == [jobs]
+    assert len(loads) == jobs
+
+
+def _live_graphs() -> int:
+    # PhysicalGraph has no __weakref__ slot, so count its instances on the
+    # collector's list instead of holding weak references to them
+    gc.collect()
+    return sum(type(o) is PhysicalGraph for o in gc.get_objects())
+
+
+def test_serial_sweep_holds_one_graph_at_a_time(monkeypatch):
+    # each build finds no graph of this sweep still alive
+    before = _live_graphs()
+    alive_at_build = []
+    build = harness.generate
+
+    def counting_build(spec):
+        alive_at_build.append(_live_graphs() - before)
+        return build(spec)
+
+    monkeypatch.setattr(harness, "generate", counting_build)
+    sweep(_steering_cfg(nodes=30, pairs=2))
+    assert alive_at_build == [0] * 6
+
+
+def test_parallel_file_sweep_matches_serial_csv(tmp_path, monkeypatch):
+    # real worker processes on the split path, ksp's shared ranking included
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    cfg = _file_cfg(tmp_path)
+    assert rows_to_csv(sweep(cfg, jobs=2)) == rows_to_csv(sweep(cfg))
 
 
 def test_vne_sweep_rows():
