@@ -24,6 +24,7 @@ from .neighborhoods import (
     _hop_distances_to,
     _iter_fixed_length_paths,
     _no_path,
+    _search_general,
     _usable_mask,
 )
 from .paths import PathResult, path_from_edges
@@ -61,8 +62,12 @@ def solve_edijkstra(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
     Raises:
         UnreachableError: dst unreachable on the pruned graph.
         InfeasibleError: dst reachable, but the minimum accumulated metric
-            violates the bound or is not finite.
+            violates the bound or is not finite. Under a non-strict
+            infinite bound a +inf sum is feasible: when no route has a
+            finite sum, the least-hop route without a NaN sum is returned.
         NegativeMetricError: a surviving edge has a negative path metric.
+        ResourceLimitError: under a non-strict infinite bound only, when
+            no route has a finite sum, as from ``solve_general``.
         ValueError: c does not have exactly one path bound.
     """
     if c.path_count != 1:
@@ -114,7 +119,11 @@ def _search_edijkstra(g, src: int, dst: int, c: ConstraintSet, usable: bytearray
                     pred_edge[v] = e
 
     if dist[dst] == math.inf:
-        # no route has a finite sum: +inf and NaN metrics are never relaxed
+        # no route has a finite sum: +inf and NaN metrics are never relaxed.
+        # Under a non-strict infinite bound a +inf sum is still feasible,
+        # and nm-general's search finds the least-hop such route
+        if not c.strict and p_bound == math.inf:
+            return _search_general(g, src, dst, c, usable)
         raise _no_path(g, src, dst, usable)
     if not c.sum_ok(dist[dst], p_bound):
         raise InfeasibleError(

@@ -16,7 +16,6 @@ import math
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 from . import topofile
@@ -524,6 +523,10 @@ def sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
     split = math.ceil(workers / len(groups))
     tasks = [group[k::split] for group in groups.values() for k in range(min(split, len(group)))]
     if workers > 1:
+        # imported only here, so a serial sweep, and a process that never
+        # sweeps, loads neither the pool nor multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_run_task, itertools.repeat(cfg), tasks))
     else:

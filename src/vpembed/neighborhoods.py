@@ -371,6 +371,8 @@ def solve_l1(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
 
     When the sweep stalls, :func:`_no_path` gives the verdict. A repeat of
     a query on an unchanged mask returns the last answer (:func:`_answer`).
+    A non-strict infinite bound (``<= inf``) admits +inf sums, which the
+    sweep cannot offer, so such a query is answered by nm-general's search.
 
     Raises:
         UnreachableError: dst unreachable on the pruned topology.
@@ -378,6 +380,8 @@ def solve_l1(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
             sweep stalled (the bound rejects every extension).
         NegativeWeightCycleError: relabeling was still active after
             node_count - 1 rounds.
+        ResourceLimitError: under a non-strict infinite bound only, as
+            from :func:`solve_general`.
         ValueError: c does not have exactly one path bound.
     """
     if c.path_count != 1:
@@ -386,7 +390,12 @@ def solve_l1(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
 
 
 def _search_l1(g, src: int, dst: int, c: ConstraintSet, usable: bytearray) -> PathResult:
-    """:func:`solve_l1`'s forward sweep and back track on the mask usable."""
+    """:func:`solve_l1`'s forward sweep and back track on the mask usable.
+    A non-strict infinite bound rejects only NaN sums, and the sweep offers
+    only sums below the bound's successor, +inf, so that query goes to
+    nm-general's search."""
+    if not c.strict and c.path_bounds[0][1] == math.inf:
+        return _search_general(g, src, dst, c, usable)
     status, _rounds, label, usable = _l1_forward(g, src, dst, c, usable)
     if status == "negcycle":
         raise NegativeWeightCycleError("round count reached the node count; relaxation is cycling")

@@ -6,12 +6,14 @@ maximum possible distance; preferential attachment adds m edges per
 arriving node. Undirected links are emitted as two directed edges with
 equal metrics. Identical GenSpec (including seed) yields a bit-identical
 graph.
+
+numpy is imported inside the two functions that call it, not here:
+reading a topology file or answering a query never needs it, and its
+import costs a one-query process more than the rest of the package.
 """
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .constraints import ConstraintSet
 from .errors import DegreeUnreachableError
@@ -89,6 +91,8 @@ def _waxman_pairs(n, coords, uniform, beta, alpha, target):
     realized link count hits round(target * n / 2) exactly: a pair joins
     when uniform/scale < alpha, so the target-count order statistic of that
     ratio IS the calibrated alpha (the closed form of bisecting on it)."""
+    import numpy as np
+
     iu, iv = np.triu_indices(n, 1)
     d = np.hypot(coords[iu, 0] - coords[iv, 0], coords[iu, 1] - coords[iv, 1])
     scale = np.exp(-d / (beta * math.sqrt(2.0)))
@@ -140,6 +144,8 @@ def generate(spec: GenSpec) -> PhysicalGraph:
     Raises:
         DegreeUnreachableError: target_avg_degree cannot be realized.
     """
+    import numpy as np
+
     n = spec.node_count
     for attempt in range(MAX_CONNECT_RETRIES + 1):
         rng = np.random.default_rng(spec.seed + 1_000_003 * attempt)

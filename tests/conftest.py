@@ -1,3 +1,4 @@
+import concurrent.futures
 import random
 import sys
 from pathlib import Path
@@ -6,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from vpembed import ConstraintSet, EdgeMetrics, build_graph, harness
+from vpembed import ConstraintSet, EdgeMetrics, build_graph
 
 # The 4-node worked example: directed graph over X=0, A=1, B=2, Y=3 with
 # [bandwidth, delay] per edge. Under bw >= 5 and delay < 5 the only feasible
@@ -81,7 +82,9 @@ def random_multigraph(rng: random.Random, max_nodes=12):
 @pytest.fixture
 def recording_pool(monkeypatch):
     """Replace the sweep's process pool by an in-process stand-in, so no
-    process is started; returns the list of worker counts it was given."""
+    process is started; returns the list of worker counts it was given.
+    The sweep imports the pool from concurrent.futures when it needs one,
+    so the stand-in goes there."""
     seen = []
 
     class RecordingPool:
@@ -97,5 +100,5 @@ def recording_pool(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return seen

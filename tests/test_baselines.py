@@ -191,6 +191,75 @@ def test_edijkstra_verdict_matches_oracle_with_nan_and_inf_delays():
     assert min(statuses.get(s, 0) for s in ("ok", "infeasible", "unreachable")) > 20
 
 
+# every solver, ksp with a k past any candidate count (so it is exact)
+INF_BOUND_SOLVERS = {
+    "nm-l1": solve_l1,
+    "nm-general": solve_general,
+    "edijkstra": solve_edijkstra,
+    "ksp": lambda g, src, dst, c: solve_ksp(g, src, dst, c, 10**6),
+    "exhaustive": solve_exhaustive,
+}
+
+
+def _inf_bound_outcomes(n, edges, src, dst, c):
+    """Each solver's (status, hop count) next to the brute-force oracle's:
+    the least hop count among feasible paths, else unreachable when the
+    link bounds cut dst off (on the bare topology for ksp, which ranks
+    before it prunes), else infeasible. edijkstra minimizes the sum, not
+    hops, so its hop count is compared only on a route with no finite sum,
+    which it picks by least hops."""
+    g = build_graph(n, edges, [0.0] * n, link_arity=1, path_arity=1)
+    hops = min_feasible_hops(n, edges, src, dst, c)
+    link_ok = [
+        (u, v, m) for u, v, m in edges if all(m.link_metrics[j] >= b for j, b in c.link_bounds)
+    ]
+    for name, solver in INF_BOUND_SOLVERS.items():
+        try:
+            result = solver(g, src, dst, c)
+        except NoPathError as exc:
+            got = (exc.status, None)
+        else:
+            assert feasible(edges, list(result.edge_handles), c), name
+            got = ("ok", result.hop_count)
+            if name == "edijkstra" and math.isfinite(result.accumulated[0]):
+                got = ("ok", hops)
+        if hops is not None:
+            want = ("ok", hops)
+        elif not reachable(n, edges if name == "ksp" else link_ok, src, dst):
+            want = ("unreachable", None)
+        else:
+            want = ("infeasible", None)
+        assert got == want, (name, c.strict)
+    return hops
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "non-strict"])
+def test_an_infinite_path_bound_gets_the_oracle_verdict_from_every_solver(strict):
+    # under "<= inf" a +inf sum is feasible and only a NaN sum is not; under
+    # "< inf" both are rejected. nm-l1's sweep and edijkstra's Dijkstra
+    # never offer a +inf sum, so both must still agree with the oracle
+    c = ConstraintSet((), ((0, math.inf),), strict=strict)
+    direct = [(0, 1, E((5.0,), (1.0,))), (1, 2, E((5.0,), (1.0,))), (0, 2, E((5.0,), (math.inf,)))]
+    assert _inf_bound_outcomes(3, direct, 0, 2, c) == (2 if strict else 1)
+    only_inf = [(0, 1, E((5.0,), (math.inf,))), (1, 2, E((5.0,), (1.0,)))]
+    assert _inf_bound_outcomes(3, only_inf, 0, 2, c) == (None if strict else 2)
+    rng = random.Random(4242 + strict)
+    seen = set()
+    for _ in range(250):
+        _g, edges = random_instance(rng, max_nodes=9, edge_prob=0.35)
+        edges = [
+            (u, v, E(m.link_metrics, (rng.choice((math.inf, math.nan)),)))
+            if rng.random() < 0.25 else (u, v, m)
+            for u, v, m in edges
+        ]
+        link = ((0, float(rng.randint(1, 9))),) if rng.random() < 0.5 else ()
+        bound = ConstraintSet(link, ((0, math.inf),), strict=strict)
+        src, dst = rng.sample(range(_g.node_count), 2)
+        hops = _inf_bound_outcomes(_g.node_count, edges, src, dst, bound)
+        seen.add("no path" if hops is None else "ok")
+    assert seen == {"ok", "no path"}
+
+
 # --- k shortest paths ------------------------------------------------------
 
 

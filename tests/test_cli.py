@@ -10,14 +10,17 @@ from vpembed.cli import main
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
+def _child(*args):
+    """Run python with args in a child process that imports vpembed from SRC."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 def _cli(*argv):
     """Run the CLI in a child process, so an uncaught exception shows as a
     traceback on stderr instead of failing inside the test."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, "-m", "vpembed.cli", *argv], capture_output=True, text=True, env=env
-    )
+    return _child("-m", "vpembed.cli", *argv)
 
 FIG_TOP = """\
 nodes 4 link_metrics 1 path_metrics 1
@@ -391,6 +394,46 @@ def test_run_output_path_is_a_directory_is_one_line_error(tmp_path):
     assert len(proc.stderr.splitlines()) == 1
     assert "adir" in proc.stderr
     assert proc.stdout == ""
+
+
+# --- what a process loads --------------------------------------------------------
+
+# Runs the CLI the way a one-query process does (`python -m vpembed.cli`,
+# through runpy), or only `import vpembed` when no arguments are given, and
+# then prints which of the two costly imports are in sys.modules.
+LOADED_CHILD = """\
+import runpy, sys
+argv = sys.argv[1:]
+try:
+    if argv:
+        runpy.run_module("vpembed.cli", run_name="__main__", alter_sys=True)
+    else:
+        import vpembed
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(" ".join(m for m in ("numpy", "concurrent.futures.process") if m in sys.modules))
+"""
+
+
+def _loaded_by(*argv):
+    proc = _child("-c", LOADED_CHILD, *argv)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+def test_import_and_solve_load_neither_numpy_nor_the_process_pool(fig_top):
+    # numpy is needed only to generate a topology, the pool only by a
+    # parallel sweep; a one-query process pays for neither
+    assert _loaded_by() == []
+    assert _loaded_by("solve", "--topology", fig_top, "--src", "0", "--dst", "3",
+                      "--backend", "nm-l1", "--path", "0 < 5") == []
+
+
+def test_gen_loads_numpy(tmp_path):
+    out = str(tmp_path / "t.top")
+    assert _loaded_by("gen", "--nodes", "30", "--degree", "3", "--seed", "1", "-o", out) == [
+        "numpy"
+    ]
 
 
 def test_console_script_help():
