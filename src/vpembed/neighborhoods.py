@@ -12,7 +12,12 @@ Both solvers first drop the edges that break a link bound. Then:
 - :func:`solve_l1` accepts exactly one path bound and runs in polynomial
   time: each round keeps one best accumulated value per node and re-labels
   a node only when a strictly better value arrives that still respects the
-  bound; the nodes re-labeled in a round form the next frontier.
+  bound; the nodes re-labeled in a round form the next frontier. On a path
+  metric with no negative value, a reverse BFS from dst first settles an
+  unreachable dst, and the sweep is then bounded by src's hop distance H:
+  round k offers only to nodes at most H - k hops from dst. The bounded
+  sweep returns the plain sweep's answer whenever that answer has H hops;
+  when it stalls, the plain sweep runs.
 
 Rounds in solve_l1 are synchronous: offers made during round k compare
 against the values committed at round k-1, and every label keeps an
@@ -129,11 +134,16 @@ def _answer(g, src: int, dst: int, c: ConstraintSet, name: str, search) -> PathR
     return result
 
 
-def _no_path(g, src: int, dst: int, usable: bytearray) -> UnreachableError | InfeasibleError:
+def _no_path(
+    g, src: int, dst: int, usable: bytearray, to_dst=None
+) -> UnreachableError | InfeasibleError:
     """The verdict on a query whose search found no path on the mask usable:
     UnreachableError when a reverse BFS (:func:`_hop_distances_to`) finds
-    dst cut off from src, InfeasibleError otherwise."""
-    if _hop_distances_to(g, dst, usable)[src] == math.inf:
+    dst cut off from src, InfeasibleError otherwise. to_dst, when given, is
+    that BFS already taken on usable, at least up to src's level."""
+    if to_dst is None:
+        to_dst = _hop_distances_to(g, dst, usable, src)
+    if to_dst[src] == math.inf:
         return UnreachableError(f"node {dst} is unreachable from {src} on the pruned graph")
     return InfeasibleError(f"the path bound rejects every route from {src} to {dst}")
 
@@ -161,10 +171,14 @@ def _min_sums_to(g, dst: int, col, usable: bytearray) -> list[float]:
     return dist
 
 
-def _hop_distances_to(g, dst: int, usable: bytearray) -> list[int | float]:
+def _hop_distances_to(g, dst: int, usable: bytearray, stop: int = -1) -> list[int | float]:
     """Hop distance from every node to dst on the pruned graph, ignoring
     path bounds (reverse BFS). Entries are ints, math.inf where dst is
-    unreachable; the entry of dst is 0."""
+    unreachable; the entry of dst is 0.
+
+    Given a node stop other than dst, the BFS returns as soon as it labels
+    stop: every node closer to dst than stop is labeled then, and the rest
+    of stop's level and beyond may still read math.inf."""
     inf = math.inf
     dist = [inf] * g.node_count
     dist[dst] = 0
@@ -178,6 +192,8 @@ def _hop_distances_to(g, dst: int, usable: bytearray) -> list[int | float]:
             for u, e in in_adj[v]:
                 if dist[u] == inf and usable[e]:
                     dist[u] = hops
+                    if u == stop:
+                        return dist
                     nxt.append(u)
         queue = nxt
     return dist
@@ -274,7 +290,7 @@ def _search_general(g, src: int, dst: int, c: ConstraintSet, usable: bytearray) 
     """:func:`solve_general`'s search on the pruning mask usable."""
     to_dst = _hop_distances_to(g, dst, usable)
     if to_dst[src] == math.inf:
-        raise UnreachableError(f"node {dst} is unreachable from {src} on the pruned graph")
+        raise _no_path(g, src, dst, usable, to_dst)
 
     # admissible remaining-cost pruning, sound only for nonnegative metrics;
     # it also settles obviously hopeless queries without any enumeration. An
@@ -302,21 +318,38 @@ def _search_general(g, src: int, dst: int, c: ConstraintSet, usable: bytearray) 
     raise InfeasibleError(f"no loop-free path from {src} to {dst} satisfies the constraints")
 
 
-def _l1_forward(g, src: int, dst: int, c: ConstraintSet, usable: bytearray):
+def _l1_forward(g, src: int, dst: int, c: ConstraintSet, usable: bytearray, to_dst=None):
     """Synchronous round sweep for the single-path-bound case (src != dst)
     on the pruning mask usable (:func:`_usable_mask` of c).
 
-    Returns (status, rounds, label, usable) where status is one of "found",
+    Returns (status, rounds, label) where status is one of "found",
     "stalled", "negcycle" and rounds counts the committed rounds.
     ``label[v]`` is an immutable (node, edge, parent_label) chain recording
     how v's current distance was reached. An offer is made only when its
     accumulated value is below the bound, so a NaN value is never offered.
+
+    to_dst, when given, is :func:`_hop_distances_to` of dst on usable, at
+    least up to src's level H = to_dst[src], and bounds the sweep by that
+    hop horizon: round k skips an offer to v when k + to_dst[v] > H, so the
+    sweep stalls after round H at the latest. The bounded sweep finds dst
+    exactly when the plain one finds it in round H, with the same label
+    chain. BFS distances are consistent, to_dst[u] <= 1 + to_dst[v] on
+    every usable edge u->v, so every walk that reaches v by round k with
+    k + to_dst[v] <= H passes only through nodes that meet the same test
+    at their own round: such a node receives the same offers in the same
+    order as in the plain sweep, and keeps the same distance, label and
+    first-offer place in the frontier.
     """
     p_idx, p_bound = c.path_bounds[0]
     p_eff = p_bound if c.strict else math.nextafter(p_bound, math.inf)
     n = g.node_count
     adj = g.adjacency
     wcol = g.path_cols[p_idx]
+    if to_dst is None:
+        # the plain sweep: a horizon that no round reaches
+        to_dst, horizon = [0] * n, n
+    else:
+        horizon = to_dst[src]
 
     dist = [math.inf] * n
     dist[src] = 0.0
@@ -326,13 +359,15 @@ def _l1_forward(g, src: int, dst: int, c: ConstraintSet, usable: bytearray):
     rounds = 0
     while True:
         # Offers compare against the distances committed last round; the
-        # best offer per node within a round wins.
+        # best offer per node within a round wins. This round commits
+        # round rounds + 1, which leaves v limit hops to reach dst in.
+        limit = horizon - rounds - 1
         updates: dict[int, tuple[float, tuple]] = {}
         for u in frontier:
             du = dist[u]
             lu = label[u]
             for v, e in adj[u]:
-                if not usable[e]:
+                if not usable[e] or to_dst[v] > limit:
                     continue
                 nd = du + wcol[e]
                 if not nd < p_eff or nd >= dist[v]:
@@ -341,15 +376,15 @@ def _l1_forward(g, src: int, dst: int, c: ConstraintSet, usable: bytearray):
                 if got is None or nd < got[0]:
                     updates[v] = (nd, (v, e, lu))
         if not updates:
-            return "stalled", rounds, label, usable
+            return "stalled", rounds, label
         if rounds >= n - 1:
-            return "negcycle", rounds, label, usable
+            return "negcycle", rounds, label
         rounds += 1
         for v, (nd, lab) in updates.items():
             dist[v] = nd
             label[v] = lab
         if dst in updates:
-            return "found", rounds, label, usable
+            return "found", rounds, label
         # the next frontier is the re-labeled nodes in first-offer order
         frontier = updates
 
@@ -369,13 +404,24 @@ def solve_l1(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
     back down, so feasibility is conservative there; the supported use of
     negative values is cycle detection.
 
-    When the sweep stalls, :func:`_no_path` gives the verdict. A repeat of
-    a query on an unchanged mask returns the last answer (:func:`_answer`).
-    A non-strict infinite bound (``<= inf``) admits +inf sums, which the
-    sweep cannot offer, so such a query is answered by nm-general's search.
+    On a path metric with no negative value, a reverse BFS on the pruned
+    topology comes first and stops once it labels src. When it never does,
+    dst is unreachable and no sweep runs. Else the sweep is bounded by the
+    hop horizon H, src's hop distance to dst (see :func:`_l1_forward`, which
+    argues why that answer is exact), and it finds any answer of H hops; on
+    a stall the plain sweep runs. With a negative value the plain sweep
+    runs first, so a negative cycle is reported before an unreachable dst.
+
+    When the last sweep stalls, :func:`_no_path` gives the verdict. A
+    repeat of a query on an unchanged mask returns the last answer
+    (:func:`_answer`). A non-strict infinite bound (``<= inf``) admits +inf
+    sums, which the sweep cannot offer, so such a query is answered by
+    nm-general's search.
 
     Raises:
-        UnreachableError: dst unreachable on the pruned topology.
+        UnreachableError: dst unreachable on the pruned topology; from the
+            reverse BFS taken before any sweep on a nonnegative metric, and
+            from :func:`_no_path` after the sweep stalled otherwise.
         InfeasibleError: dst reachable ignoring the path bound, but the
             sweep stalled (the bound rejects every extension).
         NegativeWeightCycleError: relabeling was still active after
@@ -390,17 +436,25 @@ def solve_l1(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
 
 
 def _search_l1(g, src: int, dst: int, c: ConstraintSet, usable: bytearray) -> PathResult:
-    """:func:`solve_l1`'s forward sweep and back track on the mask usable.
-    A non-strict infinite bound rejects only NaN sums, and the sweep offers
-    only sums below the bound's successor, +inf, so that query goes to
-    nm-general's search."""
-    if not c.strict and c.path_bounds[0][1] == math.inf:
+    """:func:`solve_l1`'s reverse BFS, forward sweeps and back track on the
+    mask usable. A non-strict infinite bound rejects only NaN sums, and the
+    sweep offers only sums below the bound's successor, +inf, so that query
+    goes to nm-general's search."""
+    p_idx, p_bound = c.path_bounds[0]
+    if not c.strict and p_bound == math.inf:
         return _search_general(g, src, dst, c, usable)
-    status, _rounds, label, usable = _l1_forward(g, src, dst, c, usable)
+    to_dst = None
+    if g.path_nonneg[p_idx]:
+        to_dst = _hop_distances_to(g, dst, usable, src)
+        if to_dst[src] == math.inf:
+            raise _no_path(g, src, dst, usable, to_dst)
+        status, _rounds, label = _l1_forward(g, src, dst, c, usable, to_dst)
+    if to_dst is None or status == "stalled":
+        status, _rounds, label = _l1_forward(g, src, dst, c, usable)
     if status == "negcycle":
         raise NegativeWeightCycleError("round count reached the node count; relaxation is cycling")
     if status == "stalled":
-        raise _no_path(g, src, dst, usable)
+        raise _no_path(g, src, dst, usable, to_dst)
 
     nodes = []
     edges = []

@@ -18,6 +18,7 @@ from vpembed import (
     PhysicalGraph,
     ResidualOverlay,
     SelfLoopError,
+    UnreachableError,
     build_graph,
     generate,
     harness,
@@ -509,26 +510,28 @@ def test_answer_slot_answers_like_a_graph_without_memo(monkeypatch):
 
 @pytest.fixture
 def searches(monkeypatch):
-    """Count the searches each solver runs: nm-l1's forward sweep,
-    nm-general's reverse BFS and edijkstra's heap pops."""
+    """Count the searches each solver runs: nm-l1's reverse BFS and forward
+    sweep (an unreachable dst is settled by the BFS alone), nm-general's
+    reverse BFS and edijkstra's heap pops."""
     counts = dict.fromkeys(SOLVERS, 0)
 
-    def counting(name, original):
+    def counting(names, original):
         def wrapper(*args):
-            counts[name] += 1
+            for name in names:
+                counts[name] += 1
             return original(*args)
 
         return wrapper
 
     monkeypatch.setattr(
-        neighborhoods, "_l1_forward", counting("nm-l1", neighborhoods._l1_forward)
+        neighborhoods, "_l1_forward", counting(["nm-l1"], neighborhoods._l1_forward)
     )
     monkeypatch.setattr(
         neighborhoods,
         "_hop_distances_to",
-        counting("nm-general", neighborhoods._hop_distances_to),
+        counting(["nm-l1", "nm-general"], neighborhoods._hop_distances_to),
     )
-    monkeypatch.setattr(heapq, "heappop", counting("edijkstra", heapq.heappop))
+    monkeypatch.setattr(heapq, "heappop", counting(["edijkstra"], heapq.heappop))
     return counts
 
 
@@ -577,5 +580,13 @@ def test_answer_slot_decides_when_a_search_runs(name, searches):
     assert solve(graph=other)[0]
     assert not solve(graph=base)[0]
     assert not solve(graph=other)[0]
+    assert not solve()[0]
+    # no path is kept: an unreachable query (nothing enters X) searches
+    # every time, and the slot still holds the last path found
+    for _ in range(2):
+        before = searches[name]
+        with pytest.raises(UnreachableError):
+            solver(overlay, Y, X, c)
+        assert searches[name] > before
     assert not solve()[0]
 

@@ -344,6 +344,32 @@ def test_l1_negative_cycle_detected():
         solve_l1(g, 0, 4, ConstraintSet((), ((0, 10.0),)))
 
 
+def test_l1_negative_cycle_is_reported_before_unreachable(monkeypatch):
+    # a negative metric keeps the sweep-first order: the cycle 1->2->3->1
+    # (total -1) is reported although the isolated node 4 is unreachable
+    edges = [
+        (0, 1, E((9.0,), (1.0,))),
+        (1, 2, E((9.0,), (1.0,))),
+        (2, 3, E((9.0,), (1.0,))),
+        (3, 1, E((9.0,), (-3.0,))),
+    ]
+    g = build_graph(5, edges, [0.0] * 5)
+    with pytest.raises(NegativeWeightCycleError):
+        solve_l1(g, 0, 4, ConstraintSet(((0, 1.0),), ((0, 100.0),)))
+    # on a nonnegative metric the reverse BFS settles it with no sweep
+    sweeps = []
+    forward = neighborhoods._l1_forward
+    monkeypatch.setattr(
+        neighborhoods, "_l1_forward", lambda *args: sweeps.append(1) or forward(*args)
+    )
+    g = build_graph(5, edges[:3], [0.0] * 5)
+    with pytest.raises(UnreachableError, match="node 4 is unreachable from 0"):
+        solve_l1(g, 0, 4, ConstraintSet(((0, 1.0),), ((0, 100.0),)))
+    assert sweeps == []
+    assert solve_l1(g, 0, 3, ConstraintSet(((0, 1.0),), ((0, 100.0),))).hop_count == 3
+    assert len(sweeps) == 1
+
+
 def test_l1_positive_cycle_reports_infeasible_not_negcycle():
     edges = [
         (0, 1, E((9.0,), (1.0,))),
@@ -373,18 +399,95 @@ def test_l1_unreachable_vs_infeasible():
 
 def test_l1_rounds_equal_hop_count():
     # round k relabels nodes with k-hop labels, so the round that finds dst
-    # is the hop count of the returned path
+    # is the hop count of the returned path, in the plain sweep and in the
+    # one bounded by the hop horizon to_dst[src]
     rng = random.Random(77)
-    found = 0
+    found = bounded_found = 0
     for _ in range(60):
         g, _edges = random_instance(rng, max_nodes=10)
         c = random_l1_bounds(rng)
         dst = g.node_count - 1
-        status, rounds, _label, _usable = _l1_forward(g, 0, dst, c, _usable_mask(g, c))
+        usable = _usable_mask(g, c)
+        to_dst = _hop_distances_to(g, dst, usable, 0)
+        status, rounds, _label = _l1_forward(g, 0, dst, c, usable)
         if status == "found":
-            assert rounds == solve_l1(g, 0, dst, c).hop_count
+            hops = solve_l1(g, 0, dst, c).hop_count
+            assert rounds == hops
             found += 1
-    assert found > 10
+        if to_dst[0] == math.inf:
+            continue
+        status, rounds, _label = _l1_forward(g, 0, dst, c, usable, to_dst)
+        assert rounds <= to_dst[0]
+        if status == "found":
+            assert rounds == hops == to_dst[0]
+            bounded_found += 1
+    assert found > 10 and bounded_found > 5
+
+
+def _back_track(label, dst):
+    nodes, edges = [], []
+    chain = label[dst]
+    while chain is not None:
+        node, edge, chain = chain
+        nodes.append(node)
+        if chain is not None:
+            edges.append(edge)
+    return tuple(reversed(nodes)), tuple(reversed(edges))
+
+
+def test_l1_hop_horizon_matches_the_plain_sweep(monkeypatch):
+    # seeded multigraphs with integer delays, 0 included, so that equal
+    # sums tie; every (src, dst) under strict and non-strict bounds. The
+    # search bounded by the hop horizon must give the plain sweep's status,
+    # path and round count
+    last = []
+
+    def recording(*args):
+        last[:] = [forward(*args)]
+        return last[0]
+
+    forward = neighborhoods._l1_forward
+    monkeypatch.setattr(neighborhoods, "_l1_forward", recording)
+    rng = random.Random(1414)
+    seen = dict.fromkeys(("bounded", "fallback", "infeasible", "unreachable"), 0)
+    for _ in range(1000):
+        n = rng.randint(2, 12)
+        edges = []
+        for u in range(n):
+            for v in range(n):
+                while u != v and rng.random() < 0.3:
+                    edges.append(
+                        (u, v, E((float(rng.randint(1, 9)),), (float(rng.randint(0, 4)),)))
+                    )
+        g = build_graph(n, edges, [0.0] * n, link_arity=1, path_arity=1)
+        c = ConstraintSet(
+            ((0, float(rng.randint(1, 5))),) if rng.random() < 0.7 else (),
+            ((0, float(rng.randint(0, 12))),),
+            strict=rng.random() < 0.5,
+        )
+        usable = _usable_mask(g, c)
+        for src in range(n):
+            for dst in range(n):
+                if src == dst:
+                    continue
+                status, rounds, label = forward(g, src, dst, c, usable)
+                last.clear()
+                try:
+                    result = solve_l1(g, src, dst, c)
+                except NoPathError as exc:
+                    assert status == "stalled"
+                    if exc.status == "unreachable":
+                        assert not last
+                        assert _hop_distances_to(g, dst, usable)[src] == math.inf
+                    else:
+                        assert exc.status == "infeasible" and last[0][:2] == (status, rounds)
+                    seen[exc.status] += 1
+                    continue
+                assert status == "found" and last[0][:2] == (status, rounds)
+                assert (result.nodes, result.edge_handles) == _back_track(label, dst)
+                horizon = _hop_distances_to(g, dst, usable)[src]
+                seen["bounded" if rounds == horizon else "fallback"] += 1
+    assert min(seen.values()) > 500, seen
 
 
 def test_l1_matches_oracle_seeded():
