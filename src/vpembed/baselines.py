@@ -21,6 +21,7 @@ from .neighborhoods import (
     DEFAULT_CANDIDATE_LIMIT,
     _answer,
     _check_query,
+    _floor_to,
     _hop_distances_to,
     _iter_fixed_length_paths,
     _no_path,
@@ -59,6 +60,13 @@ def solve_edijkstra(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
     The sign check reads ``g.path_nonneg``, so only a metric that has
     negative values costs a pass over the edge list.
 
+    The search is guided by a delay floor towards dst, a reverse Dijkstra
+    kept in the memo beside the mask and reused by every query to dst while
+    mask bits only clear, as a steering run's re-solves of a pair do
+    (``neighborhoods._floor_to``). An A* pass on it finds the sum of some
+    route; the Dijkstra then skips the nodes no route of that sum passes
+    through (:func:`_search_edijkstra`), and answers as the unguided one.
+
     Raises:
         UnreachableError: dst unreachable on the pruned graph.
         InfeasibleError: dst reachable, but the minimum accumulated metric
@@ -75,8 +83,45 @@ def solve_edijkstra(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
     return _answer(g, src, dst, c, "edijkstra", _search_edijkstra)
 
 
+def _guided_sum(adj, wcol, usable: bytearray, floor: list[float], src: int, dst: int) -> float:
+    """Sum of the first usable src->dst route an A* search ordered by
+    dist + floor reaches, math.inf when no route has a finite sum. The
+    route is some usable one, not always a least one; only its sum is kept."""
+    dist = [math.inf] * len(adj)
+    dist[src] = 0.0
+    heap = [(floor[src], 0.0, src)]
+    while heap:
+        _, d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        if u == dst:
+            return d
+        for v, e in adj[u]:
+            if not usable[e]:
+                continue
+            nd = d + wcol[e]
+            if nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd + floor[v], nd, v))
+    return math.inf
+
+
 def _search_edijkstra(g, src: int, dst: int, c: ConstraintSet, usable: bytearray) -> PathResult:
-    """:func:`solve_edijkstra`'s Dijkstra on the pruning mask usable."""
+    """:func:`solve_edijkstra`'s search on the pruning mask usable, in two
+    passes guided by the memo's delay floor towards dst (a lower bound on
+    every node's least sum to dst, ``neighborhoods._floor_to``).
+
+    The first pass (:func:`_guided_sum`) takes the sum S of some usable
+    route. The second is the plain Dijkstra, popping in (sum, hops, node)
+    order, which skips an offer to v whose sum plus v's floor exceeds
+    S * (1 + 2**-30). Such a v lies on no route, through that offer, whose
+    folded sum is at most S: a k-hop fold's relative error is below
+    k * 2**-52, which the margin covers for fewer than 2**20 nodes. A label
+    with no such continuation is never the one that settles a node the
+    answer passes through (a smaller sum continues at least as well), so
+    every path, tie-break and verdict is the plain Dijkstra's. A src with
+    an infinite floor gets the verdict's reverse BFS first, so a cut-off
+    dst costs no forward search."""
     n = g.node_count
     p_idx, p_bound = c.path_bounds[0]
     wcol = g.path_cols[p_idx]
@@ -86,6 +131,24 @@ def _search_edijkstra(g, src: int, dst: int, c: ConstraintSet, usable: bytearray
                 raise NegativeMetricError(f"edge {e} has negative path metric {w}")
 
     adj = g.adjacency
+    floor = _floor_to(g, p_idx, dst, src, usable)
+    to_dst = None
+    if floor[src] == math.inf:
+        # the reverse search never reached src, most often because dst is
+        # cut off: the verdict's BFS says so without a forward search
+        to_dst = _hop_distances_to(g, dst, usable, src)
+        if to_dst[src] == math.inf:
+            raise _no_path(g, src, dst, usable, to_dst)
+    reach = _guided_sum(adj, wcol, usable, floor, src, dst)
+    if reach == math.inf:
+        # no route has a finite sum: +inf and NaN metrics are never relaxed.
+        # Under a non-strict infinite bound a +inf sum is still feasible,
+        # and nm-general's search finds the least-hop such route
+        if not c.strict and p_bound == math.inf:
+            return _search_general(g, src, dst, c, usable)
+        raise _no_path(g, src, dst, usable, to_dst)
+    cap = reach * (1 + 2**-30)
+
     dist = [math.inf] * n
     hops = [0] * n
     pred = [-1] * n
@@ -105,6 +168,8 @@ def _search_edijkstra(g, src: int, dst: int, c: ConstraintSet, usable: bytearray
             if not usable[e] or settled[v]:
                 continue
             nd = d + wcol[e]
+            if not nd + floor[v] <= cap:
+                continue
             dv = dist[v]
             if nd < dv or (nd == dv and nh < hops[v]):
                 dist[v] = nd
@@ -118,13 +183,6 @@ def _search_edijkstra(g, src: int, dst: int, c: ConstraintSet, usable: bytearray
                     pred[v] = u
                     pred_edge[v] = e
 
-    if dist[dst] == math.inf:
-        # no route has a finite sum: +inf and NaN metrics are never relaxed.
-        # Under a non-strict infinite bound a +inf sum is still feasible,
-        # and nm-general's search finds the least-hop such route
-        if not c.strict and p_bound == math.inf:
-            return _search_general(g, src, dst, c, usable)
-        raise _no_path(g, src, dst, usable)
     if not c.sum_ok(dist[dst], p_bound):
         raise InfeasibleError(
             f"minimum accumulated metric {dist[dst]} violates the bound {p_bound}"

@@ -8,9 +8,10 @@ constraint validation is O(1).
 
 A :class:`PhysicalGraph`'s topology and metrics are fixed after
 construction. Its two mutable slots are caches that solvers fill:
-``mask_memo``, the link-bound pruning mask of the last bound set queried
-and the last answer found on it, which only ``neighborhoods`` reads or
-writes; and ``ranked_paths``, ksp's candidates per (src, dst) (see
+``mask_memo``, the link-bound pruning mask of the last bound set queried,
+the last answer found on it and edijkstra's delay floor towards the last
+dst it searched, which only ``neighborhoods`` reads or writes; and
+``ranked_paths``, ksp's candidates per (src, dst) (see
 ``baselines.solve_ksp``), a pure function of the topology. Bandwidth
 reservations live in a :class:`ResidualOverlay`, which owns residual
 copies of the consumable columns and its own mask memo, and shares its
@@ -67,9 +68,12 @@ class PhysicalGraph:
             path metric j (NaN counts as nonnegative), fixed at construction.
         labels: optional human-readable node names (display only).
         mask_memo: None, or the pruning-mask memo of the last bound set
-            queried, with the last answer found on that mask; kept by
-            ``neighborhoods`` (``_usable_mask``, ``_answer``), the only
-            module that reads or writes it. Mutable.
+            queried, ``[link_bounds, mask, answer, floor]``: the mask, the
+            last answer found on it, and edijkstra's delay floor towards
+            one dst, a lower bound on each node's least path-metric sum to
+            it. Kept by ``neighborhoods`` (``_usable_mask``, ``_answer``,
+            ``_floor_to``), the only module that reads or writes it.
+            Mutable.
         ranked_paths: dict from (src, dst) to ``(candidates, exhausted)``,
             kept by ``baselines.solve_ksp``: the loop-free paths of the
             topology ranked so far, as (nodes, edge_handles) tuples in
@@ -151,11 +155,13 @@ def build_graph(
 
     Metric arities are taken from the first edge unless given explicitly;
     every edge must agree. Parallel edges are permitted, self-loops are not.
+    A node capacity is a number >= 0, as a link metric is.
 
     Raises:
         IndexError: a node id is outside [0, node_count).
         SelfLoopError: an edge has src == dst.
         ArityMismatchError: inconsistent metric vector lengths.
+        ValueError: a node capacity is negative or NaN.
     """
     if node_count < 0:
         raise ValueError("node_count must be >= 0")
@@ -165,6 +171,10 @@ def build_graph(
         raise ValueError(f"node_capacity has {len(node_capacity)} entries, expected {node_count}")
     if labels is not None and len(labels) != node_count:
         raise ValueError("labels length must equal node_count")
+    capacity = [float(cap) for cap in node_capacity]
+    for node, cap in enumerate(capacity):
+        if not cap >= 0:
+            raise ValueError(f"node {node} capacity must be >= 0, got {cap}")
 
     if edges:
         first = edges[0][2]
@@ -193,7 +203,7 @@ def build_graph(
     return PhysicalGraph(
         node_count,
         checked,
-        [float(c) for c in node_capacity],
+        capacity,
         link_arity,
         path_arity,
         labels,
@@ -213,7 +223,8 @@ class ResidualOverlay(PhysicalGraph):
     It owns residual copies of ``link_cols`` (typically bandwidth) and
     ``node_capacity``, and its own ``mask_memo``, which starts empty and
     which :meth:`reserve` and :meth:`release` keep exact on every edge they
-    touch (``neighborhoods._refresh_mask``); every other attribute
+    touch (``neighborhoods._refresh_mask``: a flipped bit empties the answer
+    slot, a set one drops the delay floor too); every other attribute
     (topology, arities, path metrics and their signs, labels, and the
     ``ranked_paths`` cache, which depends on the topology alone) is the
     base graph's, shared since none of it is consumable.

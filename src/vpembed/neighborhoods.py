@@ -28,7 +28,10 @@ round early and the back track can splice a detour into the answer.
 Both solvers, and baselines.solve_edijkstra, read link state only through
 the pruning mask, so one front (:func:`_answer`) returns each one's last
 answer again, without a search, to the same query on the same mask, and
-one rule tells unreachable from infeasible (:func:`_no_path`).
+one rule tells unreachable from infeasible (:func:`_no_path`). The mask's
+memo also keeps solve_edijkstra's delay floor towards one dst
+(:func:`_floor_to`), a reverse Dijkstra (:func:`_min_sums_to`) that stays
+a lower bound while mask bits only clear.
 """
 
 import math
@@ -72,12 +75,12 @@ def _usable_mask(g, c: ConstraintSet) -> bytearray:
     bounds.
 
     The mask is memoized on g (``g.mask_memo``, ``[link_bounds, mask,
-    answer]``) and returned as is, never copied, when the link bounds equal
-    the memo's key; callers must only read it. A ResidualOverlay keeps its
-    memo exact through reserve and release (:func:`_refresh_mask`), so a
+    answer, floor]``) and returned as is, never copied, when the link bounds
+    equal the memo's key; callers must only read it. A ResidualOverlay keeps
+    its memo exact through reserve and release (:func:`_refresh_mask`), so a
     run that re-solves under the same bounds scans the edge list once.
     Other bounds cost one full scan, which replaces the memo, answer slot
-    included (see :func:`_answer`).
+    (see :func:`_answer`) and delay floor (see :func:`_floor_to`) included.
     """
     memo = g.mask_memo
     if memo is not None and memo[0] == c.link_bounds:
@@ -88,7 +91,7 @@ def _usable_mask(g, c: ConstraintSet) -> bytearray:
         for e, value in enumerate(col):
             if value < bound:
                 mask[e] = 0
-    g.mask_memo = [c.link_bounds, mask, None]
+    g.mask_memo = [c.link_bounds, mask, None, None]
     return mask
 
 
@@ -96,11 +99,13 @@ def _refresh_mask(g, handles) -> None:
     """Recompute g's memoized mask bit of each given edge with the full
     scan's rule, 0 when some link metric is below its bound, after those
     edges' link metrics changed (ResidualOverlay.reserve and release).
-    Empties the memo's answer slot when a bit flips, and only then."""
+    Empties the memo's answer slot when a bit flips, and only then. Drops
+    its delay floor when a bit is set: a cleared bit only removes routes,
+    so a floor taken before it stays a lower bound."""
     memo = g.mask_memo
     if memo is None:
         return
-    bounds, mask, _ = memo
+    bounds, mask = memo[0], memo[1]
     cols = g.link_cols
     for e in handles:
         bit = 1
@@ -111,6 +116,8 @@ def _refresh_mask(g, handles) -> None:
         if mask[e] != bit:
             mask[e] = bit
             memo[2] = None
+            if bit:
+                memo[3] = None
 
 
 def _answer(g, src: int, dst: int, c: ConstraintSet, name: str, search) -> PathResult:
@@ -148,9 +155,14 @@ def _no_path(
     return InfeasibleError(f"the path bound rejects every route from {src} to {dst}")
 
 
-def _min_sums_to(g, dst: int, col, usable: bytearray) -> list[float]:
+def _min_sums_to(g, dst: int, col, usable: bytearray, stop: int = -1) -> list[float]:
     """Minimum accumulated value of one metric column from every node to
-    dst on the pruned graph (reverse Dijkstra; requires nonnegative col)."""
+    dst on the pruned graph (reverse Dijkstra; requires nonnegative col).
+
+    Given a node stop other than dst, the search returns as soon as it
+    settles stop, with every entry above stop's value lowered to it: a node
+    not settled by then is at least that far from dst, so each entry is
+    still a lower bound on its node's minimum, exact up to stop's value."""
     import heapq
 
     dist = [math.inf] * g.node_count
@@ -161,6 +173,8 @@ def _min_sums_to(g, dst: int, col, usable: bytearray) -> list[float]:
         d, v = heapq.heappop(heap)
         if d > dist[v]:
             continue
+        if v == stop:
+            return [x if x < d else d for x in dist]
         for u, e in in_adj[v]:
             if not usable[e]:
                 continue
@@ -169,6 +183,30 @@ def _min_sums_to(g, dst: int, col, usable: bytearray) -> list[float]:
                 dist[u] = nd
                 heapq.heappush(heap, (nd, u))
     return dist
+
+
+def _floor_to(g, p_idx: int, dst: int, src: int, usable: bytearray) -> list[float]:
+    """Delay floor of path metric p_idx towards dst on g's memoized mask
+    usable: a lower bound on every node's least sum to dst, from
+    :func:`_min_sums_to` stopped at src. baselines.solve_edijkstra guides
+    its search by it.
+
+    The floor is kept as the memo's fourth entry under (p_idx, dst) and
+    returned to any later query towards dst, from any src, while the mask's
+    bits only clear; :func:`_refresh_mask` drops it when one is set, and it
+    goes with the memo when the link bounds change. A memo that no longer
+    holds usable, replaced by a query under other bounds, neither gives
+    nor keeps a floor."""
+    memo = g.mask_memo
+    ours = memo is not None and memo[1] is usable
+    kept = memo[3] if ours else None
+    key = (p_idx, dst)
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    floor = _min_sums_to(g, dst, g.path_cols[p_idx], usable, src)
+    if ours:
+        memo[3] = (key, floor)
+    return floor
 
 
 def _hop_distances_to(g, dst: int, usable: bytearray, stop: int = -1) -> list[int | float]:

@@ -5,9 +5,10 @@
     node <id> cap <cpu>         # optional trailing label comment
     edge <src> <dst> <lm_1 ... lm_l> <pm_1 ... pm_p>
 
-All values are decimal. A trailing ``# <text>`` on a node line is kept as
-that node's display label. Parse errors report the 1-based number of the
-offending line (line 1 for a missing header).
+All values are decimal; node capacities and link metrics must be >= 0.
+A trailing ``# <text>`` on a node line is kept as that node's display
+label. Parse errors report the 1-based number of the offending line
+(line 1 for a missing header).
 """
 
 from .errors import ArityMismatchError, TopologyParseError
@@ -49,7 +50,10 @@ def loads(text: str) -> PhysicalGraph:
                 idx = int(fields[1])
                 if not (0 <= idx < node_count):
                     raise ValueError(f"node id {idx} outside [0, {node_count})")
-                caps[idx] = float(fields[3])
+                cap = float(fields[3])
+                if not cap >= 0:
+                    raise ValueError(f"node {idx} capacity must be >= 0, got {cap}")
+                caps[idx] = cap
                 label = comment.strip()
                 if label:
                     labels[idx] = label

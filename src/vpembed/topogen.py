@@ -62,6 +62,8 @@ class GenSpec:
             raise ValueError("alpha and beta must lie in (0, 1]")
         if self.bw_range[0] > self.bw_range[1]:
             raise ValueError("bw_range low > high")
+        if not self.cpu_units >= 0:
+            raise ValueError(f"cpu_units must be >= 0, got {self.cpu_units}")
         if self.delay_model not in ("euclidean_scaled", "uniform"):
             raise ValueError(f"unknown delay model {self.delay_model!r}")
 

@@ -1,5 +1,7 @@
-"""Brute-force reference implementations, independent of the library's
-search code. Deliberately dumb: plain recursion over raw edge lists."""
+"""Reference implementations, independent of the library's search code.
+Most are brute force, deliberately dumb: plain recursion over raw edge
+lists. edijkstra_reference keeps the plain Dijkstra that solve_edijkstra's
+guided search must match answer for answer."""
 
 import math
 
@@ -88,3 +90,80 @@ def reachable(node_count, edge_list, src, dst):
                 seen.add(b)
                 queue.append(b)
     return dst in seen
+
+
+def edijkstra_reference(g, src, dst, c, usable):
+    """solve_edijkstra's search as it was before the delay floor guided it:
+    one Dijkstra over the whole pruned graph on the single path metric,
+    ties broken by fewer hops, then by the lexicographically smaller node
+    sequence. usable is the link-bound mask of c on g's current residuals.
+    Returns the PathResult or raises the NoPathError solve_edijkstra gives;
+    a query with no finite-sum route gets the library's own verdict."""
+    import heapq
+
+    from vpembed import InfeasibleError, NegativeMetricError
+    from vpembed.neighborhoods import _no_path, _search_general
+    from vpembed.paths import path_from_edges
+
+    def chain_precedes(pred, a, b):
+        first_a = first_b = -1
+        while a != b:
+            first_a, first_b = a, b
+            a = pred[a]
+            b = pred[b]
+        return first_a < first_b
+
+    n = g.node_count
+    p_idx, p_bound = c.path_bounds[0]
+    wcol = g.path_cols[p_idx]
+    for e, w in enumerate(wcol):
+        if w < 0 and usable[e]:
+            raise NegativeMetricError(f"edge {e} has negative path metric {w}")
+    dist = [math.inf] * n
+    hops = [0] * n
+    pred = [-1] * n
+    pred_edge = [-1] * n
+    dist[src] = 0.0
+    heap = [(0.0, 0, src)]
+    settled = bytearray(n)
+    while heap:
+        d, h, u = heapq.heappop(heap)
+        if settled[u] or d != dist[u] or h != hops[u]:
+            continue
+        if u == dst:
+            break
+        settled[u] = 1
+        nh = h + 1
+        for v, e in g.adjacency[u]:
+            if not usable[e] or settled[v]:
+                continue
+            nd = d + wcol[e]
+            dv = dist[v]
+            if nd < dv or (nd == dv and nh < hops[v]):
+                dist[v] = nd
+                hops[v] = nh
+                pred[v] = u
+                pred_edge[v] = e
+                heapq.heappush(heap, (nd, nh, v))
+            elif nd == dv and nh == hops[v] and pred[v] >= 0:
+                if chain_precedes(pred, u, pred[v]):
+                    pred[v] = u
+                    pred_edge[v] = e
+    if dist[dst] == math.inf:
+        if not c.strict and p_bound == math.inf:
+            return _search_general(g, src, dst, c, usable)
+        raise _no_path(g, src, dst, usable)
+    if not c.sum_ok(dist[dst], p_bound):
+        raise InfeasibleError(
+            f"minimum accumulated metric {dist[dst]} violates the bound {p_bound}"
+        )
+    nodes = [dst]
+    edges = []
+    v = dst
+    while pred[v] >= 0:
+        edges.append(pred_edge[v])
+        v = pred[v]
+        nodes.append(v)
+    nodes.reverse()
+    edges.reverse()
+    return path_from_edges(g, nodes, edges)

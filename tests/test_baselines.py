@@ -13,7 +13,14 @@ from conftest import (
     random_l1_bounds,
     random_multigraph,
 )
-from oracle import all_simple_paths, feasible, min_feasible_hops, path_metrics, reachable
+from oracle import (
+    all_simple_paths,
+    edijkstra_reference,
+    feasible,
+    min_feasible_hops,
+    path_metrics,
+    reachable,
+)
 from vpembed import baselines
 from vpembed import (
     ConstraintSet,
@@ -136,6 +143,116 @@ def test_l1_dominates_edijkstra_on_hops():
         assert nm.hop_count <= ed.hop_count
         dominated += 1
     assert dominated > 30
+
+
+# --- edijkstra's delay floor against the plain Dijkstra -----------------------
+
+# delay pools: integers with 0 (exact ties on sum, hops and node sequence),
+# and floats whose sums absorb the small ones next to 1e16
+DELAY_POOLS = ((0.0, 1.0, 2.0, 3.0), (1e16, 1.0, 0.1, 1e-9))
+PATH_BOUNDS = {
+    DELAY_POOLS[0]: (0.0, 2.0, 4.0, 7.0, math.inf),
+    DELAY_POOLS[1]: (1e-9, 1.1, 1e16, 2e16, 3e16, math.inf),
+}
+
+
+def _delay_graph(rng, n):
+    """≤ n-node multigraph with bandwidth 1..6 and delays from one pool,
+    plus an occasional NaN or +inf delay."""
+    pool = rng.choice(DELAY_POOLS)
+
+    def edge(u, v):
+        odd = rng.random()
+        delay = math.nan if odd < 0.03 else math.inf if odd < 0.06 else rng.choice(pool)
+        return u, v, E((float(rng.randint(1, 6)),), (delay,))
+
+    edges = []
+    for u in range(n):
+        for v in range(n):
+            if u != v and rng.random() < 0.3:
+                edges.append(edge(u, v))
+                while rng.random() < 0.4:
+                    edges.append(edge(u, v))
+    return pool, edges
+
+
+def _scanned(g, c):
+    return bytearray(
+        all(g.link_cols[j][e] >= bound for j, bound in c.link_bounds)
+        for e in range(g.edge_count)
+    )
+
+
+def _outcome(run):
+    try:
+        result = run()
+    except NoPathError as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", result.nodes, result.edge_handles, result.accumulated, result.min_link_metrics
+
+
+def test_edijkstra_floor_answers_like_the_plain_dijkstra():
+    # random overlays through reserve and release sequences, so floors are
+    # both reused and rebuilt; every query is solved by solve_edijkstra and
+    # by the unguided reference on the overlay's current mask
+    rng = random.Random(8128)
+    statuses = {}
+    reused = built = 0
+    for _ in range(400):
+        n = rng.randint(2, 12)
+        pool, edges = _delay_graph(rng, n)
+        if not edges:
+            continue
+        overlay = ResidualOverlay(build_graph(n, edges, [0.0] * n, link_arity=1, path_arity=1))
+        bounds = [
+            ConstraintSet(
+                ((0, float(rng.randint(1, 4))),) if rng.random() < 0.8 else (),
+                ((0, rng.choice(PATH_BOUNDS[pool])),),
+                strict=rng.random() < 0.5,
+            )
+            for _ in range(2)
+        ]
+        outstanding = []
+        dst = rng.randrange(n)
+        for _ in range(30):
+            roll = rng.random()
+            if roll < 0.15 and outstanding:
+                overlay.release(*outstanding.pop(rng.randrange(len(outstanding))))
+                continue
+            if roll < 0.3:
+                handles = rng.sample(range(len(edges)), rng.randint(1, min(3, len(edges))))
+                room = int(min(overlay.link_cols[0][e] for e in handles))
+                if room >= 1:
+                    demand = (float(rng.randint(1, room)),)
+                    overlay.reserve(handles, demand)
+                    outstanding.append((handles, demand))
+                continue
+            # most queries go to the last dst, so its floor is reused
+            if rng.random() < 0.3:
+                dst = rng.randrange(n)
+            src = rng.choice([v for v in range(n) if v != dst])
+            c = rng.choice(bounds)
+            memo = overlay.mask_memo
+            before = memo[3] if memo is not None and memo[0] == c.link_bounds else None
+            mask = _scanned(overlay, c)
+            want = _outcome(lambda: edijkstra_reference(overlay, src, dst, c, mask))
+            got = _outcome(lambda: solve_edijkstra(overlay, src, dst, c))
+            assert got == want, (n, edges, src, dst, c)
+            statuses[got[0]] = statuses.get(got[0], 0) + 1
+            after = overlay.mask_memo[3]
+            if after is not None and after is before:
+                reused += 1
+            elif after is not None:
+                built += 1
+            if got[0] == "ok" and got[2] and rng.random() < 0.6:
+                # steering: reserve on the path found, then ask again
+                room = int(min(overlay.link_cols[0][e] for e in got[2]))
+                if room >= 1:
+                    demand = (float(rng.randint(1, room)),)
+                    overlay.reserve(got[2], demand)
+                    outstanding.append((got[2], demand))
+    assert min(statuses.get(s, 0) for s in ("ok", "InfeasibleError", "UnreachableError")) > 50
+    assert reused > 300 and built > 300
 
 
 # --- the no-path verdict of the mask-reading solvers --------------------------

@@ -135,6 +135,22 @@ def test_solve_nan_link_metric_is_parse_error(tmp_path):
     assert proc.stderr.splitlines() == [message]
 
 
+def test_solve_nan_node_capacity_is_parse_error(tmp_path):
+    top = tmp_path / "nan-cap.top"
+    top.write_text("nodes 2 link_metrics 1 path_metrics 1\nnode 0 cap nan\nedge 0 1 5 5\n")
+    proc = _cli("solve", "--topology", str(top), "--src", "0", "--dst", "1")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    message = f"vpembed solve: {top}: line 2: node 0 capacity must be >= 0, got nan"
+    assert proc.stderr.splitlines() == [message]
+
+
+def test_gen_negative_cpu_exit_2(tmp_path, capsys):
+    code = main(["gen", "--nodes", "10", "--cpu", "-5", "-o", str(tmp_path / "x.top")])
+    assert code == 2
+    assert "cpu_units must be >= 0" in capsys.readouterr().err
+
+
 def test_solve_unknown_backend_exit_2(fig_top, capsys):
     code = main(["solve", "--topology", fig_top, "--src", "0", "--dst", "3",
                  "--backend", "bogus"])

@@ -93,6 +93,19 @@ def test_nan_link_metric_rejected():
         E((float("nan"),), (1.0,))
 
 
+@pytest.mark.parametrize("cap", [math.nan, -5.0, -math.inf], ids=["nan", "negative", "-inf"])
+def test_bad_node_capacity_rejected(cap):
+    # a NaN host would take any reserve_node and keep a NaN ledger
+    with pytest.raises(ValueError, match=f"node 1 capacity must be >= 0, got {cap}"):
+        build_graph(2, [], [1.0, cap])
+
+
+def test_zero_node_capacity_accepted():
+    g = build_graph(2, [], [0.0, 0])
+    assert g.node_capacity == [0.0, 0.0]
+    ResidualOverlay(g).reserve_node(0, 0.0)
+
+
 def test_negative_path_metric_allowed():
     m = E((1.0,), (-3.0,))
     assert m.path_metrics == (-3.0,)
@@ -512,7 +525,9 @@ def test_answer_slot_answers_like_a_graph_without_memo(monkeypatch):
 def searches(monkeypatch):
     """Count the searches each solver runs: nm-l1's reverse BFS and forward
     sweep (an unreachable dst is settled by the BFS alone), nm-general's
-    reverse BFS and edijkstra's heap pops."""
+    reverse BFS, and edijkstra's heap pops and reverse BFS (a dst that its
+    kept delay floor shows out of finite reach is settled by the BFS
+    alone)."""
     counts = dict.fromkeys(SOLVERS, 0)
 
     def counting(names, original):
@@ -532,6 +547,9 @@ def searches(monkeypatch):
         counting(["nm-l1", "nm-general"], neighborhoods._hop_distances_to),
     )
     monkeypatch.setattr(heapq, "heappop", counting(["edijkstra"], heapq.heappop))
+    monkeypatch.setattr(
+        baselines, "_hop_distances_to", counting(["edijkstra"], baselines._hop_distances_to)
+    )
     return counts
 
 
@@ -590,3 +608,67 @@ def test_answer_slot_decides_when_a_search_runs(name, searches):
         assert searches[name] > before
     assert not solve()[0]
 
+
+
+def test_delay_floor_is_built_once_per_dst_while_bits_only_clear(monkeypatch):
+    # edijkstra's delay floor lives in the mask memo under (metric, dst)
+    sums_to = []
+
+    def counting(*args):
+        sums_to.append(args[1])
+        return original(*args)
+
+    original = neighborhoods._min_sums_to
+    monkeypatch.setattr(neighborhoods, "_min_sums_to", counting)
+    base = build_graph(4, FIG_EDGES, [10.0] * 4)
+    c = ConstraintSet(((0, 5.0),), ((0, 5.0),))
+
+    def script(solver):
+        # (floor built, floor in the memo) after each query of a fixed script
+        overlay = ResidualOverlay(base)
+        seen = []
+
+        def solve(src=X, dst=Y, bounds=c):
+            memo = overlay.mask_memo
+            before = memo[3] if memo is not None else None
+            try:
+                solver(overlay, src, dst, bounds)
+            except NoPathError:
+                pass
+            after = overlay.mask_memo[3]
+            seen.append((after is not None and after is not before, after is not None))
+
+        solve()
+        solve()  # a repeat
+        overlay.reserve([0], (1.0,))  # clears X->A's bit (5 -> 4)
+        solve()
+        solve(src=B)  # another src, the same dst
+        solve(bounds=ConstraintSet(((0, 5.0),), ((0, 6.0),)))  # another path bound
+        solve(dst=A)  # another dst
+        solve()
+        overlay.release([0], (1.0,))  # sets X->A's bit again
+        solve()
+        overlay.reserve([1], (1.0,))  # X->B 9 -> 8, no bit changes
+        overlay.release([1], (1.0,))
+        solve(src=A)
+        solve(bounds=ConstraintSet(((0, 4.0),), ((0, 5.0),)))  # other link bounds
+        return seen
+
+    built = [b for b, _ in script(solve_edijkstra)]
+    assert built == [True, False, False, False, False, True, True, True, False, True]
+    assert sums_to == [Y, A, Y, Y, Y]  # one reverse search per floor built
+    for solver in (solve_l1, solve_general):
+        assert not any(kept for _, kept in script(solver))
+
+
+def test_delay_floor_is_kept_only_in_the_memo_of_its_mask():
+    # a search that took its mask before a query under other bounds replaced
+    # the memo (in another thread) neither reads nor keeps a floor there
+    g = build_graph(4, FIG_EDGES, [10.0] * 4)
+    usable = _usable_mask(g, ConstraintSet(((0, 5.0),), ((0, 5.0),)))
+    solve_edijkstra(g, X, B, ConstraintSet(((0, 8.0),), ((0, 5.0),)))
+    assert g.mask_memo[3][0] == (0, B)
+    theirs = ((0, Y), [0.0] * 4)
+    g.mask_memo[3] = theirs
+    assert neighborhoods._floor_to(g, 0, Y, X, usable) == [4.0, 2.0, 3.0, 0.0]
+    assert g.mask_memo[3] is theirs

@@ -196,8 +196,9 @@ def test_placement_reserves_nothing():
 
 
 def test_placement_never_picks_a_nan_capacity():
+    # build_graph refuses a NaN capacity; the bare constructor checks nothing
     nan = float("nan")
-    g = build_graph(7, [(0, 1, E((1.0,), (1.0,)))], [3.0, nan, 7.0, 5.0, 9.0, nan, 1.0])
+    g = PhysicalGraph(7, [(0, 1, E((1.0,), (1.0,)))], [3.0, nan, 7.0, 5.0, 9.0, nan, 1.0], 1, 1)
     assert _place_nodes(ResidualOverlay(g), [1.0] * 3) == (4, 2, 3)
     assert _place_nodes(ResidualOverlay(g), [1.0] * 6) is None
 

@@ -96,6 +96,26 @@ def test_bad_edge_names_its_line(edge, message):
     assert (err.value.line, err.value.args[0]) == (6, message)
 
 
+@pytest.mark.parametrize(
+    "node, message",
+    [
+        ("node 0 cap nan", "node 0 capacity must be >= 0, got nan"),
+        ("node 1 cap -5", "node 1 capacity must be >= 0, got -5.0"),
+    ],
+    ids=["nan-capacity", "negative-capacity"],
+)
+def test_bad_node_capacity_names_its_line(node, message):
+    text = "nodes 2 link_metrics 1 path_metrics 1\nnode 0 cap 1\n" + node + "\n"
+    with pytest.raises(TopologyParseError) as err:
+        topofile.loads(text)
+    assert (err.value.line, err.value.args[0]) == (3, message)
+
+
+def test_zero_node_capacity_parses():
+    g = topofile.loads("nodes 1 link_metrics 0 path_metrics 0\nnode 0 cap 0\n")
+    assert g.node_capacity == [0.0]
+
+
 def test_nan_path_metric_parses():
     g = topofile.loads(HEADED + "edge 0 1 5 nan\n")
     assert g.edge_count == 1

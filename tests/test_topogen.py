@@ -117,6 +117,8 @@ def test_spec_validation():
         GenSpec(bw_range=(5.0, 1.0))
     with pytest.raises(ValueError):
         GenSpec(model="random")
+    with pytest.raises(ValueError):
+        GenSpec(cpu_units=float("nan"))
 
 
 def test_severity_resolution():
