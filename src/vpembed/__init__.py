@@ -8,12 +8,7 @@ for virtual network embedding and traffic steering.
 
 from .backends import resolve_backend
 from .baselines import solve_edijkstra, solve_exhaustive, solve_ksp
-from .constraints import (
-    ConstraintSet,
-    parse_constraints,
-    path_feasible,
-    to_additive,
-)
+from .constraints import ConstraintSet, parse_constraints, path_feasible
 from .errors import (
     ArityMismatchError,
     ConfigError,
@@ -24,7 +19,6 @@ from .errors import (
     NegativeMetricError,
     NegativeWeightCycleError,
     NoPathError,
-    NonPositiveValueError,
     OverReleaseError,
     ResourceLimitError,
     SelfLoopError,
@@ -66,7 +60,6 @@ __all__ = [
     "NegativeMetricError",
     "NegativeWeightCycleError",
     "NoPathError",
-    "NonPositiveValueError",
     "OverReleaseError",
     "PathResult",
     "PhysicalGraph",
@@ -98,5 +91,4 @@ __all__ = [
     "solve_ksp",
     "solve_l1",
     "sweep",
-    "to_additive",
 ]

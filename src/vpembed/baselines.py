@@ -18,7 +18,6 @@ from .errors import (
     UnreachableError,
 )
 from .neighborhoods import (
-    DEFAULT_CANDIDATE_LIMIT,
     _answer,
     _check_query,
     _floor_to,
@@ -119,9 +118,14 @@ def _search_edijkstra(g, src: int, dst: int, c: ConstraintSet, usable: bytearray
     k * 2**-52, which the margin covers for fewer than 2**20 nodes. A label
     with no such continuation is never the one that settles a node the
     answer passes through (a smaller sum continues at least as well), so
-    every path, tie-break and verdict is the plain Dijkstra's. A src with
-    an infinite floor gets the verdict's reverse BFS first, so a cut-off
-    dst costs no forward search."""
+    every path, tie-break and verdict is the plain Dijkstra's.
+
+    A src with an infinite floor skips both passes. A floor stopped at a
+    settled node caps every entry at that node's finite sum, so an infinite
+    entry comes from a completed reverse search that found no finite-sum
+    route from src; the floor's mask has only lost bits since. The verdict
+    is then :func:`_no_path`'s, or nm-general's search under a non-strict
+    infinite bound."""
     n = g.node_count
     p_idx, p_bound = c.path_bounds[0]
     wcol = g.path_cols[p_idx]
@@ -132,21 +136,16 @@ def _search_edijkstra(g, src: int, dst: int, c: ConstraintSet, usable: bytearray
 
     adj = g.adjacency
     floor = _floor_to(g, p_idx, dst, src, usable)
-    to_dst = None
-    if floor[src] == math.inf:
-        # the reverse search never reached src, most often because dst is
-        # cut off: the verdict's BFS says so without a forward search
-        to_dst = _hop_distances_to(g, dst, usable, src)
-        if to_dst[src] == math.inf:
-            raise _no_path(g, src, dst, usable, to_dst)
-    reach = _guided_sum(adj, wcol, usable, floor, src, dst)
+    reach = math.inf
+    if floor[src] < math.inf:
+        reach = _guided_sum(adj, wcol, usable, floor, src, dst)
     if reach == math.inf:
         # no route has a finite sum: +inf and NaN metrics are never relaxed.
         # Under a non-strict infinite bound a +inf sum is still feasible,
         # and nm-general's search finds the least-hop such route
         if not c.strict and p_bound == math.inf:
             return _search_general(g, src, dst, c, usable)
-        raise _no_path(g, src, dst, usable, to_dst)
+        raise _no_path(g, src, dst, usable)
     cap = reach * (1 + 2**-30)
 
     dist = [math.inf] * n
@@ -207,16 +206,14 @@ def _ranked_paths(g, src: int, dst: int):
 
     Raises:
         ResourceLimitError: candidate expansion at one hop count exceeded
-            DEFAULT_CANDIDATE_LIMIT partial paths.
+            neighborhoods.DEFAULT_CANDIDATE_LIMIT partial paths.
     """
     all_ones = bytearray([1]) * g.edge_count
     to_dst = _hop_distances_to(g, dst, all_ones)
     if to_dst[src] == math.inf:
         return
     for depth in range(to_dst[src], g.node_count):
-        yield from _iter_fixed_length_paths(
-            g, depth, src, dst, all_ones, to_dst, DEFAULT_CANDIDATE_LIMIT
-        )
+        yield from _iter_fixed_length_paths(g, depth, src, dst, all_ones, to_dst)
 
 
 def solve_ksp(g, src: int, dst: int, c: ConstraintSet, k: int) -> PathResult:
@@ -242,7 +239,7 @@ def solve_ksp(g, src: int, dst: int, c: ConstraintSet, k: int) -> PathResult:
         UnreachableError: no path exists at all.
         InfeasibleError: none of the first k candidates satisfies c.
         ResourceLimitError: candidate expansion at one hop count exceeded
-            DEFAULT_CANDIDATE_LIMIT partial paths.
+            neighborhoods.DEFAULT_CANDIDATE_LIMIT partial paths.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -249,7 +249,7 @@ def cmd_run(args) -> int:
     with open(output, "w", encoding="utf-8") as f:
         f.write(harness.rows_to_csv(rows))
     print(f"{len(rows)} rows -> {output}")
-    if args.emit_plotdata or cfg.emit_plotdata:
+    if args.emit_plotdata:
         for name, text in harness.plotdata_series(rows, cfg).items():
             path = os.path.join(os.path.dirname(os.path.abspath(output)), name)
             with open(path, "w", encoding="utf-8") as f:

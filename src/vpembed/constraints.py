@@ -7,14 +7,16 @@ requires the accumulated sum of path metric j to stay strictly below b
 relaxation guard of the level-by-level solver; a non-strict mode is
 available via ``strict=False`` for contracts written with <=.
 
-Multiplicative metrics (e.g. per-link reliability) are handled by taking
-logarithms, which turns a product bound into an additive one.
+Multiplicative metrics (e.g. per-link reliability) become additive path
+metrics by taking logarithms before the graph is built. A lower bound R on
+a product of factors r in (0, 1] is the upper bound ``sum(-ln r) <= -ln R``
+on the path metric -ln r, checked with ``strict=False``.
 """
 
 import math
 from dataclasses import dataclass
 
-from .errors import ArityMismatchError, NonPositiveValueError
+from .errors import ArityMismatchError
 
 
 @dataclass(frozen=True)
@@ -75,23 +77,6 @@ def path_feasible(sums, c: ConstraintSet) -> bool:
         if not c.sum_ok(sums[j], bound):
             return False
     return True
-
-
-def to_additive(values) -> list[float]:
-    """Convert multiplicative metric values to additive ones via ln.
-
-    A product bound P on the originals becomes an additive bound ln(P) on
-    the transformed values: sum(ln v) < ln(P) iff prod(v) < P.
-
-    Raises:
-        NonPositiveValueError: some value is <= 0.
-    """
-    out = []
-    for v in values:
-        if v <= 0:
-            raise NonPositiveValueError(f"multiplicative metric must be > 0, got {v}")
-        out.append(math.log(v))
-    return out
 
 
 def parse_constraints(lines) -> ConstraintSet:

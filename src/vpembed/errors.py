@@ -26,10 +26,6 @@ class OverReleaseError(VpembedError):
     """A release would push some residual metric above its base value."""
 
 
-class NonPositiveValueError(VpembedError):
-    """A value required to be strictly positive was zero or negative."""
-
-
 class NegativeMetricError(VpembedError):
     """A solver requiring nonnegative path metrics saw a negative one."""
 

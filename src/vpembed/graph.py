@@ -6,7 +6,8 @@ metric vectors: *link* metrics are checked per edge against lower bounds
 upper bounds (e.g. delay in ms). Metric arities are declared graph-wide so
 constraint validation is O(1).
 
-A :class:`PhysicalGraph`'s topology and metrics are fixed after
+A :class:`PhysicalGraph` is built by one checked constructor, also bound
+as ``build_graph``, and its topology and metrics are fixed after
 construction. Its two mutable slots are caches that solvers fill:
 ``mask_memo``, the link-bound pruning mask of the last bound set queried,
 the last answer found on it and edijkstra's delay floor towards the last
@@ -21,6 +22,7 @@ unsupported. An overlay is single-writer: concurrent reserve or release
 calls, and solves racing them, must be serialized externally.
 """
 
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -102,14 +104,63 @@ class PhysicalGraph:
         self,
         node_count: int,
         edges: list[tuple[int, int, EdgeMetrics]],
-        node_capacity: list[float],
-        link_arity: int,
-        path_arity: int,
+        node_capacity: list[float] | None = None,
+        *,
+        link_arity: int | None = None,
+        path_arity: int | None = None,
         labels: list[str | None] | None = None,
     ):
+        """Validate the inputs and build the graph.
+
+        Metric arities are taken from the first edge unless given explicitly;
+        every edge must agree. Parallel edges are permitted, self-loops are
+        not. A node capacity is a number >= 0, as a link metric is; it
+        defaults to 0 on every node.
+
+        Raises:
+            IndexError: a node id is outside [0, node_count).
+            SelfLoopError: an edge has src == dst.
+            ArityMismatchError: inconsistent metric vector lengths.
+            ValueError: a node capacity is negative or NaN.
+        """
+        if node_count < 0:
+            raise ValueError("node_count must be >= 0")
+        if node_capacity is None:
+            node_capacity = [0.0] * node_count
+        if len(node_capacity) != node_count:
+            raise ValueError(
+                f"node_capacity has {len(node_capacity)} entries, expected {node_count}"
+            )
+        if labels is not None and len(labels) != node_count:
+            raise ValueError("labels length must equal node_count")
+        capacity = [float(cap) for cap in node_capacity]
+        for node, cap in enumerate(capacity):
+            if not cap >= 0:
+                raise ValueError(f"node {node} capacity must be >= 0, got {cap}")
+        if edges:
+            first = edges[0][2]
+            if link_arity is None:
+                link_arity = len(first.link_metrics)
+            if path_arity is None:
+                path_arity = len(first.path_metrics)
+        else:
+            link_arity = link_arity or 0
+            path_arity = path_arity or 0
+        for src, dst, metrics in edges:
+            if not (0 <= src < node_count) or not (0 <= dst < node_count):
+                raise IndexError(f"edge ({src}, {dst}) outside [0, {node_count})")
+            if src == dst:
+                raise SelfLoopError(f"self-loop at node {src}")
+            if len(metrics.link_metrics) != link_arity or len(metrics.path_metrics) != path_arity:
+                raise ArityMismatchError(
+                    f"edge ({src}, {dst}) has arities "
+                    f"({len(metrics.link_metrics)}, {len(metrics.path_metrics)}), "
+                    f"declared ({link_arity}, {path_arity})"
+                )
+
         self.node_count = node_count
-        self.edges = edges
-        self.node_capacity = node_capacity
+        self.edges = list(edges)
+        self.node_capacity = capacity
         self.link_arity = link_arity
         self.path_arity = path_arity
         self.labels = labels
@@ -142,72 +193,8 @@ class PhysicalGraph:
         return str(node)
 
 
-def build_graph(
-    node_count: int,
-    edges: list[tuple[int, int, EdgeMetrics]],
-    node_capacity: list[float] | None = None,
-    *,
-    link_arity: int | None = None,
-    path_arity: int | None = None,
-    labels: list[str | None] | None = None,
-) -> PhysicalGraph:
-    """Validate inputs and build a PhysicalGraph.
-
-    Metric arities are taken from the first edge unless given explicitly;
-    every edge must agree. Parallel edges are permitted, self-loops are not.
-    A node capacity is a number >= 0, as a link metric is.
-
-    Raises:
-        IndexError: a node id is outside [0, node_count).
-        SelfLoopError: an edge has src == dst.
-        ArityMismatchError: inconsistent metric vector lengths.
-        ValueError: a node capacity is negative or NaN.
-    """
-    if node_count < 0:
-        raise ValueError("node_count must be >= 0")
-    if node_capacity is None:
-        node_capacity = [0.0] * node_count
-    if len(node_capacity) != node_count:
-        raise ValueError(f"node_capacity has {len(node_capacity)} entries, expected {node_count}")
-    if labels is not None and len(labels) != node_count:
-        raise ValueError("labels length must equal node_count")
-    capacity = [float(cap) for cap in node_capacity]
-    for node, cap in enumerate(capacity):
-        if not cap >= 0:
-            raise ValueError(f"node {node} capacity must be >= 0, got {cap}")
-
-    if edges:
-        first = edges[0][2]
-        if link_arity is None:
-            link_arity = len(first.link_metrics)
-        if path_arity is None:
-            path_arity = len(first.path_metrics)
-    else:
-        link_arity = link_arity or 0
-        path_arity = path_arity or 0
-
-    checked: list[tuple[int, int, EdgeMetrics]] = []
-    for src, dst, metrics in edges:
-        if not (0 <= src < node_count) or not (0 <= dst < node_count):
-            raise IndexError(f"edge ({src}, {dst}) outside [0, {node_count})")
-        if src == dst:
-            raise SelfLoopError(f"self-loop at node {src}")
-        if len(metrics.link_metrics) != link_arity or len(metrics.path_metrics) != path_arity:
-            raise ArityMismatchError(
-                f"edge ({src}, {dst}) has arities "
-                f"({len(metrics.link_metrics)}, {len(metrics.path_metrics)}), "
-                f"declared ({link_arity}, {path_arity})"
-            )
-        checked.append((src, dst, metrics))
-
-    return PhysicalGraph(
-        node_count,
-        checked,
-        capacity,
-        link_arity,
-        path_arity,
-        labels,
-    )
+# the public name of the checked constructor
+build_graph = PhysicalGraph
 
 
 def _slack(base_value: float) -> float:
@@ -234,8 +221,8 @@ class ResidualOverlay(PhysicalGraph):
     slack proportional to each edge's or node's base value, so rounding
     drift from any order of reserves and releases is tolerated at every
     capacity scale. Each call names distinct edges, or one node, of the
-    graph and a demand with no negative or NaN component; anything else is
-    refused before any state changes.
+    graph and a demand whose every component is finite and >= 0; anything
+    else is refused before any state changes.
     """
 
     __slots__ = ("base",)
@@ -252,16 +239,16 @@ class ResidualOverlay(PhysicalGraph):
     def _request(self, path, demand):
         """(edge handles, link demand) of a reserve or release, checked
         before anything is mutated: the handles must be distinct edges of
-        the graph and the demand must have the graph's link arity, with no
-        negative or NaN component."""
+        the graph and the demand must have the graph's link arity, every
+        component finite and >= 0 (inf - inf would leave a NaN residual)."""
         link = tuple(demand)
         if len(link) != self.link_arity:
             raise ArityMismatchError(
                 f"demand has {len(link)} link metrics, graph declares {self.link_arity}"
             )
         for need in link:
-            if not need >= 0:
-                raise ValueError(f"demand {link} has a negative or NaN component")
+            if not 0 <= need < math.inf:
+                raise ValueError(f"demand {link} has a negative, infinite or NaN component")
         handles = getattr(path, "edge_handles", path)
         if handles and not 0 <= min(handles) <= max(handles) < self.edge_count:
             raise IndexError(f"edge handles {handles} outside [0, {self.edge_count})")
@@ -272,11 +259,11 @@ class ResidualOverlay(PhysicalGraph):
     def _base_cpu(self, node: int, cpu: float) -> float:
         """Base capacity of the node a reserve_node or release_node names,
         checked before anything is mutated: the node must be in range and
-        cpu neither negative nor NaN."""
+        cpu finite and >= 0."""
         if not 0 <= node < self.node_count:
             raise IndexError(f"node {node} outside [0, {self.node_count})")
-        if not cpu >= 0:
-            raise ValueError(f"node {node} cpu demand must be >= 0, got {cpu}")
+        if not 0 <= cpu < math.inf:
+            raise ValueError(f"node {node} cpu demand must be finite and >= 0, got {cpu}")
         return self.base.node_capacity[node]
 
     def reserve(self, path, demand) -> None:
@@ -287,7 +274,7 @@ class ResidualOverlay(PhysicalGraph):
         Raises:
             InsufficientResidualError: some on-path edge residual < demand.
             IndexError / ValueError: a handle is out of range or repeats,
-                or a demand component is negative or NaN.
+                or a demand component is negative, infinite or NaN.
         """
         handles, link = self._request(path, demand)
         base_cols = self.base.link_cols
@@ -310,7 +297,7 @@ class ResidualOverlay(PhysicalGraph):
         Raises:
             OverReleaseError: some edge would exceed its base metric.
             IndexError / ValueError: a handle is out of range or repeats,
-                or a demand component is negative or NaN.
+                or a demand component is negative, infinite or NaN.
         """
         handles, link = self._request(path, demand)
         base_cols = self.base.link_cols

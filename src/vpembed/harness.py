@@ -46,7 +46,7 @@ class VnRequest:
 
     virtual_links entries are (vnode_a, vnode_b, bw_demand, delay_bound);
     delay_bound may be None (no bound) but not NaN. Demands must be
-    positive, so NaN is refused there too.
+    positive and finite, so NaN and +inf are refused there.
     """
 
     virtual_nodes: tuple[float, ...]
@@ -55,13 +55,13 @@ class VnRequest:
     def __post_init__(self):
         n = len(self.virtual_nodes)
         for cpu in self.virtual_nodes:
-            if not cpu > 0:
-                raise ValueError(f"virtual node cpu demand must be positive, got {cpu}")
+            if not 0 < cpu < math.inf:
+                raise ValueError(f"virtual node cpu demand must be positive and finite, got {cpu}")
         for a, b, bw, delay in self.virtual_links:
             if a == b or not (0 <= a < n) or not (0 <= b < n):
                 raise ValueError(f"bad virtual link endpoints ({a}, {b}) for {n} nodes")
-            if not bw > 0:
-                raise ValueError(f"virtual link bw demand must be positive, got {bw}")
+            if not 0 < bw < math.inf:
+                raise ValueError(f"virtual link bw demand must be positive and finite, got {bw}")
             if delay is not None and math.isnan(delay):
                 raise ValueError(f"virtual link ({a}, {b}) delay bound is NaN")
 
@@ -123,9 +123,7 @@ def _place_nodes(overlay: ResidualOverlay, demands) -> tuple[int, ...] | None:
     unused node."""
     cap = overlay.node_capacity
     base_cap = overlay.base.node_capacity
-    # a NaN capacity hosts nothing, and left in it would unsettle the sort
-    usable = (v for v in range(overlay.node_count) if not math.isnan(cap[v]))
-    free = sorted(usable, key=lambda v: (-cap[v], v))
+    free = sorted(range(overlay.node_count), key=lambda v: (-cap[v], v))
     hosts = []
     for cpu in demands:
         host = next((v for v in free if cap[v] >= cpu - _slack(base_cap[v])), None)
@@ -233,15 +231,15 @@ def run_steering(
     Raises:
         UnknownBackendError: backend does not name a registered solver.
         ArityMismatchError: c names a metric g does not declare.
-        ValueError: the constraint set carries no positive link demand
-            (allocation would never terminate).
+        ValueError: the constraint set carries no positive link demand, or
+            an infinite one (allocation would never terminate).
     """
     solver = resolve_backend(backend)
     if pairs < 1:
         raise ValueError("pairs must be >= 1")
     demand = _demand(g, c)
-    if not demand or max(demand) <= 0:
-        raise ValueError("steering requires a positive link-bound demand")
+    if not demand or not 0 < max(demand) < math.inf:
+        raise ValueError(f"steering requires a positive, finite link-bound demand, got {demand}")
 
     overlay = ResidualOverlay(g)
     used_nodes: set[int] = set()
@@ -346,7 +344,6 @@ class ExperimentConfig:
     scale: str = "desk"
     measure_time: bool = False
     output: str | None = None
-    emit_plotdata: bool = False
     src: int | None = None
     dst: int | None = None
     constraints: tuple[str, ...] = ()
@@ -566,7 +563,6 @@ _CONFIG_KEYS = {
     "scale": str,
     "measure_time": _bool,
     "output": str,
-    "emit_plotdata": _bool,
     "src": int,
     "dst": int,
     "constraint": str,

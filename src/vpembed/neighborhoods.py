@@ -237,7 +237,7 @@ def _hop_distances_to(g, dst: int, usable: bytearray, stop: int = -1) -> list[in
     return dist
 
 
-def _iter_fixed_length_paths(g, depth, src, dst, usable, to_dst, limit, cost_floor=None):
+def _iter_fixed_length_paths(g, depth, src, dst, usable, to_dst, cost_floor=None):
     """Yield (nodes, edge_handles) for every loop-free src->dst path of
     exactly depth >= 1 hops, in lexicographic order. Both solve_general and
     baselines.solve_ksp take their candidates from here, so the order is
@@ -252,7 +252,12 @@ def _iter_fixed_length_paths(g, depth, src, dst, usable, to_dst, limit, cost_flo
     bound, effective upper bound) triples; prefixes that already provably
     exceed a bound are skipped. Only sound for nonnegative metrics, so the
     caller decides what to pass.
+
+    Raises:
+        ResourceLimitError: more than DEFAULT_CANDIDATE_LIMIT partial paths
+            were expanded; the constant is read when the enumeration starts.
     """
+    limit = DEFAULT_CANDIDATE_LIMIT
     adj = g.adjacency
     on_path = bytearray(g.node_count)
     on_path[src] = 1
@@ -347,9 +352,8 @@ def _search_general(g, src: int, dst: int, c: ConstraintSet, usable: bytearray) 
         cost_floor.append((col, floor, bound_eff))
 
     for depth in range(to_dst[src], g.node_count):
-        for nodes, edges in _iter_fixed_length_paths(
-            g, depth, src, dst, usable, to_dst, DEFAULT_CANDIDATE_LIMIT, cost_floor
-        ):
+        candidates = _iter_fixed_length_paths(g, depth, src, dst, usable, to_dst, cost_floor)
+        for nodes, edges in candidates:
             cand = path_from_edges(g, nodes, edges)
             if path_feasible(cand.accumulated, c):
                 return cand

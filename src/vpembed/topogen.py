@@ -37,7 +37,8 @@ class GenSpec:
     the realized degree) or m (preferential attachment, m = round(target/2)).
     delay_model is "euclidean_scaled" (delay proportional to plane distance,
     scaled so the longest generated link has max_delay) or "uniform" over
-    delay_range.
+    delay_range. ValueError refuses a non-finite degree target, max_delay
+    or range end, and a range whose low end is above its high end.
     """
 
     model: str = "waxman"
@@ -60,8 +61,16 @@ class GenSpec:
             raise ValueError("node_count must be >= 2")
         if not (0 < self.alpha <= 1) or not (0 < self.beta <= 1):
             raise ValueError("alpha and beta must lie in (0, 1]")
-        if self.bw_range[0] > self.bw_range[1]:
-            raise ValueError("bw_range low > high")
+        if self.target_avg_degree is not None and not math.isfinite(self.target_avg_degree):
+            raise ValueError(f"target_avg_degree must be finite, got {self.target_avg_degree}")
+        if not math.isfinite(self.max_delay):
+            raise ValueError(f"max_delay must be finite, got {self.max_delay}")
+        for name in ("bw_range", "delay_range"):
+            low, high = getattr(self, name)
+            if not (math.isfinite(low) and math.isfinite(high)):
+                raise ValueError(f"{name} must be finite, got ({low}, {high})")
+            if low > high:
+                raise ValueError(f"{name} low > high")
         if not self.cpu_units >= 0:
             raise ValueError(f"cpu_units must be >= 0, got {self.cpu_units}")
         if self.delay_model not in ("euclidean_scaled", "uniform"):

@@ -21,7 +21,7 @@ from oracle import (
     path_metrics,
     reachable,
 )
-from vpembed import baselines
+from vpembed import baselines, neighborhoods
 from vpembed import (
     ConstraintSet,
     ResidualOverlay,
@@ -308,6 +308,39 @@ def test_edijkstra_verdict_matches_oracle_with_nan_and_inf_delays():
     assert min(statuses.get(s, 0) for s in ("ok", "infeasible", "unreachable")) > 20
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+def test_edijkstra_src_with_an_infinite_floor_runs_no_guided_pass(monkeypatch, value):
+    # no route from 0 has a finite sum, so the delay floor of 0 is +inf and
+    # the verdict comes from _no_path (or nm-general's search under <= inf)
+    # with no A* pass
+    passes = []
+    original = baselines._guided_sum
+
+    def counting(*args):
+        passes.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(baselines, "_guided_sum", counting)
+    g = build_graph(3, [(0, 1, E((5.0,), (value,))), (1, 2, E((5.0,), (1.0,)))], [0.0] * 3)
+    outcomes = {}
+    for bw in (1.0, 6.0):
+        for strict, bound in ((True, 10.0), (False, math.inf)):
+            c = ConstraintSet(((0, bw),), ((0, bound),), strict=strict)
+            try:
+                outcome = solve_edijkstra(g, 0, 2, c).nodes
+            except NoPathError as exc:
+                outcome = exc.status
+            outcomes[bw, bound] = outcome
+    # a +inf sum meets <= inf, a NaN sum meets no bound
+    assert outcomes == {
+        (1.0, 10.0): "infeasible",
+        (1.0, math.inf): (0, 1, 2) if value == math.inf else "infeasible",
+        (6.0, 10.0): "unreachable",
+        (6.0, math.inf): "unreachable",
+    }
+    assert passes == []
+
+
 # every solver, ksp with a k past any candidate count (so it is exact)
 INF_BOUND_SOLVERS = {
     "nm-l1": solve_l1,
@@ -568,7 +601,7 @@ def test_ksp_resource_limit_repeats_and_caches_nothing_new(monkeypatch):
     # on a complete 7-node graph the 2-hop candidates 0->v->6 cost two
     # expansions each, so a limit of 6 per hop count lets the 1-hop path and
     # three 2-hop ones through and stops the search for the fifth candidate
-    monkeypatch.setattr(baselines, "DEFAULT_CANDIDATE_LIMIT", 6)
+    monkeypatch.setattr(neighborhoods, "DEFAULT_CANDIDATE_LIMIT", 6)
     n = 7
     edges = [(u, v, E((1.0,), (1.0,))) for u in range(n) for v in range(n) if u != v]
     g = build_graph(n, edges, [0.0] * n)

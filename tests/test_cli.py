@@ -73,6 +73,31 @@ def test_gen_bad_alpha_exit_2(tmp_path, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--degree", "nan"],
+        ["--degree", "inf"],
+        ["--bw-low", "nan"],
+        ["--bw-high", "inf"],
+        ["--delay-model", "uniform", "--delay-high", "inf"],
+        ["--max-delay", "nan"],
+        ["--max-delay", "inf"],
+        ["--delay-low", "5", "--delay-high", "1"],
+    ],
+    ids=["degree-nan", "degree-inf", "bw-low-nan", "bw-high-inf", "delay-high-inf",
+         "max-delay-nan", "max-delay-inf", "delay-range-reversed"],
+)
+def test_gen_refuses_non_finite_or_reversed_flags(tmp_path, flags):
+    out = tmp_path / "x.top"
+    proc = _cli("gen", "--nodes", "50", *flags, "-o", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("vpembed gen: invalid flags: ")
+    assert not out.exists()
+
+
 def test_gen_missing_output_directory_is_one_line_error(tmp_path):
     # checked before generation, as for run
     proc = _cli("gen", "--nodes", "50", "-o", str(tmp_path / "nodir" / "x.top"))

@@ -7,11 +7,9 @@ from vpembed import (
     ArityMismatchError,
     ConstraintSet,
     EdgeMetrics,
-    NonPositiveValueError,
     build_graph,
     parse_constraints,
     path_feasible,
-    to_additive,
 )
 from vpembed.neighborhoods import _usable_mask
 
@@ -76,44 +74,6 @@ def test_arity_checks():
         path_feasible([1.0], ConstraintSet((), ((2, 5.0),)))
     with pytest.raises(ArityMismatchError):
         ConstraintSet(((0, 1.0), (0, 2.0)), ())
-
-
-def test_to_additive_identity():
-    assert to_additive([1.0]) == [0.0]
-
-
-def test_to_additive_analytic():
-    out = to_additive([math.e, math.e**2])
-    assert abs(out[0] - 1.0) < 1e-12
-    assert abs(out[1] - 2.0) < 1e-12
-
-
-def test_to_additive_rejects_nonpositive():
-    with pytest.raises(NonPositiveValueError):
-        to_additive([0.5, 0.0])
-    with pytest.raises(NonPositiveValueError):
-        to_additive([-1.0])
-
-
-def test_log_transform_matches_direct_product_oracle():
-    # reliability-style check: product of per-link factors vs a product
-    # bound agrees with the log-sum test in 1000 random cases
-    rng = random.Random(11)
-    log_bound = to_additive([0.9])[0]
-    for _ in range(1000):
-        links = [rng.uniform(0.9, 0.999) for _ in range(3)]
-        direct = math.prod(links) < 0.9
-        via_logs = sum(to_additive(links)) < log_bound
-        assert direct == via_logs
-
-
-def test_log_transform_soundness_away_from_boundary():
-    rng = random.Random(13)
-    for _ in range(500):
-        values = [rng.uniform(0.1, 10.0) for _ in range(rng.randint(1, 6))]
-        product = math.prod(values)
-        bound = product * rng.choice([0.5, 2.0])
-        assert (sum(to_additive(values)) < math.log(bound)) == (product < bound)
 
 
 def test_parse_constraints():

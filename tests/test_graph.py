@@ -100,6 +100,15 @@ def test_bad_node_capacity_rejected(cap):
         build_graph(2, [], [1.0, cap])
 
 
+def test_constructor_is_the_checked_build_graph():
+    # one way to build a graph, and it checks what it is given
+    assert build_graph is PhysicalGraph
+    with pytest.raises(ValueError, match="node 0 capacity must be >= 0, got nan"):
+        PhysicalGraph(2, [], [math.nan, 1.0])
+    with pytest.raises(SelfLoopError):
+        PhysicalGraph(2, [(1, 1, E((1.0,), (1.0,)))])
+
+
 def test_zero_node_capacity_accepted():
     g = build_graph(2, [], [0.0, 0])
     assert g.node_capacity == [0.0, 0.0]
@@ -219,6 +228,30 @@ def test_ledger_refuses_a_node_out_of_range(verb, node, cpu, error):
     with pytest.raises(error):
         getattr(overlay, verb)(node, cpu)
     assert overlay.node_capacity == before
+
+
+def test_ledger_refuses_an_infinite_demand_on_an_infinite_capacity():
+    # inf - inf would leave a NaN residual that every later check passes
+    g = build_graph(2, [(0, 1, E((math.inf,), (1.0,)))], [math.inf, 1.0])
+    overlay = ResidualOverlay(g)
+    c = ConstraintSet(((0, 1.0),))
+    mask = bytes(_usable_mask(overlay, c))
+    for verb, args in (
+        ("reserve_node", (0, math.inf)),
+        ("release_node", (0, math.inf)),
+        ("reserve", ([0], (math.inf,))),
+        ("release", ([0], (math.inf,))),
+    ):
+        with pytest.raises(ValueError, match="inf"):
+            getattr(overlay, verb)(*args)
+    assert overlay.node_capacity == [math.inf, 1.0]
+    assert overlay.link_cols == [[math.inf]]
+    assert bytes(_usable_mask(overlay, c)) == mask
+    # a finite demand still fits, and the host stays infinite
+    overlay.reserve_node(0, 5.0)
+    overlay.reserve([0], (5.0,))
+    assert overlay.node_capacity == [math.inf, 1.0]
+    assert overlay.link_cols == [[math.inf]]
 
 
 def test_ledger_takes_a_zero_demand():
@@ -525,9 +558,9 @@ def test_answer_slot_answers_like_a_graph_without_memo(monkeypatch):
 def searches(monkeypatch):
     """Count the searches each solver runs: nm-l1's reverse BFS and forward
     sweep (an unreachable dst is settled by the BFS alone), nm-general's
-    reverse BFS, and edijkstra's heap pops and reverse BFS (a dst that its
-    kept delay floor shows out of finite reach is settled by the BFS
-    alone)."""
+    reverse BFS, and edijkstra's heap pops and the verdict's reverse BFS (a
+    src that its kept delay floor shows out of finite reach is settled by
+    that BFS alone)."""
     counts = dict.fromkeys(SOLVERS, 0)
 
     def counting(names, original):
@@ -544,12 +577,9 @@ def searches(monkeypatch):
     monkeypatch.setattr(
         neighborhoods,
         "_hop_distances_to",
-        counting(["nm-l1", "nm-general"], neighborhoods._hop_distances_to),
+        counting(["nm-l1", "nm-general", "edijkstra"], neighborhoods._hop_distances_to),
     )
     monkeypatch.setattr(heapq, "heappop", counting(["edijkstra"], heapq.heappop))
-    monkeypatch.setattr(
-        baselines, "_hop_distances_to", counting(["edijkstra"], baselines._hop_distances_to)
-    )
     return counts
 
 

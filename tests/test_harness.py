@@ -157,6 +157,15 @@ def test_vn_request_refuses_nan(cpu, bw, delay):
         VnRequest((1.0, 1.0), ((0, 1, 1.0, legal),))
 
 
+@pytest.mark.parametrize(
+    "cpu, bw", [(math.inf, 1.0), (1.0, math.inf)], ids=["cpu", "bw"]
+)
+def test_vn_request_refuses_an_infinite_demand(cpu, bw):
+    # an infinite demand on an infinite host or edge would leave a NaN ledger
+    with pytest.raises(ValueError, match="finite"):
+        VnRequest((cpu, 1.0), ((0, 1, bw, None),))
+
+
 def test_vne_l1_backend_gets_synthetic_bound():
     g = _small_substrate()
     req = VnRequest((1.0, 1.0), ((0, 1, 1.0, None),))
@@ -195,14 +204,6 @@ def test_placement_reserves_nothing():
     assert overlay.node_capacity == before
 
 
-def test_placement_never_picks_a_nan_capacity():
-    # build_graph refuses a NaN capacity; the bare constructor checks nothing
-    nan = float("nan")
-    g = PhysicalGraph(7, [(0, 1, E((1.0,), (1.0,)))], [3.0, nan, 7.0, 5.0, 9.0, nan, 1.0], 1, 1)
-    assert _place_nodes(ResidualOverlay(g), [1.0] * 3) == (4, 2, 3)
-    assert _place_nodes(ResidualOverlay(g), [1.0] * 6) is None
-
-
 def test_node_budget_bandwidth_assignment():
     g = _small_substrate()
     capped = assign_link_bandwidth_from_node_budget(g, 120.0)
@@ -230,6 +231,16 @@ def test_steering_no_edge_meets_bound():
     assert report.energy_efficiency == 0.0
     assert report.n_used == 0
     assert report.vl_count == 0
+
+
+def test_steering_refuses_an_infinite_demand():
+    # on an infinite edge each reserve left a NaN residual that kept the
+    # mask bit set and passed the next check, so the pair never ended
+    g = build_graph(2, [(0, 1, E((math.inf,), (1.0,)))], [1.0, 1.0])
+    c = ConstraintSet(((0, math.inf),), ((0, 10.0),))
+    for backend in ("nm-l1", "edijkstra"):
+        with pytest.raises(ValueError, match="finite"):
+            run_steering(g, 1, c, backend)
 
 
 def test_steering_floor_division_of_residual():
@@ -538,6 +549,13 @@ def test_parse_config_rejects_unknown_key():
     with pytest.raises(ConfigError) as err:
         parse_config("scenario = steering\nbogus_key = 1\n")
     assert err.value.key == "bogus_key"
+
+
+def test_parse_config_has_no_plotdata_key():
+    # plot data is asked for on the command line (--emit-plotdata) only
+    with pytest.raises(ConfigError, match="emit_plotdata") as err:
+        parse_config("scenario = steering\nemit_plotdata = true\n")
+    assert err.value.key == "emit_plotdata"
 
 
 def test_parse_config_validates_enums():

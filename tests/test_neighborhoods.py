@@ -44,7 +44,7 @@ def _candidates(g, depth, src, dst, usable=None):
     to_dst = _hop_distances_to(g, dst, usable)
     return [
         path_from_edges(g, nodes, edges)
-        for nodes, edges in _iter_fixed_length_paths(g, depth, src, dst, usable, to_dst, 10**6)
+        for nodes, edges in _iter_fixed_length_paths(g, depth, src, dst, usable, to_dst)
     ]
 
 
