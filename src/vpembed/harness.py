@@ -322,8 +322,9 @@ def build_vn_requests(
 class ExperimentConfig:
     """Declarative sweep document (see parse_config); a bad entry raises
     ConfigError: an empty grid axis, a non-finite number, a count below its
-    minimum (pairs, requests >= 1; nodes, request_nodes >= 2) or a
-    non-positive demand_max, vne_cpu or vne_bw."""
+    minimum (pairs, requests >= 1; nodes, request_nodes >= 2), a
+    non-positive degree, demand_max, vne_cpu or vne_bw, or a negative seed
+    when the graphs are generated (without a topology file)."""
 
     scenario: str
     model: str = "waxman"
@@ -371,6 +372,14 @@ class ExperimentConfig:
             value = getattr(self, key)
             if value <= 0:
                 raise ConfigError(f"{key} must be positive, got {value}", key=key)
+        for degree in self.degrees:
+            if degree <= 0:
+                raise ConfigError(f"degrees must be positive, got {degree}", key="degrees")
+        for seed in self.seeds if not self.topology else ():
+            if seed < 0:
+                raise ConfigError(
+                    f"seeds must be >= 0 when graphs are generated, got {seed}", key="seeds"
+                )
         if self.scenario == "steering":
             for level in self.bw_levels:
                 if level not in BW_LEVEL_GBPS:

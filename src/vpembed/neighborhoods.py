@@ -12,8 +12,8 @@ Both solvers first drop the edges that break a link bound. Then:
 - :func:`solve_l1` accepts exactly one path bound and runs in polynomial
   time: each round keeps one best accumulated value per node and re-labels
   a node only when a strictly better value arrives that still respects the
-  bound; the nodes re-labeled in a round form the next frontier. On a path
-  metric with no negative value, a reverse BFS from dst first settles an
+  bound; the nodes re-labeled in a round form the next frontier. On every
+  path metric, whatever its sign, a reverse BFS from dst first settles an
   unreachable dst, and the sweep is then bounded by src's hop distance H:
   round k offers only to nodes at most H - k hops from dst. The bounded
   sweep returns the plain sweep's answer whenever that answer has H hops;
@@ -446,24 +446,23 @@ def solve_l1(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
     back down, so feasibility is conservative there; the supported use of
     negative values is cycle detection.
 
-    On a path metric with no negative value, a reverse BFS on the pruned
-    topology comes first and stops once it labels src. When it never does,
-    dst is unreachable and no sweep runs. Else the sweep is bounded by the
-    hop horizon H, src's hop distance to dst (see :func:`_l1_forward`, which
-    argues why that answer is exact), and it finds any answer of H hops; on
-    a stall the plain sweep runs. With a negative value the plain sweep
-    runs first, so a negative cycle is reported before an unreachable dst.
+    A reverse BFS on the pruned topology comes first, whatever the path
+    metric's sign, and stops once it labels src. When it never does, dst is
+    unreachable and no sweep runs, even if a negative cycle is reachable
+    from src. Else the sweep is bounded by the hop horizon H, src's hop
+    distance to dst (see :func:`_l1_forward`, which argues why that answer
+    is exact without reading the metric's sign), and it finds any answer of
+    H hops; on a stall the plain sweep runs.
 
-    When the last sweep stalls, :func:`_no_path` gives the verdict. A
+    When the plain sweep stalls too, :func:`_no_path` gives the verdict. A
     repeat of a query on an unchanged mask returns the last answer
     (:func:`_answer`). A non-strict infinite bound (``<= inf``) admits +inf
     sums, which the sweep cannot offer, so such a query is answered by
     nm-general's search.
 
     Raises:
-        UnreachableError: dst unreachable on the pruned topology; from the
-            reverse BFS taken before any sweep on a nonnegative metric, and
-            from :func:`_no_path` after the sweep stalled otherwise.
+        UnreachableError: dst unreachable on the pruned topology, from the
+            reverse BFS taken before any sweep.
         InfeasibleError: dst reachable ignoring the path bound, but the
             sweep stalled (the bound rejects every extension).
         NegativeWeightCycleError: relabeling was still active after
@@ -482,16 +481,13 @@ def _search_l1(g, src: int, dst: int, c: ConstraintSet, usable: bytearray) -> Pa
     mask usable. A non-strict infinite bound rejects only NaN sums, and the
     sweep offers only sums below the bound's successor, +inf, so that query
     goes to nm-general's search."""
-    p_idx, p_bound = c.path_bounds[0]
-    if not c.strict and p_bound == math.inf:
+    if not c.strict and c.path_bounds[0][1] == math.inf:
         return _search_general(g, src, dst, c, usable)
-    to_dst = None
-    if g.path_nonneg[p_idx]:
-        to_dst = _hop_distances_to(g, dst, usable, src)
-        if to_dst[src] == math.inf:
-            raise _no_path(g, src, dst, usable, to_dst)
-        status, _rounds, label = _l1_forward(g, src, dst, c, usable, to_dst)
-    if to_dst is None or status == "stalled":
+    to_dst = _hop_distances_to(g, dst, usable, src)
+    if to_dst[src] == math.inf:
+        raise _no_path(g, src, dst, usable, to_dst)
+    status, _rounds, label = _l1_forward(g, src, dst, c, usable, to_dst)
+    if status == "stalled":
         status, _rounds, label = _l1_forward(g, src, dst, c, usable)
     if status == "negcycle":
         raise NegativeWeightCycleError("round count reached the node count; relaxation is cycling")

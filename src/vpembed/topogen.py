@@ -37,8 +37,10 @@ class GenSpec:
     the realized degree) or m (preferential attachment, m = round(target/2)).
     delay_model is "euclidean_scaled" (delay proportional to plane distance,
     scaled so the longest generated link has max_delay) or "uniform" over
-    delay_range. ValueError refuses a non-finite degree target, max_delay
-    or range end, and a range whose low end is above its high end.
+    delay_range. ValueError refuses a degree target that is not finite and
+    > 0, a non-finite max_delay or range end, a range whose low end is above
+    its high end, a negative seed or bandwidth, and an m outside
+    [1, node_count).
     """
 
     model: str = "waxman"
@@ -61,8 +63,13 @@ class GenSpec:
             raise ValueError("node_count must be >= 2")
         if not (0 < self.alpha <= 1) or not (0 < self.beta <= 1):
             raise ValueError("alpha and beta must lie in (0, 1]")
-        if self.target_avg_degree is not None and not math.isfinite(self.target_avg_degree):
-            raise ValueError(f"target_avg_degree must be finite, got {self.target_avg_degree}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        degree = self.target_avg_degree
+        if degree is not None and not 0 < degree < math.inf:
+            raise ValueError(f"target_avg_degree must be finite and > 0, got {degree}")
+        if self.m is not None and not 1 <= self.m < self.node_count:
+            raise ValueError(f"m must lie in [1, {self.node_count}), got {self.m}")
         if not math.isfinite(self.max_delay):
             raise ValueError(f"max_delay must be finite, got {self.max_delay}")
         for name in ("bw_range", "delay_range"):
@@ -71,6 +78,8 @@ class GenSpec:
                 raise ValueError(f"{name} must be finite, got ({low}, {high})")
             if low > high:
                 raise ValueError(f"{name} low > high")
+        if self.bw_range[0] < 0:
+            raise ValueError(f"bw_range low end must be >= 0, got {self.bw_range}")
         if not self.cpu_units >= 0:
             raise ValueError(f"cpu_units must be >= 0, got {self.cpu_units}")
         if self.delay_model not in ("euclidean_scaled", "uniform"):

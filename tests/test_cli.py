@@ -98,6 +98,32 @@ def test_gen_refuses_non_finite_or_reversed_flags(tmp_path, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--seed", "-1"], "seed"),
+        (["--bw-low", "-3", "--bw-high", "-1"], "bw_range"),
+        (["--model", "barabasi_albert", "--m", "0"], "m must"),
+        (["--model", "barabasi_albert", "--m", "60"], "m must"),
+        (["--degree", "0"], "degree"),
+        (["--degree", "-1"], "degree"),
+        (["--model", "barabasi_albert", "--degree", "0"], "degree"),
+        (["--model", "barabasi_albert", "--degree", "-1"], "degree"),
+    ],
+    ids=["seed-negative", "bw-negative", "m-zero", "m-above-nodes", "degree-zero",
+         "degree-negative", "ba-degree-zero", "ba-degree-negative"],
+)
+def test_gen_refuses_out_of_range_flags(tmp_path, flags, named):
+    # refused before generation, not by numpy or by the first drawn link
+    out = tmp_path / "x.top"
+    proc = _cli("gen", "--nodes", "50", *flags, "-o", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("vpembed gen: invalid flags: ") and named in proc.stderr
+    assert not out.exists()
+
+
 def test_gen_missing_output_directory_is_one_line_error(tmp_path):
     # checked before generation, as for run
     proc = _cli("gen", "--nodes", "50", "-o", str(tmp_path / "nodir" / "x.top"))
@@ -377,6 +403,34 @@ def test_run_bad_input_is_one_line_error(tmp_path, fig_top, body, jobs, code):
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "body, named",
+    [
+        ("scenario = steering\nnodes = 30\npairs = 2\nseeds = -1\n", "seeds"),
+        ("scenario = vne\nnodes = 30\nrequests = 2\nseeds = 1 -2\n", "seeds"),
+        ("scenario = steering\nnodes = 30\npairs = 2\ndegrees = 0\n", "degrees"),
+        ("scenario = steering\nnodes = 30\npairs = 2\ndegrees = 4 -1\n", "degrees"),
+        # with a topology file, seeds feed only random.Random, which takes negatives
+        ("scenario = steering\ntopology = {top}\npairs = 2\nseeds = -1\n", None),
+    ],
+    ids=["steering-seed-negative", "vne-seed-negative", "degree-zero", "degree-negative",
+         "topology-seed-negative-accepted"],
+)
+def test_run_refuses_out_of_range_generator_entries(tmp_path, fig_top, body, named):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(body.format(top=fig_top))
+    out = tmp_path / "out.csv"
+    proc = _cli("run", str(cfg), "-o", str(out))
+    assert "Traceback" not in proc.stderr
+    if named is None:
+        assert proc.returncode == 0 and out.exists()
+        return
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("vpembed run: bad config: ") and named in proc.stderr
     assert not out.exists()
 
 

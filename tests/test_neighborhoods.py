@@ -18,6 +18,7 @@ from vpembed import (
     UnreachableError,
     build_graph,
     generate,
+    solve_exhaustive,
     solve_general,
     solve_l1,
 )
@@ -344,24 +345,28 @@ def test_l1_negative_cycle_detected():
         solve_l1(g, 0, 4, ConstraintSet((), ((0, 10.0),)))
 
 
-def test_l1_negative_cycle_is_reported_before_unreachable(monkeypatch):
-    # a negative metric keeps the sweep-first order: the cycle 1->2->3->1
-    # (total -1) is reported although the isolated node 4 is unreachable
+def test_l1_unreachable_is_reported_before_a_negative_cycle(monkeypatch):
+    # the reverse BFS comes first whatever the metric's sign: node 4 is cut
+    # off, so it is unreachable although the cycle 1->2->3->1 (total -1) is
+    # reachable from 0, no sweep runs, and nm-general and the exhaustive
+    # oracle say the same
     edges = [
         (0, 1, E((9.0,), (1.0,))),
         (1, 2, E((9.0,), (1.0,))),
         (2, 3, E((9.0,), (1.0,))),
         (3, 1, E((9.0,), (-3.0,))),
     ]
-    g = build_graph(5, edges, [0.0] * 5)
-    with pytest.raises(NegativeWeightCycleError):
-        solve_l1(g, 0, 4, ConstraintSet(((0, 1.0),), ((0, 100.0),)))
-    # on a nonnegative metric the reverse BFS settles it with no sweep
     sweeps = []
     forward = neighborhoods._l1_forward
     monkeypatch.setattr(
         neighborhoods, "_l1_forward", lambda *args: sweeps.append(1) or forward(*args)
     )
+    g = build_graph(5, edges, [0.0] * 5)
+    for solver in (solve_l1, solve_general, solve_exhaustive):
+        with pytest.raises(UnreachableError, match="node 4 is unreachable from 0"):
+            solver(g, 0, 4, ConstraintSet(((0, 1.0),), ((0, 100.0),)))
+    assert sweeps == []
+    # on a nonnegative metric the reverse BFS settles it with no sweep
     g = build_graph(5, edges[:3], [0.0] * 5)
     with pytest.raises(UnreachableError, match="node 4 is unreachable from 0"):
         solve_l1(g, 0, 4, ConstraintSet(((0, 1.0),), ((0, 100.0),)))
@@ -425,10 +430,13 @@ def test_l1_rounds_equal_hop_count():
 
 
 def _back_track(label, dst):
+    """dst's label chain as (nodes, edges); None when the chain loops."""
     nodes, edges = [], []
     chain = label[dst]
     while chain is not None:
         node, edge, chain = chain
+        if node in nodes:
+            return None
         nodes.append(node)
         if chain is not None:
             edges.append(edge)
@@ -437,9 +445,11 @@ def _back_track(label, dst):
 
 def test_l1_hop_horizon_matches_the_plain_sweep(monkeypatch):
     # seeded multigraphs with integer delays, 0 included, so that equal
-    # sums tie; every (src, dst) under strict and non-strict bounds. The
-    # search bounded by the hop horizon must give the plain sweep's status,
-    # path and round count
+    # sums tie; the last 300 also draw negative delays and bounds. Every
+    # (src, dst) under strict and non-strict bounds. Where the reverse BFS
+    # cuts src off, the search says unreachable with no sweep, even where
+    # the plain sweep cycles; elsewhere it gives the plain sweep's status,
+    # path and round count, and a found chain that loops is a negative cycle
     last = []
 
     def recording(*args):
@@ -450,19 +460,21 @@ def test_l1_hop_horizon_matches_the_plain_sweep(monkeypatch):
     monkeypatch.setattr(neighborhoods, "_l1_forward", recording)
     rng = random.Random(1414)
     seen = dict.fromkeys(("bounded", "fallback", "infeasible", "unreachable"), 0)
-    for _ in range(1000):
+    signed_seen = dict.fromkeys(("negcycle", "looped", "cut-off-cycle"), 0)
+    for graph in range(1300):
+        low, bound_low = (-3, -2) if graph >= 1000 else (0, 0)
         n = rng.randint(2, 12)
         edges = []
         for u in range(n):
             for v in range(n):
                 while u != v and rng.random() < 0.3:
                     edges.append(
-                        (u, v, E((float(rng.randint(1, 9)),), (float(rng.randint(0, 4)),)))
+                        (u, v, E((float(rng.randint(1, 9)),), (float(rng.randint(low, 4)),)))
                     )
         g = build_graph(n, edges, [0.0] * n, link_arity=1, path_arity=1)
         c = ConstraintSet(
             ((0, float(rng.randint(1, 5))),) if rng.random() < 0.7 else (),
-            ((0, float(rng.randint(0, 12))),),
+            ((0, float(rng.randint(bound_low, 12))),),
             strict=rng.random() < 0.5,
         )
         usable = _usable_mask(g, c)
@@ -471,23 +483,34 @@ def test_l1_hop_horizon_matches_the_plain_sweep(monkeypatch):
                 if src == dst:
                     continue
                 status, rounds, label = forward(g, src, dst, c, usable)
+                path = _back_track(label, dst) if status == "found" else None
+                horizon = _hop_distances_to(g, dst, usable)[src]
                 last.clear()
                 try:
                     result = solve_l1(g, src, dst, c)
                 except NoPathError as exc:
-                    assert status == "stalled"
-                    if exc.status == "unreachable":
-                        assert not last
-                        assert _hop_distances_to(g, dst, usable)[src] == math.inf
+                    if horizon == math.inf:
+                        assert exc.status == "unreachable" and not last
+                        assert status == "stalled" or low < 0
+                        signed_seen["cut-off-cycle"] += status == "negcycle"
                     else:
-                        assert exc.status == "infeasible" and last[0][:2] == (status, rounds)
-                    seen[exc.status] += 1
+                        assert last[0][:2] == (status, rounds)
+                        if status == "found":
+                            assert exc.status == "negcycle" and path is None
+                            signed_seen["looped"] += 1
+                        else:
+                            expected = "infeasible" if status == "stalled" else "negcycle"
+                            assert exc.status == expected
+                    if exc.status == "negcycle":
+                        signed_seen["negcycle"] += 1
+                    else:
+                        seen[exc.status] += 1
                     continue
                 assert status == "found" and last[0][:2] == (status, rounds)
-                assert (result.nodes, result.edge_handles) == _back_track(label, dst)
-                horizon = _hop_distances_to(g, dst, usable)[src]
+                assert (result.nodes, result.edge_handles) == path
                 seen["bounded" if rounds == horizon else "fallback"] += 1
     assert min(seen.values()) > 500, seen
+    assert min(signed_seen.values()) > 10, signed_seen
 
 
 def test_l1_matches_oracle_seeded():
