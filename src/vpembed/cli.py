@@ -23,13 +23,14 @@ from .constraints import parse_constraints
 from .errors import (
     ArityMismatchError,
     ConfigError,
+    DegreeUnreachableError,
     NoPathError,
     TopologyParseError,
     UnknownBackendError,
     VpembedError,
 )
 from .paths import format_result_line
-from .topogen import GenSpec, generate, realized_avg_degree
+from .topogen import MODELS, GenSpec, generate, realized_avg_degree
 
 EXIT_FLAGS = 2
 EXIT_PARSE = 3
@@ -45,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a topology file")
-    gen.add_argument("--model", choices=("waxman", "barabasi_albert"), default="waxman")
+    gen.add_argument("--model", choices=MODELS, default="waxman")
     gen.add_argument("--nodes", type=int, default=100)
     gen.add_argument("--degree", type=float, default=4.0, help="target average degree")
     gen.add_argument("--alpha", type=float, default=0.15)
@@ -231,6 +232,9 @@ def cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"vpembed run: bad config: {exc}", file=sys.stderr)
         return EXIT_FLAGS
+    except DegreeUnreachableError as exc:
+        print(f"vpembed run: generation failed: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except VpembedError as exc:
         print(f"vpembed run: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

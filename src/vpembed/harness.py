@@ -27,6 +27,7 @@ from .paths import PathResult
 from .topogen import (
     BW_LEVEL_GBPS,
     DELAY_LEVEL_FACTOR,
+    MODELS,
     GenSpec,
     constraints_from_percent,
     generate,
@@ -323,8 +324,9 @@ class ExperimentConfig:
     """Declarative sweep document (see parse_config); a bad entry raises
     ConfigError: an empty grid axis, a non-finite number, a count below its
     minimum (pairs, requests >= 1; nodes, request_nodes >= 2), a
-    non-positive degree, demand_max, vne_cpu or vne_bw, or a negative seed
-    when the graphs are generated (without a topology file)."""
+    non-positive degree, demand_max, vne_cpu or vne_bw, a model outside
+    topogen.MODELS, or, when the graphs are generated (without a topology
+    file), a negative seed or a degree the generator's GenSpec refuses."""
 
     scenario: str
     model: str = "waxman"
@@ -375,11 +377,18 @@ class ExperimentConfig:
         for degree in self.degrees:
             if degree <= 0:
                 raise ConfigError(f"degrees must be positive, got {degree}", key="degrees")
+        if self.model not in MODELS:
+            raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}", key="model")
         for seed in self.seeds if not self.topology else ():
             if seed < 0:
                 raise ConfigError(
                     f"seeds must be >= 0 when graphs are generated, got {seed}", key="seeds"
                 )
+            for degree in self.degrees:
+                try:
+                    _gen_spec(self, degree, seed)
+                except ValueError as exc:
+                    raise ConfigError(f"degrees: {exc}", key="degrees") from exc
         if self.scenario == "steering":
             for level in self.bw_levels:
                 if level not in BW_LEVEL_GBPS:
@@ -431,19 +440,22 @@ def _cells(cfg: ExperimentConfig) -> list[_Cell]:
     return [_Cell(*point) for point in grid]
 
 
+def _gen_spec(cfg: ExperimentConfig, degree: float, seed: int) -> GenSpec:
+    """The GenSpec of the graph generated for the cells of (degree, seed)."""
+    return GenSpec(
+        model=cfg.model,
+        node_count=cfg.effective_nodes(),
+        target_avg_degree=degree,
+        cpu_units=cfg.vne_cpu if cfg.scenario == "vne" else GenSpec.cpu_units,
+        seed=seed,
+    )
+
+
 def _cell_graph(cfg: ExperimentConfig, cell: _Cell) -> PhysicalGraph:
     if cfg.topology:
         return topofile.load(cfg.topology)
-    vne = cfg.scenario == "vne"
-    spec = GenSpec(
-        model=cfg.model,
-        node_count=cfg.effective_nodes(),
-        target_avg_degree=cell.degree,
-        cpu_units=cfg.vne_cpu if vne else GenSpec.cpu_units,
-        seed=cell.seed,
-    )
-    g = generate(spec)
-    return assign_link_bandwidth_from_node_budget(g, cfg.vne_bw) if vne else g
+    g = generate(_gen_spec(cfg, cell.degree, cell.seed))
+    return assign_link_bandwidth_from_node_budget(g, cfg.vne_bw) if cfg.scenario == "vne" else g
 
 
 def _run_cell(cfg: ExperimentConfig, cell: _Cell, g: PhysicalGraph) -> dict:

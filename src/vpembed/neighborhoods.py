@@ -368,7 +368,8 @@ def _l1_forward(g, src: int, dst: int, c: ConstraintSet, usable: bytearray, to_d
     "stalled", "negcycle" and rounds counts the committed rounds.
     ``label[v]`` is an immutable (node, edge, parent_label) chain recording
     how v's current distance was reached. An offer is made only when its
-    accumulated value is below the bound, so a NaN value is never offered.
+    accumulated value meets the bound (:meth:`ConstraintSet.sum_ok`), so a
+    NaN value is never offered, and a +inf one only under ``<= inf``.
 
     to_dst, when given, is :func:`_hop_distances_to` of dst on usable, at
     least up to src's level H = to_dst[src], and bounds the sweep by that
@@ -383,7 +384,7 @@ def _l1_forward(g, src: int, dst: int, c: ConstraintSet, usable: bytearray, to_d
     first-offer place in the frontier.
     """
     p_idx, p_bound = c.path_bounds[0]
-    p_eff = p_bound if c.strict else math.nextafter(p_bound, math.inf)
+    closed = not c.strict
     n = g.node_count
     adj = g.adjacency
     wcol = g.path_cols[p_idx]
@@ -393,7 +394,8 @@ def _l1_forward(g, src: int, dst: int, c: ConstraintSet, usable: bytearray, to_d
     else:
         horizon = to_dst[src]
 
-    dist = [math.inf] * n
+    # NaN compares false, so an unlabeled node takes any admissible offer, +inf too
+    dist = [math.nan] * n
     dist[src] = 0.0
     label: list[tuple | None] = [None] * n
     label[src] = (src, -1, None)
@@ -412,7 +414,7 @@ def _l1_forward(g, src: int, dst: int, c: ConstraintSet, usable: bytearray, to_d
                 if not usable[e] or to_dst[v] > limit:
                     continue
                 nd = du + wcol[e]
-                if not nd < p_eff or nd >= dist[v]:
+                if not (nd < p_bound or (closed and nd == p_bound)) or nd >= dist[v]:
                     continue
                 got = updates.get(v)
                 if got is None or nd < got[0]:
@@ -436,7 +438,7 @@ def solve_l1(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
 
     Pre-routing marks link-infeasible edges unusable; each round of the
     forward sweep relabels a node only when a strictly smaller accumulated
-    value arrives that stays under the bound, and the relabeled nodes are
+    value arrives that meets the bound, and the relabeled nodes are
     the next round's frontier; the sweep stops in the first round that
     relabels dst, and the back track follows the recorded parent chain
     from dst.
@@ -456,9 +458,8 @@ def solve_l1(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
 
     When the plain sweep stalls too, :func:`_no_path` gives the verdict. A
     repeat of a query on an unchanged mask returns the last answer
-    (:func:`_answer`). A non-strict infinite bound (``<= inf``) admits +inf
-    sums, which the sweep cannot offer, so such a query is answered by
-    nm-general's search.
+    (:func:`_answer`). A non-strict bound admits a sum equal to it, so
+    ``<= inf`` admits +inf sums and rejects only NaN ones.
 
     Raises:
         UnreachableError: dst unreachable on the pruned topology, from the
@@ -467,8 +468,6 @@ def solve_l1(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
             sweep stalled (the bound rejects every extension).
         NegativeWeightCycleError: relabeling was still active after
             node_count - 1 rounds.
-        ResourceLimitError: under a non-strict infinite bound only, as
-            from :func:`solve_general`.
         ValueError: c does not have exactly one path bound.
     """
     if c.path_count != 1:
@@ -478,11 +477,7 @@ def solve_l1(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
 
 def _search_l1(g, src: int, dst: int, c: ConstraintSet, usable: bytearray) -> PathResult:
     """:func:`solve_l1`'s reverse BFS, forward sweeps and back track on the
-    mask usable. A non-strict infinite bound rejects only NaN sums, and the
-    sweep offers only sums below the bound's successor, +inf, so that query
-    goes to nm-general's search."""
-    if not c.strict and c.path_bounds[0][1] == math.inf:
-        return _search_general(g, src, dst, c, usable)
+    mask usable."""
     to_dst = _hop_distances_to(g, dst, usable, src)
     if to_dst[src] == math.inf:
         raise _no_path(g, src, dst, usable, to_dst)

@@ -28,19 +28,24 @@ DELAY_LEVEL_FACTOR = {"high": 4.0, "med": 2.5, "low": 0.8}
 
 MAX_CONNECT_RETRIES = 32
 
+# the generator models, as GenSpec.model and `vpembed gen --model` name them
+MODELS = ("waxman", "barabasi_albert")
+
 
 @dataclass(frozen=True)
 class GenSpec:
     """Topology generation parameters.
 
     target_avg_degree, when set, calibrates alpha (Waxman, by bisection on
-    the realized degree) or m (preferential attachment, m = round(target/2)).
-    delay_model is "euclidean_scaled" (delay proportional to plane distance,
-    scaled so the longest generated link has max_delay) or "uniform" over
-    delay_range. ValueError refuses a degree target that is not finite and
-    > 0, a non-finite max_delay or range end, a range whose low end is above
-    its high end, a negative seed or bandwidth, and an m outside
-    [1, node_count).
+    the realized degree) or, when m is not given, the attachment count
+    (preferential attachment, see :attr:`attachment_count`). delay_model is
+    "euclidean_scaled" (delay proportional to plane distance, scaled so the
+    longest generated link has max_delay) or "uniform" over delay_range.
+    ValueError refuses a model outside MODELS, a degree target that is not
+    finite and > 0, a non-finite max_delay or range end, a range whose low
+    end is above its high end, a negative seed or bandwidth, an m outside
+    [1, node_count), and a preferential-attachment degree target whose
+    attachment count is not below node_count.
     """
 
     model: str = "waxman"
@@ -57,7 +62,7 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.model not in ("waxman", "barabasi_albert"):
+        if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
         if self.node_count < 2:
             raise ValueError("node_count must be >= 2")
@@ -70,6 +75,11 @@ class GenSpec:
             raise ValueError(f"target_avg_degree must be finite and > 0, got {degree}")
         if self.m is not None and not 1 <= self.m < self.node_count:
             raise ValueError(f"m must lie in [1, {self.node_count}), got {self.m}")
+        if self.model == "barabasi_albert" and self.attachment_count >= self.node_count:
+            raise ValueError(
+                f"degree target {degree} needs attachment count m={self.attachment_count}, "
+                f"but {self.node_count} nodes allow at most m={self.node_count - 1}"
+            )
         if not math.isfinite(self.max_delay):
             raise ValueError(f"max_delay must be finite, got {self.max_delay}")
         for name in ("bw_range", "delay_range"):
@@ -84,6 +94,15 @@ class GenSpec:
             raise ValueError(f"cpu_units must be >= 0, got {self.cpu_units}")
         if self.delay_model not in ("euclidean_scaled", "uniform"):
             raise ValueError(f"unknown delay model {self.delay_model!r}")
+
+    @property
+    def attachment_count(self) -> int:
+        """Edges each arriving node adds under preferential attachment: m
+        when given, else round(target_avg_degree / 2), at least 1 (and 1
+        without a degree target)."""
+        if self.m is not None:
+            return self.m
+        return max(1, round((self.target_avg_degree or 2.0) / 2))
 
 
 def _components(n: int, pairs) -> list[list[int]]:
@@ -137,8 +156,6 @@ def _waxman_pairs(n, coords, uniform, beta, alpha, target):
 
 
 def _barabasi_pairs(n, m, rng):
-    if m < 1 or m >= n:
-        raise DegreeUnreachableError(f"attachment count m={m} invalid for {n} nodes")
     pairs = []
     targets = list(range(m))
     repeated: list[int] = []
@@ -178,10 +195,7 @@ def generate(spec: GenSpec) -> PhysicalGraph:
             pairs = list(zip(iu.tolist(), iv.tolist()))
             pair_dist = dists.tolist()
         else:
-            m = spec.m
-            if m is None:
-                m = max(1, round((spec.target_avg_degree or 2.0) / 2))
-            pairs = _barabasi_pairs(n, m, rng)
+            pairs = _barabasi_pairs(n, spec.attachment_count, rng)
             pair_dist = [
                 math.hypot(coords[u, 0] - coords[v, 0], coords[u, 1] - coords[v, 1])
                 for u, v in pairs

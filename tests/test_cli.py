@@ -109,9 +109,11 @@ def test_gen_refuses_non_finite_or_reversed_flags(tmp_path, flags):
         (["--degree", "-1"], "degree"),
         (["--model", "barabasi_albert", "--degree", "0"], "degree"),
         (["--model", "barabasi_albert", "--degree", "-1"], "degree"),
+        # m = round(200 / 2) = 100 attachments cannot fit 50 nodes
+        (["--model", "barabasi_albert", "--degree", "200"], "degree target 200.0"),
     ],
     ids=["seed-negative", "bw-negative", "m-zero", "m-above-nodes", "degree-zero",
-         "degree-negative", "ba-degree-zero", "ba-degree-negative"],
+         "degree-negative", "ba-degree-zero", "ba-degree-negative", "ba-degree-beyond-nodes"],
 )
 def test_gen_refuses_out_of_range_flags(tmp_path, flags, named):
     # refused before generation, not by numpy or by the first drawn link
@@ -415,9 +417,14 @@ def test_run_bad_input_is_one_line_error(tmp_path, fig_top, body, jobs, code):
         ("scenario = steering\nnodes = 30\npairs = 2\ndegrees = 4 -1\n", "degrees"),
         # with a topology file, seeds feed only random.Random, which takes negatives
         ("scenario = steering\ntopology = {top}\npairs = 2\nseeds = -1\n", None),
+        ("scenario = steering\nmodel = foo\nnodes = 30\npairs = 2\n", "model"),
+        # the second degree's attachment count, round(60 / 2) = 30, needs more than 30 nodes
+        ("scenario = vne\nmodel = barabasi_albert\nnodes = 30\ndegrees = 4 60\n",
+         "degrees: degree target 60.0 needs attachment count m=30, "
+         "but 30 nodes allow at most m=29"),
     ],
     ids=["steering-seed-negative", "vne-seed-negative", "degree-zero", "degree-negative",
-         "topology-seed-negative-accepted"],
+         "topology-seed-negative-accepted", "unknown-model", "ba-degree-beyond-nodes"],
 )
 def test_run_refuses_out_of_range_generator_entries(tmp_path, fig_top, body, named):
     cfg = tmp_path / "exp.cfg"
@@ -431,6 +438,21 @@ def test_run_refuses_out_of_range_generator_entries(tmp_path, fig_top, body, nam
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("vpembed run: bad config: ") and named in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_generation_failure_is_exit_3(tmp_path, jobs):
+    # 3 nodes hold at most 3 links, fewer than a degree-4 target's 6; the
+    # error is raised by the generator, in a worker process at --jobs 2
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("scenario = steering\nnodes = 3\ndegrees = 4\npairs = 2\nseeds = 1 2\n")
+    out = tmp_path / "out.csv"
+    proc = _cli("run", str(cfg), "-o", str(out), "--jobs", str(jobs))
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("vpembed run: generation failed: ")
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import time
 
 import pytest
@@ -577,6 +578,40 @@ def test_l1_matches_oracle_with_nan_path_metrics():
         assert feasible(edges, list(result.edge_handles), c)
         statuses["ok"] = statuses.get("ok", 0) + 1
     assert min(statuses.get(s, 0) for s in ("ok", "infeasible", "unreachable")) > 20
+
+
+def _l1_outcome(g, src, dst, c):
+    try:
+        result = solve_l1(g, src, dst, c)
+    except NoPathError as exc:
+        return exc.status
+    return result.nodes, result.edge_handles
+
+
+def test_l1_infinite_bound_answers_as_the_largest_finite_bound():
+    # with no +-inf metric no sum is infinite, so "<= inf" and "<= max
+    # float" admit the same sums and the sweep must give the same answer,
+    # negative cycles included; NaN delays meet neither bound
+    rng = random.Random(1818)
+    seen = set()
+    for _ in range(600):
+        n = rng.randint(2, 9)
+        edges = []
+        for u in range(n):
+            for v in range(n):
+                while u != v and rng.random() < 0.3:
+                    delay = float(rng.randint(-2, 6)) if rng.random() < 0.9 else math.nan
+                    edges.append((u, v, E((float(rng.randint(1, 9)),), (delay,))))
+        g = build_graph(n, edges, [0.0] * n, link_arity=1, path_arity=1)
+        link = ((0, float(rng.randint(1, 9))),) if rng.random() < 0.5 else ()
+        src, dst = rng.sample(range(n), 2)
+        outcomes = [
+            _l1_outcome(g, src, dst, ConstraintSet(link, ((0, bound),), strict=False))
+            for bound in (math.inf, sys.float_info.max)
+        ]
+        assert outcomes[0] == outcomes[1], (edges, link, src, dst)
+        seen.add(outcomes[0] if isinstance(outcomes[0], str) else "ok")
+    assert seen == {"ok", "unreachable", "infeasible", "negcycle"}, seen
 
 
 def test_general_and_l1_agree_on_hop_count():

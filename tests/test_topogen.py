@@ -119,6 +119,13 @@ def test_spec_validation():
         GenSpec(model="random")
     with pytest.raises(ValueError):
         GenSpec(cpu_units=float("nan"))
+    # a preferential-attachment degree target needs round(target / 2) < node_count
+    spec = GenSpec(model="barabasi_albert", node_count=10, target_avg_degree=18.0)
+    assert spec.attachment_count == 9
+    with pytest.raises(ValueError, match="degree target 19.0 .* at most m=9"):
+        GenSpec(model="barabasi_albert", node_count=10, target_avg_degree=19.0)
+    # the Waxman model has no attachment count to refuse
+    GenSpec(node_count=10, target_avg_degree=19.0)
 
 
 def test_severity_resolution():
