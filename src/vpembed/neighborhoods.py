@@ -13,11 +13,12 @@ Both solvers first drop the edges that break a link bound. Then:
   time: each round keeps one best accumulated value per node and re-labels
   a node only when a strictly better value arrives that still respects the
   bound; the nodes re-labeled in a round form the next frontier. On every
-  path metric, whatever its sign, a reverse BFS from dst first settles an
-  unreachable dst, and the sweep is then bounded by src's hop distance H:
-  round k offers only to nodes at most H - k hops from dst. The bounded
-  sweep returns the plain sweep's answer whenever that answer has H hops;
-  when it stalls, the plain sweep runs.
+  path metric, whatever its sign, a bidirectional BFS between src and dst
+  first settles an unreachable dst and finds src's hop distance H, and the
+  sweep is then bounded by it: round k offers only to nodes that a lower
+  bound does not put more than H - k hops from dst. The bounded sweep
+  returns the plain sweep's answer whenever that answer has H hops; when it
+  stalls, the plain sweep runs.
 
 Rounds in solve_l1 are synchronous: offers made during round k compare
 against the values committed at round k-1, and every label keeps an
@@ -28,8 +29,9 @@ round early and the back track can splice a detour into the answer.
 Both solvers, and baselines.solve_edijkstra, read link state only through
 the pruning mask, so one front (:func:`_answer`) returns each one's last
 answer again, without a search, to the same query on the same mask, and
-one rule tells unreachable from infeasible (:func:`_no_path`). The mask's
-memo also keeps solve_edijkstra's delay floor towards one dst
+one rule tells unreachable from infeasible (:func:`_no_path`, on the
+bidirectional BFS unless the search took a reverse one). The mask's memo
+also keeps solve_edijkstra's delay floor towards one dst
 (:func:`_floor_to`), a reverse Dijkstra (:func:`_min_sums_to`) that stays
 a lower bound while mask bits only clear.
 """
@@ -145,11 +147,12 @@ def _no_path(
     g, src: int, dst: int, usable: bytearray, to_dst=None
 ) -> UnreachableError | InfeasibleError:
     """The verdict on a query whose search found no path on the mask usable:
-    UnreachableError when a reverse BFS (:func:`_hop_distances_to`) finds
-    dst cut off from src, InfeasibleError otherwise. to_dst, when given, is
-    that BFS already taken on usable, at least up to src's level."""
+    UnreachableError when dst is cut off from src, InfeasibleError
+    otherwise. to_dst, when given, holds src's exact hop distance to dst on
+    usable (:func:`_hop_distances_to` or :func:`_hop_horizon`); else
+    :func:`_hop_horizon` takes it."""
     if to_dst is None:
-        to_dst = _hop_distances_to(g, dst, usable, src)
+        to_dst = _hop_horizon(g, src, dst, usable)
     if to_dst[src] == math.inf:
         return UnreachableError(f"node {dst} is unreachable from {src} on the pruned graph")
     return InfeasibleError(f"the path bound rejects every route from {src} to {dst}")
@@ -209,14 +212,10 @@ def _floor_to(g, p_idx: int, dst: int, src: int, usable: bytearray) -> list[floa
     return floor
 
 
-def _hop_distances_to(g, dst: int, usable: bytearray, stop: int = -1) -> list[int | float]:
+def _hop_distances_to(g, dst: int, usable: bytearray) -> list[int | float]:
     """Hop distance from every node to dst on the pruned graph, ignoring
     path bounds (reverse BFS). Entries are ints, math.inf where dst is
-    unreachable; the entry of dst is 0.
-
-    Given a node stop other than dst, the BFS returns as soon as it labels
-    stop: every node closer to dst than stop is labeled then, and the rest
-    of stop's level and beyond may still read math.inf."""
+    unreachable; the entry of dst is 0."""
     inf = math.inf
     dist = [inf] * g.node_count
     dist[dst] = 0
@@ -230,11 +229,73 @@ def _hop_distances_to(g, dst: int, usable: bytearray, stop: int = -1) -> list[in
             for u, e in in_adj[v]:
                 if dist[u] == inf and usable[e]:
                     dist[u] = hops
-                    if u == stop:
-                        return dist
                     nxt.append(u)
         queue = nxt
     return dist
+
+
+def _hop_horizon(g, src: int, dst: int, usable: bytearray) -> list[int | float]:
+    """src's hop distance H to dst on the pruned graph (src != dst), ignoring
+    path bounds, in a list that bounds every other node's from below.
+
+    A bidirectional BFS (Pohl 1971). Each step labels the next level of the
+    forward ball around src (over g.adjacency) or of the reverse ball around
+    dst (over g.in_adjacency), whichever has the smaller frontier, and the
+    search stops at the first node that both balls hold. Before that step
+    the balls held every node within f hops of src and within r hops of dst
+    and shared none, so H > f + r; the node found has a route of at most
+    f + r + 1 hops through its two levels, so the sum of its levels is H.
+
+    Entry v is v's reverse level where the reverse ball holds v, else b + 1,
+    b being the last level the reverse ball holds whole; entry src is H.
+    Every node off the ball is more than b hops from dst, so no entry
+    exceeds its node's hop distance, and entry u <= 1 + entry v on every
+    usable edge u->v with u != src. When either frontier empties first, dst
+    is unreachable and entry src is math.inf; that costs the smaller side,
+    not dst's whole reverse component."""
+    adj = g.adjacency
+    in_adj = g.in_adjacency
+    ahead = {src: 0}
+    back = {dst: 0}
+    front = [src]
+    rear = [dst]
+    f = b = 0
+    horizon = math.inf
+    while front and rear and horizon == math.inf:
+        nxt = []
+        if len(front) <= len(rear):
+            f += 1
+            for u in front:
+                for v, e in adj[u]:
+                    if v not in ahead and usable[e]:
+                        if v in back:
+                            horizon = f + back[v]
+                            break
+                        ahead[v] = f
+                        nxt.append(v)
+                if horizon != math.inf:
+                    break
+            front = nxt
+        else:
+            level = b + 1
+            for v in rear:
+                for u, e in in_adj[v]:
+                    if u not in back and usable[e]:
+                        back[u] = level
+                        if u in ahead:
+                            horizon = ahead[u] + level
+                            break
+                        nxt.append(u)
+                if horizon != math.inf:
+                    break
+            else:
+                b = level
+            rear = nxt
+    bound = [b + 1] * g.node_count
+    for v, level in back.items():
+        bound[v] = level
+    bound[src] = horizon
+    return bound
 
 
 def _iter_fixed_length_paths(g, depth, src, dst, usable, to_dst, cost_floor=None):
@@ -371,17 +432,19 @@ def _l1_forward(g, src: int, dst: int, c: ConstraintSet, usable: bytearray, to_d
     accumulated value meets the bound (:meth:`ConstraintSet.sum_ok`), so a
     NaN value is never offered, and a +inf one only under ``<= inf``.
 
-    to_dst, when given, is :func:`_hop_distances_to` of dst on usable, at
-    least up to src's level H = to_dst[src], and bounds the sweep by that
-    hop horizon: round k skips an offer to v when k + to_dst[v] > H, so the
-    sweep stalls after round H at the latest. The bounded sweep finds dst
-    exactly when the plain one finds it in round H, with the same label
-    chain. BFS distances are consistent, to_dst[u] <= 1 + to_dst[v] on
-    every usable edge u->v, so every walk that reaches v by round k with
-    k + to_dst[v] <= H passes only through nodes that meet the same test
-    at their own round: such a node receives the same offers in the same
-    order as in the plain sweep, and keeps the same distance, label and
-    first-offer place in the frontier.
+    to_dst, when given, bounds every node's hop distance d(v) to dst on
+    usable from below and is exact at src, H = to_dst[src] = d(src)
+    (:func:`_hop_horizon`). It bounds the sweep by that hop horizon: round
+    k skips an offer to v when k + to_dst[v] > H, so the sweep stalls after
+    round H at the latest. The bounded sweep finds dst exactly when the
+    plain one finds it in round H, with the same label chain. Call v live
+    at round k when k + d(v) <= H; only a label that a live node commits
+    can lie on dst's chain of round H. Since d(u) <= 1 + d(v) on every
+    usable edge u->v, a node that offers to a live node was itself live a
+    round earlier, and since to_dst[v] <= d(v), the bound skips no offer to
+    a live node. So, round by round, a live node receives the same offers
+    in the same order as in the plain sweep, and keeps the same distance,
+    label and first-offer place among the live nodes of the frontier.
     """
     p_idx, p_bound = c.path_bounds[0]
     closed = not c.strict
@@ -448,13 +511,14 @@ def solve_l1(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
     back down, so feasibility is conservative there; the supported use of
     negative values is cycle detection.
 
-    A reverse BFS on the pruned topology comes first, whatever the path
-    metric's sign, and stops once it labels src. When it never does, dst is
-    unreachable and no sweep runs, even if a negative cycle is reachable
-    from src. Else the sweep is bounded by the hop horizon H, src's hop
-    distance to dst (see :func:`_l1_forward`, which argues why that answer
-    is exact without reading the metric's sign), and it finds any answer of
-    H hops; on a stall the plain sweep runs.
+    A bidirectional BFS on the pruned topology comes first, whatever the
+    path metric's sign, and stops where the balls around src and dst meet
+    (:func:`_hop_horizon`). When they never do, dst is unreachable and no
+    sweep runs, even if a negative cycle is reachable from src. Else the
+    sweep is bounded by the hop horizon H, src's hop distance to dst (see
+    :func:`_l1_forward`, which argues why that answer is exact without
+    reading the metric's sign), and it finds any answer of H hops; on a
+    stall the plain sweep runs.
 
     When the plain sweep stalls too, :func:`_no_path` gives the verdict. A
     repeat of a query on an unchanged mask returns the last answer
@@ -463,7 +527,7 @@ def solve_l1(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
 
     Raises:
         UnreachableError: dst unreachable on the pruned topology, from the
-            reverse BFS taken before any sweep.
+            bidirectional BFS taken before any sweep.
         InfeasibleError: dst reachable ignoring the path bound, but the
             sweep stalled (the bound rejects every extension).
         NegativeWeightCycleError: relabeling was still active after
@@ -476,9 +540,9 @@ def solve_l1(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
 
 
 def _search_l1(g, src: int, dst: int, c: ConstraintSet, usable: bytearray) -> PathResult:
-    """:func:`solve_l1`'s reverse BFS, forward sweeps and back track on the
+    """:func:`solve_l1`'s hop horizon, forward sweeps and back track on the
     mask usable."""
-    to_dst = _hop_distances_to(g, dst, usable, src)
+    to_dst = _hop_horizon(g, src, dst, usable)
     if to_dst[src] == math.inf:
         raise _no_path(g, src, dst, usable, to_dst)
     status, _rounds, label = _l1_forward(g, src, dst, c, usable, to_dst)

@@ -45,7 +45,8 @@ class GenSpec:
     finite and > 0, a non-finite max_delay or range end, a range whose low
     end is above its high end, a negative seed or bandwidth, an m outside
     [1, node_count), and a preferential-attachment degree target whose
-    attachment count is not below node_count.
+    attachment count m is not below node_count or whose realized degree,
+    2m(node_count - m)/node_count, is more than 10% below it.
     """
 
     model: str = "waxman"
@@ -80,6 +81,16 @@ class GenSpec:
                 f"degree target {degree} needs attachment count m={self.attachment_count}, "
                 f"but {self.node_count} nodes allow at most m={self.node_count - 1}"
             )
+        if self.model == "barabasi_albert" and self.m is None and degree is not None:
+            # each of the n - m arriving nodes adds m links; like Waxman,
+            # refuse a target missed by more than 10%
+            m = self.attachment_count
+            links = m * (self.node_count - m)
+            if links < math.ceil(0.9 * degree * self.node_count / 2):
+                raise ValueError(
+                    f"degree target {degree} unreachable: attachment count m={m} "
+                    f"realizes only {2 * links / self.node_count:.2f}"
+                )
         if not math.isfinite(self.max_delay):
             raise ValueError(f"max_delay must be finite, got {self.max_delay}")
         for name in ("bw_range", "delay_range"):

@@ -111,9 +111,12 @@ def test_gen_refuses_non_finite_or_reversed_flags(tmp_path, flags):
         (["--model", "barabasi_albert", "--degree", "-1"], "degree"),
         # m = round(200 / 2) = 100 attachments cannot fit 50 nodes
         (["--model", "barabasi_albert", "--degree", "200"], "degree target 200.0"),
+        # m = 49 attachments fit, but 49 links realize degree 1.96, not 98
+        (["--model", "barabasi_albert", "--degree", "98"], "degree target 98.0 unreachable"),
     ],
     ids=["seed-negative", "bw-negative", "m-zero", "m-above-nodes", "degree-zero",
-         "degree-negative", "ba-degree-zero", "ba-degree-negative", "ba-degree-beyond-nodes"],
+         "degree-negative", "ba-degree-zero", "ba-degree-negative", "ba-degree-beyond-nodes",
+         "ba-degree-unrealized"],
 )
 def test_gen_refuses_out_of_range_flags(tmp_path, flags, named):
     # refused before generation, not by numpy or by the first drawn link
@@ -422,9 +425,13 @@ def test_run_bad_input_is_one_line_error(tmp_path, fig_top, body, jobs, code):
         ("scenario = vne\nmodel = barabasi_albert\nnodes = 30\ndegrees = 4 60\n",
          "degrees: degree target 60.0 needs attachment count m=30, "
          "but 30 nodes allow at most m=29"),
+        # m = 20 fits 30 nodes, but its 200 links realize degree 13.33, not 40
+        ("scenario = vne\nmodel = barabasi_albert\nnodes = 30\ndegrees = 4 40\n",
+         "degrees: degree target 40.0 unreachable: attachment count m=20 realizes only 13.33"),
     ],
     ids=["steering-seed-negative", "vne-seed-negative", "degree-zero", "degree-negative",
-         "topology-seed-negative-accepted", "unknown-model", "ba-degree-beyond-nodes"],
+         "topology-seed-negative-accepted", "unknown-model", "ba-degree-beyond-nodes",
+         "ba-degree-unrealized"],
 )
 def test_run_refuses_out_of_range_generator_entries(tmp_path, fig_top, body, named):
     cfg = tmp_path / "exp.cfg"

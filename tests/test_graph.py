@@ -556,11 +556,11 @@ def test_answer_slot_answers_like_a_graph_without_memo(monkeypatch):
 
 @pytest.fixture
 def searches(monkeypatch):
-    """Count the searches each solver runs: nm-l1's reverse BFS and forward
-    sweep (an unreachable dst is settled by the BFS alone), nm-general's
-    reverse BFS, and edijkstra's heap pops and the verdict's reverse BFS (a
-    src that its kept delay floor shows out of finite reach is settled by
-    that BFS alone)."""
+    """Count the searches each solver runs: nm-l1's bidirectional BFS and
+    forward sweep (an unreachable dst is settled by the BFS alone),
+    nm-general's reverse BFS, and edijkstra's heap pops and the verdict's
+    bidirectional BFS (a src that its kept delay floor shows out of finite
+    reach is settled by that BFS alone)."""
     counts = dict.fromkeys(SOLVERS, 0)
 
     def counting(names, original):
@@ -578,6 +578,11 @@ def searches(monkeypatch):
         neighborhoods,
         "_hop_distances_to",
         counting(["nm-l1", "nm-general", "edijkstra"], neighborhoods._hop_distances_to),
+    )
+    monkeypatch.setattr(
+        neighborhoods,
+        "_hop_horizon",
+        counting(["nm-l1", "edijkstra"], neighborhoods._hop_horizon),
     )
     monkeypatch.setattr(heapq, "heappop", counting(["edijkstra"], heapq.heappop))
     return counts

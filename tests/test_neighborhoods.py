@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from conftest import A, B, X, Y, random_instance, random_l1_bounds
+from conftest import A, B, X, Y, random_instance, random_l1_bounds, random_multigraph
 from oracle import all_simple_paths, feasible, min_feasible_hops, reachable
 from vpembed import neighborhoods
 from vpembed import (
@@ -25,6 +25,7 @@ from vpembed import (
 )
 from vpembed.neighborhoods import (
     _hop_distances_to,
+    _hop_horizon,
     _iter_fixed_length_paths,
     _l1_forward,
     _usable_mask,
@@ -69,6 +70,33 @@ def test_hop_distances_to(fig_graph, fig_constraints):
     assert dist == [2, 1, 2, 0] and all(type(d) is int for d in dist)
     # no edge enters X, so every other node is at distance inf from it
     assert _hop_distances_to(fig_graph, X, usable) == [0, math.inf, math.inf, math.inf]
+
+
+def test_hop_horizon_is_exact_at_src_and_a_consistent_lower_bound():
+    # seeded multigraphs under random link-bound masks, every src != dst:
+    # the bidirectional BFS gives src's reverse-BFS distance (inf when dst
+    # is cut off), no entry above its node's distance, and entry u at most
+    # 1 + entry v on every usable edge u->v leaving a node other than src
+    rng = random.Random(1971)
+    seen = {"reachable": 0, "unreachable": 0}
+    for _ in range(1000):
+        n, edges = random_multigraph(rng)
+        g = build_graph(n, edges, [0.0] * n, link_arity=1, path_arity=1)
+        usable = _usable_mask(g, ConstraintSet(((0, float(rng.randint(1, 9))),), ()))
+        for dst in range(n):
+            dist = _hop_distances_to(g, dst, usable)
+            for src in range(n):
+                if src == dst:
+                    continue
+                bound = _hop_horizon(g, src, dst, usable)
+                assert bound[src] == dist[src]
+                seen["unreachable" if dist[src] == math.inf else "reachable"] += 1
+                assert all(low <= d for low, d in zip(bound, dist))
+                for u in range(n):
+                    if u != src:
+                        for v, e in g.adjacency[u]:
+                            assert not usable[e] or bound[u] <= 1 + bound[v]
+    assert min(seen.values()) > 10_000
 
 
 def test_disconnected_unreachable():
@@ -414,7 +442,7 @@ def test_l1_rounds_equal_hop_count():
         c = random_l1_bounds(rng)
         dst = g.node_count - 1
         usable = _usable_mask(g, c)
-        to_dst = _hop_distances_to(g, dst, usable, 0)
+        to_dst = _hop_horizon(g, 0, dst, usable)
         status, rounds, _label = _l1_forward(g, 0, dst, c, usable)
         if status == "found":
             hops = solve_l1(g, 0, dst, c).hop_count

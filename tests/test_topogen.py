@@ -119,11 +119,19 @@ def test_spec_validation():
         GenSpec(model="random")
     with pytest.raises(ValueError):
         GenSpec(cpu_units=float("nan"))
-    # a preferential-attachment degree target needs round(target / 2) < node_count
-    spec = GenSpec(model="barabasi_albert", node_count=10, target_avg_degree=18.0)
-    assert spec.attachment_count == 9
+    # a preferential-attachment degree target needs m = round(target / 2) <
+    # node_count, and m(n - m) links realize degree 2m(n - m)/n, which may
+    # fall at most 10% short of it: 3.2 for 3.5 passes, 3.2 for 4.0 does not
+    spec = GenSpec(model="barabasi_albert", node_count=10, target_avg_degree=3.5)
+    assert spec.attachment_count == 2
+    with pytest.raises(ValueError, match="degree target 4.0 unreachable: .* only 3.20"):
+        GenSpec(model="barabasi_albert", node_count=10, target_avg_degree=4.0)
+    with pytest.raises(ValueError, match="degree target 18.0 unreachable: .* only 1.80"):
+        GenSpec(model="barabasi_albert", node_count=10, target_avg_degree=18.0)
     with pytest.raises(ValueError, match="degree target 19.0 .* at most m=9"):
         GenSpec(model="barabasi_albert", node_count=10, target_avg_degree=19.0)
+    # an explicit m is taken as given
+    assert GenSpec(model="barabasi_albert", node_count=10, m=9).attachment_count == 9
     # the Waxman model has no attachment count to refuse
     GenSpec(node_count=10, target_avg_degree=19.0)
 
