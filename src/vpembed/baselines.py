@@ -24,7 +24,7 @@ from .neighborhoods import (
     _hop_distances_to,
     _iter_fixed_length_paths,
     _no_path,
-    _search_general,
+    _search_l1,
     _usable_mask,
 )
 from .paths import PathResult, path_from_edges
@@ -71,10 +71,8 @@ def solve_edijkstra(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
         InfeasibleError: dst reachable, but the minimum accumulated metric
             violates the bound or is not finite. Under a non-strict
             infinite bound a +inf sum is feasible: when no route has a
-            finite sum, the least-hop route without a NaN sum is returned.
+            finite sum, nm-l1's least-hop route without a NaN sum is returned.
         NegativeMetricError: a surviving edge has a negative path metric.
-        ResourceLimitError: under a non-strict infinite bound only, when
-            no route has a finite sum, as from ``solve_general``.
         ValueError: c does not have exactly one path bound.
     """
     if c.path_count != 1:
@@ -124,8 +122,8 @@ def _search_edijkstra(g, src: int, dst: int, c: ConstraintSet, usable: bytearray
     settled node caps every entry at that node's finite sum, so an infinite
     entry comes from a completed reverse search that found no finite-sum
     route from src; the floor's mask has only lost bits since. The verdict
-    is then :func:`_no_path`'s, or nm-general's search under a non-strict
-    infinite bound."""
+    is then :func:`_no_path`'s, or nm-l1's sweep under a non-strict infinite
+    bound."""
     n = g.node_count
     p_idx, p_bound = c.path_bounds[0]
     wcol = g.path_cols[p_idx]
@@ -142,9 +140,9 @@ def _search_edijkstra(g, src: int, dst: int, c: ConstraintSet, usable: bytearray
     if reach == math.inf:
         # no route has a finite sum: +inf and NaN metrics are never relaxed.
         # Under a non-strict infinite bound a +inf sum is still feasible,
-        # and nm-general's search finds the least-hop such route
+        # and nm-l1's polynomial sweep finds the least-hop such route
         if not c.strict and p_bound == math.inf:
-            return _search_general(g, src, dst, c, usable)
+            return _search_l1(g, src, dst, c, usable)
         raise _no_path(g, src, dst, usable)
     cap = reach * (1 + 2**-30)
 

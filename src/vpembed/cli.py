@@ -3,12 +3,11 @@
 Subcommands:
     gen    write a generated topology file
     solve  run one constrained path query and print the result line
-    run    execute an experiment config and write its CSV (and optional
-           plot-data series)
+    run    execute a steering or VNE sweep config and write its CSV (and
+           optional plot-data series)
 
 Exit codes: 2 flag/config errors, 3 parse or generation failures,
-4 no-path outcomes, 5 runtime failures. ``run`` fails with the codes ``solve``
-uses; its solve-scenario lines keep ``micros=`` empty, so reruns are identical.
+4 no-path outcomes, 5 runtime failures.
 """
 
 import argparse
@@ -148,34 +147,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _answer_query(g, src, dst, bounds, backend: str, strict=True, timed=False):
-    """Answer one query given as text (node ids or labels, bound literals such
-    as ``link 0 >= 5``, a backend token): ``(exit code, result line)`` for
-    codes 0 and 4, ``(exit code, error message)`` for any other code."""
-    try:
-        c = replace(parse_constraints(bounds), strict=strict)
-        src, dst = _resolve_node(g, src), _resolve_node(g, dst)
-        c.validate_arity(g.link_arity, g.path_arity)
-    except (ValueError, ArityMismatchError) as exc:
-        return EXIT_PARSE, str(exc)
-    try:
-        solver = resolve_backend(backend)
-    except UnknownBackendError as exc:
-        return EXIT_FLAGS, str(exc)
-    t0 = time.perf_counter()
-    try:
-        result, code = solver(g, src, dst, c), 0
-    except NoPathError as exc:
-        result, code = exc, EXIT_NOPATH
-    except ValueError as exc:
-        # the backend rejects the query's shape, e.g. nm-l1 without one path bound
-        return EXIT_FLAGS, str(exc)
-    except VpembedError as exc:
-        return EXIT_RUNTIME, str(exc)
-    micros = (time.perf_counter() - t0) * 1e6 if timed else None
-    return code, format_result_line(result, micros=micros, labels=g.label_of)
-
-
 def _topology_error(path, exc) -> str:
     return str(exc) if isinstance(exc, OSError) else f"{path}: {exc}"
 
@@ -187,13 +158,32 @@ def cmd_solve(args) -> int:
         print(f"vpembed solve: {_topology_error(args.topology, exc)}", file=sys.stderr)
         return EXIT_PARSE
     bounds = [f"link {entry}" for entry in args.link] + [f"path {entry}" for entry in args.path]
-    code, text = _answer_query(
-        g, args.src, args.dst, bounds, args.backend, strict=not args.non_strict, timed=True
-    )
-    if code in (0, EXIT_NOPATH):
-        print(text)
-    else:
-        print(f"vpembed solve: {text}", file=sys.stderr)
+    try:
+        c = replace(parse_constraints(bounds), strict=not args.non_strict)
+        src, dst = _resolve_node(g, args.src), _resolve_node(g, args.dst)
+        c.validate_arity(g.link_arity, g.path_arity)
+    except (ValueError, ArityMismatchError) as exc:
+        print(f"vpembed solve: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    try:
+        solver = resolve_backend(args.backend)
+    except UnknownBackendError as exc:
+        print(f"vpembed solve: {exc}", file=sys.stderr)
+        return EXIT_FLAGS
+    t0 = time.perf_counter()
+    try:
+        result, code = solver(g, src, dst, c), 0
+    except NoPathError as exc:
+        result, code = exc, EXIT_NOPATH
+    except ValueError as exc:
+        # the backend rejects the query's shape, e.g. nm-l1 without one path bound
+        print(f"vpembed solve: {exc}", file=sys.stderr)
+        return EXIT_FLAGS
+    except VpembedError as exc:
+        print(f"vpembed solve: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    micros = (time.perf_counter() - t0) * 1e6
+    print(format_result_line(result, micros=micros, labels=g.label_of))
     return code
 
 
@@ -215,17 +205,8 @@ def cmd_run(args) -> int:
     if problem is not None:
         print(f"vpembed run: {problem}", file=sys.stderr)
         return EXIT_FLAGS
-    if cfg.scale == "paper":
-        print(
-            f"vpembed run: paper scale selected ({cfg.effective_nodes()} nodes); "
-            "expect a long runtime",
-            file=sys.stderr,
-        )
     try:
-        if cfg.scenario == "solve":
-            g = topofile.load(cfg.topology)
-        else:
-            rows = harness.sweep(cfg, jobs=args.jobs)
+        rows = harness.sweep(cfg, jobs=args.jobs)
     except (OSError, TopologyParseError, ArityMismatchError) as exc:
         print(f"vpembed run: {_topology_error(cfg.topology, exc)}", file=sys.stderr)
         return EXIT_PARSE
@@ -238,18 +219,6 @@ def cmd_run(args) -> int:
     except VpembedError as exc:
         print(f"vpembed run: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    if cfg.scenario == "solve":
-        lines = []
-        for backend in cfg.backends:
-            code, text = _answer_query(g, cfg.src, cfg.dst, cfg.constraints, backend)
-            if code not in (0, EXIT_NOPATH):
-                print(f"vpembed run: {text}", file=sys.stderr)
-                return code
-            lines.append(text)
-        with open(output, "w", encoding="utf-8") as f:
-            f.write("\n".join(lines) + "\n")
-        print(f"{len(lines)} result lines -> {output}")
-        return 0
     with open(output, "w", encoding="utf-8") as f:
         f.write(harness.rows_to_csv(rows))
     print(f"{len(rows)} rows -> {output}")

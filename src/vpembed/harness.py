@@ -4,10 +4,10 @@ Both drivers embed constrained virtual links onto a shared substrate through
 a pluggable solver backend and account for every reservation on a
 ResidualOverlay. A virtual link is one query in both, ``link 0 >= bw`` plus
 ``path 0 < delay``, and consumes its link bounds on every edge of its path.
-Sweeps expand a declarative ExperimentConfig into a grid of
-independent cells (one CSV row each); cells are deterministic functions of
-their parameters, so reruns produce byte-identical output. Wall-clock
-measurement is opt-in (measure_time) because timing is inherently
+Sweeps expand a declarative ExperimentConfig, a steering or a VNE scenario,
+into a grid of independent cells (one CSV row each); cells are deterministic
+functions of their parameters, so reruns produce byte-identical output.
+Wall-clock measurement is opt-in (measure_time) because timing is inherently
 non-reproducible; with it off the timing column stays empty.
 """
 
@@ -321,12 +321,15 @@ def build_vn_requests(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative sweep document (see parse_config); a bad entry raises
-    ConfigError: an empty grid axis, a non-finite number, a count below its
-    minimum (pairs, requests >= 1; nodes, request_nodes >= 2), a
-    non-positive degree, demand_max, vne_cpu or vne_bw, a model outside
-    topogen.MODELS, or, when the graphs are generated (without a topology
-    file), a negative seed or a degree the generator's GenSpec refuses."""
+    """Declarative sweep document (see parse_config). Generated graphs have
+    ``nodes`` nodes, by default 1000 for steering and 100 for vne; the
+    paper's setting is 10000 nodes and 1000 pairs. A bad entry raises ConfigError: a
+    scenario other than steering or vne, an empty grid axis, a non-finite
+    number, a count below its minimum (pairs, requests >= 1; nodes,
+    request_nodes >= 2), a non-positive degree, demand_max, vne_cpu or
+    vne_bw, a model outside topogen.MODELS, or, when the graphs are
+    generated (without a topology file), a negative seed or a degree the
+    generator's GenSpec refuses."""
 
     scenario: str
     model: str = "waxman"
@@ -338,30 +341,21 @@ class ExperimentConfig:
     delay_percents: tuple[float, ...] | None = None
     backends: tuple[str, ...] = ("nm-l1",)
     seeds: tuple[int, ...] = (1,)
-    pairs: int | None = None
+    pairs: int = 100
     requests: int = 15
     request_nodes: int = 14
     demand_max: float = 20.0
     vne_cpu: float = 200.0
     vne_bw: float = 200.0
-    scale: str = "desk"
     measure_time: bool = False
     output: str | None = None
-    src: int | None = None
-    dst: int | None = None
-    constraints: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.scenario not in ("vne", "steering", "solve"):
+        if self.scenario not in ("vne", "steering"):
             raise ConfigError(f"unknown scenario {self.scenario!r}", key="scenario")
-        if self.scenario == "solve":
-            if not self.topology or self.src is None or self.dst is None:
-                raise ConfigError("solve scenario needs topology, src and dst", key="scenario")
-        if self.scale not in ("desk", "paper"):
-            raise ConfigError(f"scale must be desk or paper, got {self.scale!r}", key="scale")
         for f in fields(self):
             value = getattr(self, f.name)
-            if value == () and f.name != "constraints":
+            if value == ():
                 raise ConfigError(f"{f.name} is empty", key=f.name)
             for v in value if isinstance(value, tuple) else (value,):
                 if isinstance(v, float) and not math.isfinite(v):
@@ -405,14 +399,7 @@ class ExperimentConfig:
     def effective_nodes(self) -> int:
         if self.nodes is not None:
             return self.nodes
-        if self.scenario == "vne":
-            return 100
-        return 10_000 if self.scale == "paper" else 1_000
-
-    def effective_pairs(self) -> int:
-        if self.pairs is not None:
-            return self.pairs
-        return 1_000 if self.scale == "paper" else 100
+        return 100 if self.scenario == "vne" else 1_000
 
 
 @dataclass(frozen=True)
@@ -480,7 +467,7 @@ def _run_cell(cfg: ExperimentConfig, cell: _Cell, g: PhysicalGraph) -> dict:
         c = constraints_from_percent(g, cell.bw_level, cell.delay[1])
         report = run_steering(
             g,
-            cfg.effective_pairs(),
+            cfg.pairs,
             c,
             cell.backend,
             cell.seed,
@@ -503,10 +490,9 @@ def _run_task(cfg: ExperimentConfig, cells: list[tuple[int, _Cell]]) -> list[tup
     g = _cell_graph(cfg, cells[0][1])
     # every cell routes under bounds on link metric 0 and path metric 0
     ConstraintSet(((0, 0.0),), ((0, math.inf),)).validate_arity(g.link_arity, g.path_arity)
-    pairs = cfg.effective_pairs()
-    if cfg.scenario != "vne" and pairs > g.node_count * (g.node_count - 1):
+    if cfg.scenario != "vne" and cfg.pairs > g.node_count * (g.node_count - 1):
         raise ConfigError(
-            f"cannot draw {pairs} distinct pairs from {g.node_count} nodes", key="pairs"
+            f"cannot draw {cfg.pairs} distinct pairs from {g.node_count} nodes", key="pairs"
         )
     return [(i, _run_cell(cfg, cell, g)) for i, cell in cells]
 
@@ -563,7 +549,7 @@ def _bool(text: str) -> bool:
     return text.lower() == "true"
 
 
-# the converter of every key; "constraint" may repeat and fills `constraints`
+# the converter of every key, one per ExperimentConfig field
 _CONFIG_KEYS = {
     "scenario": str,
     "model": str,
@@ -581,12 +567,8 @@ _CONFIG_KEYS = {
     "demand_max": float,
     "vne_cpu": float,
     "vne_bw": float,
-    "scale": str,
     "measure_time": _bool,
     "output": str,
-    "src": int,
-    "dst": int,
-    "constraint": str,
 }
 
 
@@ -594,11 +576,10 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat key/value experiment document.
 
     One ``key = value`` entry per line; '#' starts a comment; list values
-    are whitespace- or comma-separated; ``constraint`` may repeat, one bound
-    literal per occurrence. Unknown keys are rejected.
+    are whitespace- or comma-separated. Unknown and repeated keys are
+    rejected.
     """
     values: dict = {}
-    constraints: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -609,16 +590,12 @@ def parse_config(text: str) -> ExperimentConfig:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}", key=key)
+        if key in values:
+            raise ConfigError(f"line {lineno}: repeated key {key!r}", key=key)
         try:
-            value = _CONFIG_KEYS[key](value.strip())
+            values[key] = _CONFIG_KEYS[key](value.strip())
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}", key=key) from exc
-        if key == "constraint":
-            constraints.append(value)
-        else:
-            values[key] = value
-    if constraints:
-        values["constraints"] = tuple(constraints)
     if "scenario" not in values:
         raise ConfigError("missing required key 'scenario'", key="scenario")
     return ExperimentConfig(**values)

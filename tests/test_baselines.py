@@ -388,27 +388,35 @@ def test_an_infinite_path_bound_gets_the_oracle_verdict_from_every_solver(strict
     # under "<= inf" a +inf sum is feasible and only a NaN sum is not; under
     # "< inf" both are rejected. nm-l1's sweep offers a +inf sum only under
     # "<= inf", and edijkstra's Dijkstra never does, so both must still
-    # agree with the oracle. nm-l1 answers by its own sweep: it never calls
-    # nm-general's search or the candidate enumerator
-    l1_calls = {"_search_general": 0, "_iter_fixed_length_paths": 0}
-    in_l1 = [False]
-    for name in l1_calls:
-        original = getattr(neighborhoods, name)
+    # agree with the oracle. Both stay polynomial: nm-l1 answers by its own
+    # sweep, and edijkstra hands a route with no finite sum to that sweep, so
+    # neither calls nm-general's search or the candidate enumerator
+    polynomial = ("nm-l1", "edijkstra")
+    calls = {(solver, name): 0 for solver in polynomial
+             for name in ("_search_general", "_iter_fixed_length_paths")}
+    running = [None]
+    for module in (neighborhoods, baselines):
+        for name in ("_search_general", "_iter_fixed_length_paths"):
+            if not hasattr(module, name):
+                continue
+            original = getattr(module, name)
 
-        def counting(*args, _name=name, _original=original):
-            l1_calls[_name] += in_l1[0]
-            return _original(*args)
+            def counting(*args, _name=name, _original=original):
+                if running[0] is not None:
+                    calls[running[0], _name] += 1
+                return _original(*args)
 
-        monkeypatch.setattr(neighborhoods, name, counting)
+            monkeypatch.setattr(module, name, counting)
 
-    def l1(g, src, dst, c):
-        in_l1[0] = True
-        try:
-            return solve_l1(g, src, dst, c)
-        finally:
-            in_l1[0] = False
+    for solver in polynomial:
+        def tracked(g, src, dst, c, _solver=solver, _original=INF_BOUND_SOLVERS[solver]):
+            running[0] = _solver
+            try:
+                return _original(g, src, dst, c)
+            finally:
+                running[0] = None
 
-    monkeypatch.setitem(INF_BOUND_SOLVERS, "nm-l1", l1)
+        monkeypatch.setitem(INF_BOUND_SOLVERS, solver, tracked)
     c = ConstraintSet((), ((0, math.inf),), strict=strict)
     direct = [(0, 1, E((5.0,), (1.0,))), (1, 2, E((5.0,), (1.0,))), (0, 2, E((5.0,), (math.inf,)))]
     assert _inf_bound_outcomes(3, direct, 0, 2, c) == (2 if strict else 1)
@@ -429,7 +437,7 @@ def test_an_infinite_path_bound_gets_the_oracle_verdict_from_every_solver(strict
         hops = _inf_bound_outcomes(_g.node_count, edges, src, dst, bound)
         seen.add("no path" if hops is None else "ok")
     assert seen == {"ok", "no path"}
-    assert l1_calls == {"_search_general": 0, "_iter_fixed_length_paths": 0}
+    assert calls == dict.fromkeys(calls, 0)
 
 
 # --- k shortest paths ------------------------------------------------------

@@ -222,11 +222,15 @@ def test_solve_unknown_backend_exit_2(fig_top, capsys):
         (["--dst", "3", "--link", "0 >= nan", "--path", "0 < 5"], 3),
         (["--dst", "3", "--path", "0 < nan"], 3),
         (["--dst", "3", "--link", "3 >= 1"], 3),  # the topology has one link metric
+        (["--dst", "3", "--path", "bogus"], 3),
+        # the last --topology wins, so this names a file that does not exist
+        (["--dst", "3", "--topology", "{missing}"], 3),
     ],
     ids=["l1-without-path", "node-out-of-range", "duplicate-path-bound", "nan-link-bound",
-         "nan-path-bound", "bound-beyond-arity"],
+         "nan-path-bound", "bound-beyond-arity", "bad-bound-literal", "missing-topology"],
 )
-def test_solve_bad_query_is_one_line_error(fig_top, extra, code):
+def test_solve_bad_query_is_one_line_error(tmp_path, fig_top, extra, code):
+    extra = [arg.format(missing=tmp_path / "none.top") for arg in extra]
     proc = _cli("solve", "--topology", fig_top, "--src", "0", *extra)
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
@@ -324,36 +328,6 @@ def test_run_bad_config_exit_2(tmp_path, capsys):
     assert "wibble" in capsys.readouterr().err
 
 
-def test_run_paper_scale_accepted_with_warning(tmp_path, capsys):
-    cfg = tmp_path / "exp.cfg"
-    # explicit tiny sizes keep the run fast; the scale flag alone triggers
-    # the long-runtime warning
-    cfg.write_text(
-        "scenario = steering\nnodes = 50\npairs = 3\ndegrees = 4\n"
-        "bw_levels = low\ndelay_levels = high\nbackends = nm-l1\nseeds = 1\n"
-        "scale = paper\n"
-    )
-    assert main(["run", str(cfg), "-o", str(tmp_path / "out.csv")]) == 0
-    assert "long runtime" in capsys.readouterr().err
-
-
-def test_run_solve_scenario(tmp_path, fig_top):
-    cfg = tmp_path / "solve.cfg"
-    out = tmp_path / "lines.txt"
-    cfg.write_text(
-        f"scenario = solve\ntopology = {fig_top}\nsrc = 0\ndst = 3\n"
-        "backends = nm-general nm-l1 edijkstra ksp:1\n"
-        "constraint = link 0 >= 5\nconstraint = path 0 < 5\n"
-        f"output = {out}\n"
-    )
-    assert main(["run", str(cfg)]) == 0
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == 4
-    assert lines[0].startswith("status=ok hops=3 path=X,B,A,Y")
-    assert lines[3].startswith("status=infeasible")
-
-
-SOLVE_CFG = "scenario = solve\ntopology = {top}\nsrc = 0\n"
 BAD_TOP = "nodes 2 link_metrics 1 path_metrics 1\nedge 0 1 5\n"
 # sweep cells bound link metric 0 and path metric 0; these files lack one
 NOPATH_TOP = "nodes 3 link_metrics 1 path_metrics 0\nedge 0 1 5\nedge 1 2 5\nedge 2 0 5\n"
@@ -363,12 +337,6 @@ NOLINK_TOP = "nodes 3 link_metrics 0 path_metrics 1\nedge 0 1 1\nedge 1 2 1\nedg
 @pytest.mark.parametrize(
     "body, jobs, code",
     [
-        (SOLVE_CFG + "dst = 9\n", 1, 3),  # node id outside the 4-node topology
-        # nm-general answers, then nm-l1 without a path bound stops the run
-        (SOLVE_CFG + "dst = 3\nbackends = nm-general nm-l1\nconstraint = link 0 >= 5\n", 1, 2),
-        (SOLVE_CFG + "dst = 3\nconstraint = bogus\n", 1, 3),
-        (SOLVE_CFG + "dst = 3\nbackends = nm-general\nconstraint = link 3 >= 1\n", 1, 3),
-        ("scenario = solve\ntopology = {missing}\nsrc = 0\ndst = 3\n", 1, 3),
         ("scenario = steering\ntopology = {missing}\n", 1, 3),
         # two cells at --jobs 2: the parse error comes back from a worker process
         ("scenario = steering\ntopology = {bad}\nseeds = 1 2\n", 2, 3),
@@ -388,11 +356,9 @@ NOLINK_TOP = "nodes 3 link_metrics 0 path_metrics 1\nedge 0 1 1\nedge 1 2 1\nedg
         ("scenario = vne\ntopology = {nopath}\nrequests = 2\nrequest_nodes = 2\n"
          "seeds = 1 2\n", 2, 3),
     ],
-    ids=["solve-node-out-of-range", "solve-l1-without-path", "solve-bad-constraint",
-         "solve-bound-beyond-arity", "solve-missing-topology", "steering-missing-topology",
-         "steering-unparsable-topology-jobs-2", "nan-degree", "inf-delay-percent",
-         "negative-pairs", "zero-nodes", "negative-demand-max", "empty-seeds",
-         "empty-backends", "too-many-pairs", "too-many-pairs-jobs-2",
+    ids=["steering-missing-topology", "steering-unparsable-topology-jobs-2", "nan-degree",
+         "inf-delay-percent", "negative-pairs", "zero-nodes", "negative-demand-max",
+         "empty-seeds", "empty-backends", "too-many-pairs", "too-many-pairs-jobs-2",
          "steering-no-path-metric", "steering-no-link-metric-jobs-2",
          "vne-no-link-metric", "vne-no-path-metric-jobs-2"],
 )

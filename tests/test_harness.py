@@ -543,12 +543,13 @@ def test_parse_config_round_trip():
     assert cfg.seeds == (1, 2, 3)
 
 
-def test_parse_config_rejects_unknown_key():
-    from vpembed import ConfigError
-
-    with pytest.raises(ConfigError) as err:
-        parse_config("scenario = steering\nbogus_key = 1\n")
-    assert err.value.key == "bogus_key"
+# sizes are set by nodes and pairs alone, and single queries are asked by
+# `vpembed solve`, so scale, src, dst and constraint are unknown keys too
+@pytest.mark.parametrize("key", ["bogus_key", "scale", "src", "dst", "constraint"])
+def test_parse_config_rejects_unknown_key(key):
+    with pytest.raises(ConfigError, match="unknown key") as err:
+        parse_config(f"scenario = steering\n{key} = 1\n")
+    assert err.value.key == key
 
 
 def test_parse_config_has_no_plotdata_key():
@@ -569,22 +570,20 @@ def test_parse_config_validates_enums():
         parse_config("scenario = steering\nbw_levels = enormous\n")
 
 
-def test_scale_defaults():
-    cfg = parse_config("scenario = steering\nscale = paper\n")
-    assert cfg.effective_nodes() == 10_000
-    assert cfg.effective_pairs() == 1_000
+def test_size_defaults():
     cfg = parse_config("scenario = steering\n")
     assert cfg.effective_nodes() == 1_000
-    assert cfg.effective_pairs() == 100
+    assert cfg.pairs == 100
+    assert parse_config("scenario = vne\n").effective_nodes() == 100
 
 
 def test_config_checks_itself_when_built():
     # a directly built config is checked like a parsed one
     with pytest.raises(ConfigError) as err:
-        ExperimentConfig(scenario="steering", scale="huge")
-    assert err.value.key == "scale"
+        ExperimentConfig(scenario="steering", pairs=0)
+    assert err.value.key == "pairs"
     with pytest.raises(ConfigError) as err:
-        ExperimentConfig(scenario="solve", src=0, dst=1)
+        ExperimentConfig(scenario="solve")
     assert err.value.key == "scenario"
 
 
@@ -618,6 +617,7 @@ def test_parse_config_rejects_non_finite_numbers(text, key):
         ("backends = ,", "backends"),
         ("degrees =", "degrees"),
         ("delay_percents =", "delay_percents"),
+        ("nodes = 10\nnodes = 20", "nodes"),
     ],
 )
 def test_parse_config_rejects_out_of_range_values_and_empty_axes(text, key):
@@ -644,12 +644,10 @@ def _holds(value, kind) -> bool:
 
 
 def test_config_table_covers_every_field_with_its_type():
-    # `constraint` repeats, one bound literal per line, and fills
-    # `constraints`; every other field has a key of its own name
-    table = dict(harness._CONFIG_KEYS)
-    assert table.pop("constraint")("link 0 >= 1") == "link 0 >= 1"
+    # every field has a key of its own name
+    table = harness._CONFIG_KEYS
     kinds = {f.name: f.type for f in fields(ExperimentConfig)}
-    assert set(table) == set(kinds) - {"constraints"}
+    assert set(table) == set(kinds)
     for key, convert in table.items():
         converted = []
         for text in ("1", "true"):
