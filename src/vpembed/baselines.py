@@ -22,7 +22,9 @@ from .neighborhoods import (
     _check_query,
     _floor_to,
     _hop_distances_to,
+    _hop_horizon,
     _iter_fixed_length_paths,
+    _kept_floor,
     _no_path,
     _search_l1,
     _usable_mask,
@@ -118,12 +120,18 @@ def _search_edijkstra(g, src: int, dst: int, c: ConstraintSet, usable: bytearray
     answer passes through (a smaller sum continues at least as well), so
     every path, tie-break and verdict is the plain Dijkstra's.
 
-    A src with an infinite floor skips both passes. A floor stopped at a
-    settled node caps every entry at that node's finite sum, so an infinite
-    entry comes from a completed reverse search that found no finite-sum
-    route from src; the floor's mask has only lost bits since. The verdict
-    is then :func:`_no_path`'s, or nm-l1's sweep under a non-strict infinite
-    bound."""
+    Three checks can give the verdict with no pass. A dst with no usable
+    in-edge gets :func:`_no_path`'s. A floor kept from an earlier query
+    was built on a mask that has lost bits since, so dst may be cut off
+    from src even where the floor is finite: such a query first takes the
+    hop horizon (:func:`_hop_horizon`) and stops at an infinite entry for
+    src. A floor this query builds needs no such check, since it is finite
+    at src only when a route exists. A src with an infinite floor skips
+    both passes. A floor stopped at a settled node caps every entry at that
+    node's finite sum, so an infinite entry comes from a completed reverse
+    search that found no finite-sum route from src; the floor's mask has
+    only lost bits since. The verdict is then :func:`_no_path`'s, or
+    nm-l1's sweep under a non-strict infinite bound."""
     n = g.node_count
     p_idx, p_bound = c.path_bounds[0]
     wcol = g.path_cols[p_idx]
@@ -132,8 +140,16 @@ def _search_edijkstra(g, src: int, dst: int, c: ConstraintSet, usable: bytearray
             if w < 0 and usable[e]:
                 raise NegativeMetricError(f"edge {e} has negative path metric {w}")
 
+    if not any(usable[e] for _u, e in g.in_adjacency[dst]):
+        raise _no_path(g, src, dst, usable)
+    floor = _kept_floor(g, p_idx, dst, usable)
+    if floor is None:
+        floor = _floor_to(g, p_idx, dst, src, usable)
+    else:
+        to_dst = _hop_horizon(g, src, dst, usable)
+        if to_dst[src] == math.inf:
+            raise _no_path(g, src, dst, usable, to_dst)
     adj = g.adjacency
-    floor = _floor_to(g, p_idx, dst, src, usable)
     reach = math.inf
     if floor[src] < math.inf:
         reach = _guided_sum(adj, wcol, usable, floor, src, dst)

@@ -196,20 +196,28 @@ def _floor_to(g, p_idx: int, dst: int, src: int, usable: bytearray) -> list[floa
 
     The floor is kept as the memo's fourth entry under (p_idx, dst) and
     returned to any later query towards dst, from any src, while the mask's
-    bits only clear; :func:`_refresh_mask` drops it when one is set, and it
-    goes with the memo when the link bounds change. A memo that no longer
-    holds usable, replaced by a query under other bounds, neither gives
-    nor keeps a floor."""
-    memo = g.mask_memo
-    ours = memo is not None and memo[1] is usable
-    kept = memo[3] if ours else None
-    key = (p_idx, dst)
-    if kept is not None and kept[0] == key:
-        return kept[1]
+    bits only clear (:func:`_kept_floor`); :func:`_refresh_mask` drops it
+    when one is set, and it goes with the memo when the link bounds change.
+    A memo that no longer holds usable, replaced by a query under other
+    bounds, neither gives nor keeps a floor."""
+    floor = _kept_floor(g, p_idx, dst, usable)
+    if floor is not None:
+        return floor
     floor = _min_sums_to(g, dst, g.path_cols[p_idx], usable, src)
-    if ours:
-        memo[3] = (key, floor)
+    memo = g.mask_memo
+    if memo is not None and memo[1] is usable:
+        memo[3] = ((p_idx, dst), floor)
     return floor
+
+
+def _kept_floor(g, p_idx: int, dst: int, usable: bytearray) -> list[float] | None:
+    """The delay floor of path metric p_idx towards dst that an earlier
+    query kept in g's memo of the mask usable, or None."""
+    memo = g.mask_memo
+    if memo is None or memo[1] is not usable or memo[3] is None:
+        return None
+    key, floor = memo[3]
+    return floor if key == (p_idx, dst) else None
 
 
 def _hop_distances_to(g, dst: int, usable: bytearray) -> list[int | float]:

@@ -7,6 +7,11 @@ arriving node. Undirected links are emitted as two directed edges with
 equal metrics. Identical GenSpec (including seed) yields a bit-identical
 graph.
 
+Memory is linear in the node count plus the link target: the Waxman draw
+streams the n(n-1)/2 candidate pairs in blocks of whole rows, drawing each
+block's uniforms as it goes, and bridging ranks cross pairs a block at a
+time (:func:`_waxman_pairs`, :func:`_bridge_components`).
+
 numpy is imported inside the two functions that call it, not here:
 reading a topology file or answering a query never needs it, and its
 import costs a one-query process more than the rest of the package.
@@ -27,6 +32,14 @@ BW_LEVEL_GBPS = {"low": 1.0, "med": 4.0, "high": 7.0}
 DELAY_LEVEL_FACTOR = {"high": 4.0, "med": 2.5, "low": 0.8}
 
 MAX_CONNECT_RETRIES = 32
+
+# Pairs per row block of the Waxman draw (at least; see _row_blocks), read
+# at call time: any graph of up to 256 nodes is drawn in one block.
+PAIR_BLOCK = 2**15
+
+# Relative margin above a block's numpy.hypot minimum within which bridging
+# re-checks a pair with math.hypot; the two differ by a few ulps at most.
+HYPOT_MARGIN = 2.0**-40
 
 # the generator models, as GenSpec.model and `vpembed gen --model` name them
 MODELS = ("waxman", "barabasi_albert")
@@ -136,34 +149,95 @@ def _components(n: int, pairs) -> list[list[int]]:
     return list(groups.values())
 
 
-def _waxman_pairs(n, coords, uniform, beta, alpha, target):
-    """One Waxman draw. With a degree target, alpha is calibrated so the
-    realized link count hits round(target * n / 2) exactly: a pair joins
-    when uniform/scale < alpha, so the target-count order statistic of that
-    ratio IS the calibrated alpha (the closed form of bisecting on it)."""
+def _row_blocks(n: int, floor: int):
+    """(first, end) row ranges that split the upper triangle of an n-node
+    pair matrix into runs of whole rows, each holding at least floor pairs
+    except possibly the last; row i holds the n - 1 - i pairs (i, j > i)."""
+    if n * (n - 1) // 2 <= floor:
+        yield 0, n - 1  # the whole triangle, without a loop over its rows
+        return
+    first = 0
+    while first < n - 1:
+        end, size = first, 0
+        while end < n - 1 and size < floor:
+            size += n - 1 - end
+            end += 1
+        yield first, end
+        first = end
+
+
+def _waxman_pairs(n, coords, rng, beta, alpha, target):
+    """One Waxman draw: the chosen pairs (iu, iv) in triangle order (by u,
+    then v) with their plane distances d. With a degree target, alpha is
+    calibrated so the realized link count hits round(target * n / 2)
+    exactly: a pair joins when uniform/scale < alpha, so the target-count
+    order statistic of that ratio IS the calibrated alpha (the closed form
+    of bisecting on it).
+
+    The triangle is drawn and filtered in blocks of whole rows
+    (:func:`_row_blocks`, at least PAIR_BLOCK pairs each, read at call
+    time), so memory is O(block + target), not O(n**2). Each block takes
+    its uniforms with ``rng.random``; a PCG64 Generator fills a float64
+    array one 64-bit output per entry, so blockwise draws equal one draw of
+    the whole triangle. With a target, the want + 1 smallest (ratio, pair)
+    entries seen so far are carried from block to block; once that many
+    are carried, a block adds only its entries below the carried maximum.
+    An entry dropped either way is at least the carried maximum, which only
+    falls as blocks arrive, so it is at least the final order statistic
+    ``cut``: it is never chosen and never moves cut. Every ratio below cut,
+    and every ratio below 1 when cut exceeds 1, thus reaches the last
+    block, whatever the tie order."""
     import numpy as np
 
-    iu, iv = np.triu_indices(n, 1)
-    d = np.hypot(coords[iu, 0] - coords[iv, 0], coords[iu, 1] - coords[iv, 1])
-    scale = np.exp(-d / (beta * math.sqrt(2.0)))
-    if target is None:
-        chosen = uniform < alpha * scale
-    else:
+    total = n * (n - 1) // 2
+    if target is not None:
         want = round(target * n / 2)
-        if want < 1 or want >= len(d):
+        if want < 1 or want >= total:
             raise DegreeUnreachableError(f"degree {target} out of range for {n} nodes")
-        ratio = uniform / scale
-        cut = float(np.partition(ratio, want)[want])
-        if cut > 1.0:
-            # alpha is capped at 1; acceptable only if still within 10%
-            count = int((ratio < 1.0).sum())
-            if count < math.ceil(0.9 * target * n / 2):
-                raise DegreeUnreachableError(
-                    f"degree {target} unreachable: alpha=1 realizes only {2 * count / n:.2f}"
-                )
-            cut = 1.0
-        chosen = ratio < cut
-    return iu[chosen], iv[chosen], d[chosen]
+    blocks = list(_row_blocks(n, PAIR_BLOCK))
+    parts = []
+    kept = None
+    for first, end in blocks:
+        rows = np.arange(first, end)[:, None]
+        cols = np.arange(first + 1, n)
+        upper = cols > rows
+        iu = np.broadcast_to(rows, upper.shape)[upper]
+        iv = np.broadcast_to(cols, upper.shape)[upper]
+        d = np.hypot(coords[iu, 0] - coords[iv, 0], coords[iu, 1] - coords[iv, 1])
+        scale = np.exp(-d / (beta * math.sqrt(2.0)))
+        uniform = rng.random(len(d))
+        if target is None:
+            chosen = uniform < alpha * scale
+            parts.append((iu[chosen], iv[chosen], d[chosen]))
+            continue
+        block = (uniform / scale, iu, iv, d)
+        if kept is not None:
+            low = block[0] < top
+            block = tuple(np.concatenate((a, b[low])) for a, b in zip(kept, block))
+        if end < n - 1 and len(block[0]) > want + 1:
+            keep = np.argpartition(block[0], want)[: want + 1]
+            block = tuple(a[keep] for a in block)
+        kept = block
+        top = block[0].max() if len(block[0]) > want else math.inf
+    if target is None:
+        return tuple(np.concatenate(col) for col in zip(*parts))
+    ratio, iu, iv, d = kept
+    cut = float(np.partition(ratio, want)[want])
+    if cut > 1.0:
+        # alpha is capped at 1; acceptable only if still within 10%
+        count = int((ratio < 1.0).sum())
+        if count < math.ceil(0.9 * target * n / 2):
+            raise DegreeUnreachableError(
+                f"degree {target} unreachable: alpha=1 realizes only {2 * count / n:.2f}"
+            )
+        cut = 1.0
+    chosen = ratio < cut
+    iu, iv, d = iu[chosen], iv[chosen], d[chosen]
+    if len(blocks) > 1:
+        # carried entries come out of argpartition unordered
+        order = np.argsort(iu * n + iv)
+        iu, iv, d = iu[order], iv[order], d[order]
+    return iu, iv, d
 
 
 def _barabasi_pairs(n, m, rng):
@@ -199,9 +273,8 @@ def generate(spec: GenSpec) -> PhysicalGraph:
         rng = np.random.default_rng(spec.seed + 1_000_003 * attempt)
         coords = rng.random((n, 2))
         if spec.model == "waxman":
-            uniform = rng.random(n * (n - 1) // 2)
             iu, iv, dists = _waxman_pairs(
-                n, coords, uniform, spec.beta, spec.alpha, spec.target_avg_degree
+                n, coords, rng, spec.beta, spec.alpha, spec.target_avg_degree
             )
             pairs = list(zip(iu.tolist(), iv.tolist()))
             pair_dist = dists.tolist()
@@ -257,16 +330,34 @@ def generate(spec: GenSpec) -> PhysicalGraph:
 def _bridge_components(comps, coords, pairs, pair_dist):
     """Attach every secondary component to the largest one with the
     minimum-distance cross pair; bridge links carry median metrics via the
-    caller's draw order (they are appended to the pair list)."""
+    caller's draw order (they are appended to the pair list).
+
+    The pair is the first strict minimum of math.hypot over core x other,
+    core nodes outer and other nodes inner, core growing by each attached
+    component. numpy's hypot ranks the pairs first, a block of whole core
+    rows at a time (PAIR_BLOCK entries or more); math.hypot then re-checks
+    only those within HYPOT_MARGIN of their block's numpy minimum. Both
+    round to within an ulp or so of the true distance, so every pair at the
+    math.hypot minimum is among them."""
+    import numpy as np
+
     comps = sorted(comps, key=len, reverse=True)
     core = list(comps[0])
     pairs = list(pairs)
     pair_dist = list(pair_dist)
     for other in comps[1:]:
+        at = np.array(core)
+        ox = coords[other, 0]
+        oy = coords[other, 1]
+        step = max(1, PAIR_BLOCK // len(other))
         best = None
-        for a in core:
-            ax, ay = coords[a]
-            for b in other:
+        for lo in range(0, len(core), step):
+            rows = at[lo : lo + step]
+            dd = np.hypot(coords[rows, 0, None] - ox, coords[rows, 1, None] - oy)
+            near_a, near_b = np.nonzero(dd <= dd.min() * (1 + HYPOT_MARGIN))
+            for i, j in zip(near_a.tolist(), near_b.tolist()):
+                a, b = core[lo + i], other[j]
+                ax, ay = coords[a]
                 d = math.hypot(ax - coords[b, 0], ay - coords[b, 1])
                 if best is None or d < best[0]:
                     best = (d, min(a, b), max(a, b))

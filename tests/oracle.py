@@ -1,7 +1,9 @@
 """Reference implementations, independent of the library's search code.
 Most are brute force, deliberately dumb: plain recursion over raw edge
 lists. edijkstra_reference keeps the plain Dijkstra that solve_edijkstra's
-guided search must match answer for answer."""
+guided search must match answer for answer; waxman_pairs_reference and
+bridge_components_reference keep the one-shot Waxman draw and the plain
+bridging loop that topogen's blockwise versions must match bit for bit."""
 
 import math
 
@@ -167,3 +169,56 @@ def edijkstra_reference(g, src, dst, c, usable):
     nodes.reverse()
     edges.reverse()
     return path_from_edges(g, nodes, edges)
+
+
+def waxman_pairs_reference(n, coords, uniform, beta, alpha, target):
+    """topogen._waxman_pairs as one draw of the whole upper triangle:
+    uniform holds one value per pair in triangle order. Returns the chosen
+    (iu, iv, d) arrays or raises DegreeUnreachableError as topogen does."""
+    import numpy as np
+
+    from vpembed import DegreeUnreachableError
+
+    iu, iv = np.triu_indices(n, 1)
+    d = np.hypot(coords[iu, 0] - coords[iv, 0], coords[iu, 1] - coords[iv, 1])
+    scale = np.exp(-d / (beta * math.sqrt(2.0)))
+    if target is None:
+        chosen = uniform < alpha * scale
+    else:
+        want = round(target * n / 2)
+        if want < 1 or want >= len(d):
+            raise DegreeUnreachableError(f"degree {target} out of range for {n} nodes")
+        ratio = uniform / scale
+        cut = float(np.partition(ratio, want)[want])
+        if cut > 1.0:
+            count = int((ratio < 1.0).sum())
+            if count < math.ceil(0.9 * target * n / 2):
+                raise DegreeUnreachableError(
+                    f"degree {target} unreachable: alpha=1 realizes only {2 * count / n:.2f}"
+                )
+            cut = 1.0
+        chosen = ratio < cut
+    return iu[chosen], iv[chosen], d[chosen]
+
+
+def bridge_components_reference(comps, coords, pairs, pair_dist):
+    """topogen._bridge_components as a plain loop: each secondary component
+    (largest first) joins the core by the first strict minimum of
+    math.hypot over core x other, core nodes outer."""
+    comps = sorted(comps, key=len, reverse=True)
+    core = list(comps[0])
+    pairs = list(pairs)
+    pair_dist = list(pair_dist)
+    for other in comps[1:]:
+        best = None
+        for a in core:
+            ax, ay = coords[a]
+            for b in other:
+                d = math.hypot(ax - coords[b, 0], ay - coords[b, 1])
+                if best is None or d < best[0]:
+                    best = (d, min(a, b), max(a, b))
+        d, a, b = best
+        pairs.append((a, b))
+        pair_dist.append(d)
+        core.extend(other)
+    return pairs, pair_dist

@@ -341,6 +341,43 @@ def test_edijkstra_src_with_an_infinite_floor_runs_no_guided_pass(monkeypatch, v
     assert passes == []
 
 
+def test_edijkstra_kept_floor_after_dst_is_cut_off_runs_no_guided_pass(monkeypatch):
+    # 0->1->3 and 2->3: the first query keeps a floor finite at 0; a
+    # reservation then prunes 0->1, so dst still has usable in-edges but
+    # no route from 0. The re-solve reuses the kept floor and must get its
+    # verdict from the hop horizon, with no A* pass
+    passes = []
+    original = baselines._guided_sum
+
+    def counting(*args):
+        passes.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(baselines, "_guided_sum", counting)
+    edges = [
+        (0, 1, E((5.0,), (1.0,))),
+        (1, 3, E((5.0,), (1.0,))),
+        (2, 3, E((5.0,), (1.0,))),
+    ]
+    overlay = ResidualOverlay(build_graph(4, edges, [0.0] * 4))
+    c = ConstraintSet(((0, 3.0),), ((0, 10.0),))
+    assert solve_edijkstra(overlay, 0, 3, c).nodes == (0, 1, 3)
+    assert len(passes) == 1
+    kept = overlay.mask_memo[3]
+    assert kept[0] == (0, 3) and kept[1][0] == 2.0
+    overlay.reserve([0], (3.0,))
+    for strict, bound in ((True, 10.0), (False, math.inf)):
+        with pytest.raises(UnreachableError):
+            solve_edijkstra(overlay, 0, 3, ConstraintSet(((0, 3.0),), ((0, bound),), strict))
+    assert overlay.mask_memo[3] is kept
+    assert len(passes) == 1
+    # a dst with no usable in-edge is refused before any pass, too
+    overlay.reserve([1, 2], (3.0,))
+    with pytest.raises(UnreachableError):
+        solve_edijkstra(overlay, 2, 3, c)
+    assert len(passes) == 1
+
+
 # every solver, ksp with a k past any candidate count (so it is exact)
 INF_BOUND_SOLVERS = {
     "nm-l1": solve_l1,

@@ -1,6 +1,12 @@
+import math
+import struct
+import tracemalloc
+
+import numpy as np
 import pytest
 
-from vpembed import DegreeUnreachableError, GenSpec, build_graph, generate
+from oracle import bridge_components_reference, waxman_pairs_reference
+from vpembed import DegreeUnreachableError, GenSpec, build_graph, generate, topogen
 from vpembed.topogen import (
     DELAY_LEVEL_FACTOR,
     constraints_from_percent,
@@ -159,3 +165,96 @@ def test_constraints_from_percent():
     c = constraints_from_percent(g, "med", 250.0)
     assert c.link_bounds == ((0, 4.0),)
     assert abs(c.path_bounds[0][1] - 25.0) < 1e-9
+
+
+def _draw(f, *args):
+    try:
+        iu, iv, d = f(*args)
+    except DegreeUnreachableError as exc:
+        return "error", str(exc)
+    return "ok", iu.tolist(), iv.tolist(), d.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 37, 600, topogen.PAIR_BLOCK])
+def test_streamed_waxman_draw_matches_one_draw(monkeypatch, block):
+    # rows split across many blocks must choose the same pairs, in the same
+    # order, with the same distance bits as one draw of the whole triangle
+    monkeypatch.setattr(topogen, "PAIR_BLOCK", block)
+    branches = set()
+    for n in (2, 3, 17, 60, 130):
+        total = n * (n - 1) // 2
+        for seed in (0, 3, 8):
+            rng = np.random.default_rng(seed)
+            coords = rng.random((n, 2))
+            state = rng.bit_generator.state
+            uniform = rng.random(total)
+            iu, iv = np.triu_indices(n, 1)
+            scale = np.exp(-np.hypot(*(coords[iu] - coords[iv]).T) / (0.2 * math.sqrt(2.0)))
+            at_one = int((uniform < scale).sum())  # links alpha = 1 realizes
+            targets = {
+                None: "no target",
+                4.0: "target",
+                12.0: "target",
+                2.0 * (total - 1) / n: "all but one",
+                2.0 * total / n: "out of range",
+                2.0 * 1.05 * at_one / n: "alpha capped",
+                2.0 * 1.3 * at_one / n: "alpha unreachable",
+            }
+            for target, branch in targets.items():
+                rng.bit_generator.state = state
+                got = _draw(topogen._waxman_pairs, n, coords, rng, 0.2, 0.15, target)
+                want = _draw(waxman_pairs_reference, n, coords, uniform, 0.2, 0.15, target)
+                assert got == want, (n, seed, target)
+                kind = want[0]
+                if kind == "error":
+                    kind = "range" if "out of range" in want[1] else "alpha"
+                elif target is not None and len(want[1]) < round(target * n / 2):
+                    branch = "alpha capped"
+                branches.add((branch, kind))
+    assert {
+        ("no target", "ok"),
+        ("target", "ok"),
+        ("target", "alpha"),
+        ("out of range", "range"),
+        ("alpha capped", "ok"),
+        ("alpha unreachable", "alpha"),
+    } <= branches
+    # want == total - 1 passes the range check and reaches the order statistic
+    assert any(b == "all but one" and kind != "range" for b, kind in branches)
+
+
+@pytest.mark.parametrize("block", [1, 23, topogen.PAIR_BLOCK])
+def test_bridging_matches_the_plain_loop(monkeypatch, block):
+    # coordinates on a 6 x 6 grid repeat, so many cross pairs tie exactly;
+    # the first strict minimum in core-then-other order must win
+    monkeypatch.setattr(topogen, "PAIR_BLOCK", block)
+    rng = np.random.default_rng(5)
+    for trial in range(30):
+        n = int(rng.integers(2, 120))
+        if trial % 2:
+            coords = rng.integers(0, 6, (n, 2)) / 5.0
+        else:
+            coords = rng.random((n, 2))
+        label = rng.integers(0, int(rng.integers(2, 30)), n)
+        comps = [np.flatnonzero(label == k).tolist() for k in np.unique(label)]
+        if len(comps) < 2:
+            continue
+        got_pairs, got_dist = topogen._bridge_components(comps, coords, [(0, 1)], [0.5])
+        want_pairs, want_dist = bridge_components_reference(comps, coords, [(0, 1)], [0.5])
+        assert got_pairs == want_pairs
+        assert struct.pack(f"{len(got_dist)}d", *got_dist) == struct.pack(
+            f"{len(want_dist)}d", *want_dist
+        )
+
+
+def test_waxman_generation_memory_is_not_quadratic():
+    # one draw of the 2000-node triangle's ~2M pairs held ~100 MB of numpy
+    # buffers at once; the streamed draw holds a block and the carried pairs
+    generate(GenSpec(node_count=50, seed=0))  # lazy imports outside the trace
+    tracemalloc.start()
+    try:
+        generate(GenSpec(node_count=2000, target_avg_degree=4.0, seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
