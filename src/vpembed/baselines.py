@@ -64,9 +64,9 @@ def solve_edijkstra(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
     The search is guided by a delay floor towards dst, a reverse Dijkstra
     kept in the memo beside the mask and reused by every query to dst while
     mask bits only clear, as a steering run's re-solves of a pair do
-    (``neighborhoods._floor_to``). An A* pass on it finds the sum of some
-    route; the Dijkstra then skips the nodes no route of that sum passes
-    through (:func:`_search_edijkstra`), and answers as the unguided one.
+    (``neighborhoods._floor_to``). One A* pass on it stops once no label
+    left can reach dst within the least sum found there, and answers as the
+    unguided Dijkstra (:func:`_search_edijkstra`).
 
     Raises:
         UnreachableError: dst unreachable on the pruned graph.
@@ -82,43 +82,11 @@ def solve_edijkstra(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
     return _answer(g, src, dst, c, "edijkstra", _search_edijkstra)
 
 
-def _guided_sum(adj, wcol, usable: bytearray, floor: list[float], src: int, dst: int) -> float:
-    """Sum of the first usable src->dst route an A* search ordered by
-    dist + floor reaches, math.inf when no route has a finite sum. The
-    route is some usable one, not always a least one; only its sum is kept."""
-    dist = [math.inf] * len(adj)
-    dist[src] = 0.0
-    heap = [(floor[src], 0.0, src)]
-    while heap:
-        _, d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        if u == dst:
-            return d
-        for v, e in adj[u]:
-            if not usable[e]:
-                continue
-            nd = d + wcol[e]
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd + floor[v], nd, v))
-    return math.inf
-
-
 def _search_edijkstra(g, src: int, dst: int, c: ConstraintSet, usable: bytearray) -> PathResult:
-    """:func:`solve_edijkstra`'s search on the pruning mask usable, in two
-    passes guided by the memo's delay floor towards dst (a lower bound on
-    every node's least sum to dst, ``neighborhoods._floor_to``).
-
-    The first pass (:func:`_guided_sum`) takes the sum S of some usable
-    route. The second is the plain Dijkstra, popping in (sum, hops, node)
-    order, which skips an offer to v whose sum plus v's floor exceeds
-    S * (1 + 2**-30). Such a v lies on no route, through that offer, whose
-    folded sum is at most S: a k-hop fold's relative error is below
-    k * 2**-52, which the margin covers for fewer than 2**20 nodes. A label
-    with no such continuation is never the one that settles a node the
-    answer passes through (a smaller sum continues at least as well), so
-    every path, tie-break and verdict is the plain Dijkstra's.
+    """:func:`solve_edijkstra`'s search on the pruning mask usable, in one
+    A* pass (:func:`_guided_pass`) guided by the memo's delay floor towards
+    dst: a lower bound on every node's least sum to dst
+    (``neighborhoods._floor_to``).
 
     Three checks can give the verdict with no pass. A dst with no usable
     in-edge gets :func:`_no_path`'s. A floor kept from an earlier query
@@ -127,12 +95,63 @@ def _search_edijkstra(g, src: int, dst: int, c: ConstraintSet, usable: bytearray
     hop horizon (:func:`_hop_horizon`) and stops at an infinite entry for
     src. A floor this query builds needs no such check, since it is finite
     at src only when a route exists. A src with an infinite floor skips
-    both passes. A floor stopped at a settled node caps every entry at that
+    the pass. A floor stopped at a settled node caps every entry at that
     node's finite sum, so an infinite entry comes from a completed reverse
     search that found no finite-sum route from src; the floor's mask has
     only lost bits since. The verdict is then :func:`_no_path`'s, or
-    nm-l1's sweep under a non-strict infinite bound."""
-    n = g.node_count
+    nm-l1's sweep under a non-strict infinite bound, as it is when the
+    pass labels no route.
+
+    Why the pass answers as the plain Dijkstra. Order labels (sum, hops)
+    lexicographically, and extend one along an edge by folding the edge's
+    value into the sum and adding a hop; an extension is strictly larger
+    than the label it extends. The plain Dijkstra settles nodes in label
+    order, so the label L(v) it settles v with is the least extension,
+    over v's usable in-edges, of the labels their tails settle with, and
+    its chain is the lexicographically least among the tails that give
+    L(v), through the first such parallel edge. Since extensions strictly
+    increase, these equations have one solution, even where rounding lets
+    a larger sum extend to a label with fewer hops: at a node of least
+    label where two solutions differ, the smaller label extends a tail's
+    label on which both agree. The pass ends in a state that meets them on
+    every node the answer depends on:
+
+    - Every label is its pred's current label extended. When an offer
+      changes the label or chain of an expanded node, the nodes below it
+      in the pred tree are cleared and relabeled from the expanded nodes
+      outside it (:func:`_relabel_below`). So pred chains never loop, each
+      has as many nodes as its hop count (which :func:`_chain_precedes`
+      needs), and every sum folds a simple path, so it is not below L's.
+    - No offer that a node made in its last expansion and that passes the
+      final cap is beaten at the end: a cleared node is relabeled from
+      every expanded node, and the cap only falls. A labeled node other
+      than dst, which is never expanded, whose key (sum plus floor) is
+      within the final cap was expanded on its final label.
+    - The cap is the least sum an offer gave dst, times 1 + 2**-30. That
+      sum folds a route, so it is not below L(dst)'s sum S. Call v
+      relevant when some route from v to dst, folded onto L(v)'s sum,
+      ends at most at S. Then L(v) passes the cap, as the floor is a lower
+      bound and a k-hop fold's relative error is below k * 2**-52, which
+      the margin covers for fewer than 2**20 nodes. A tail whose extension
+      gives a relevant node its L sum is relevant too.
+
+    Suppose some relevant node ends below its L label, or some relevant v
+    with L(v) <= L(dst) ends above it or unlabeled, and take the one with
+    the least of its two labels. If L(v) is the lesser, v's pred under L is
+    relevant, below it and so holds its L label: its key is within the cap,
+    it was expanded, and its offer L(v) is not beaten. If v's label is the
+    lesser, its sum is L(v)'s, and its pred p is relevant and below it, so
+    p's label is not below L(p). If p's sum is L(p)'s, p's extension is
+    not below L(v); if it is larger, L(p) < L(dst), so p holds L(p). Each
+    case contradicts, so every relevant node up to L(dst), dst and its
+    chain included, ends on its L label, and by induction on L on its
+    chain.
+
+    With exact sums and a consistent floor, as the reverse Dijkstra's is,
+    the heap order (sum + floor, sum, hops) puts every tail that gives a
+    node its label before the node, so no node is expanded twice; only
+    rounding, or a floor that is not consistent, makes the pass relabel.
+    """
     p_idx, p_bound = c.path_bounds[0]
     wcol = g.path_cols[p_idx]
     if not g.path_nonneg[p_idx]:
@@ -149,10 +168,9 @@ def _search_edijkstra(g, src: int, dst: int, c: ConstraintSet, usable: bytearray
         to_dst = _hop_horizon(g, src, dst, usable)
         if to_dst[src] == math.inf:
             raise _no_path(g, src, dst, usable, to_dst)
-    adj = g.adjacency
     reach = math.inf
     if floor[src] < math.inf:
-        reach = _guided_sum(adj, wcol, usable, floor, src, dst)
+        reach, pred, pred_edge = _guided_pass(g, wcol, usable, floor, src, dst)
     if reach == math.inf:
         # no route has a finite sum: +inf and NaN metrics are never relaxed.
         # Under a non-strict infinite bound a +inf sum is still feasible,
@@ -160,45 +178,10 @@ def _search_edijkstra(g, src: int, dst: int, c: ConstraintSet, usable: bytearray
         if not c.strict and p_bound == math.inf:
             return _search_l1(g, src, dst, c, usable)
         raise _no_path(g, src, dst, usable)
-    cap = reach * (1 + 2**-30)
 
-    dist = [math.inf] * n
-    hops = [0] * n
-    pred = [-1] * n
-    pred_edge = [-1] * n
-    dist[src] = 0.0
-    heap = [(0.0, 0, src)]
-    settled = bytearray(n)
-    while heap:
-        d, h, u = heapq.heappop(heap)
-        if settled[u] or d != dist[u] or h != hops[u]:
-            continue
-        if u == dst:
-            break
-        settled[u] = 1
-        nh = h + 1
-        for v, e in adj[u]:
-            if not usable[e] or settled[v]:
-                continue
-            nd = d + wcol[e]
-            if not nd + floor[v] <= cap:
-                continue
-            dv = dist[v]
-            if nd < dv or (nd == dv and nh < hops[v]):
-                dist[v] = nd
-                hops[v] = nh
-                pred[v] = u
-                pred_edge[v] = e
-                heapq.heappush(heap, (nd, nh, v))
-            elif nd == dv and nh == hops[v] and pred[v] >= 0:
-                # exact tie: keep the lexicographically smaller node sequence
-                if _chain_precedes(pred, u, pred[v]):
-                    pred[v] = u
-                    pred_edge[v] = e
-
-    if not c.sum_ok(dist[dst], p_bound):
+    if not c.sum_ok(reach, p_bound):
         raise InfeasibleError(
-            f"minimum accumulated metric {dist[dst]} violates the bound {p_bound}"
+            f"minimum accumulated metric {reach} violates the bound {p_bound}"
         )
     nodes = [dst]
     edges = []
@@ -210,6 +193,100 @@ def _search_edijkstra(g, src: int, dst: int, c: ConstraintSet, usable: bytearray
     nodes.reverse()
     edges.reverse()
     return path_from_edges(g, nodes, edges)
+
+
+def _guided_pass(g, wcol, usable: bytearray, floor: list[float], src: int, dst: int):
+    """The A* pass of :func:`_search_edijkstra` from src towards dst: a
+    heap keyed (sum + floor, sum, hops, node), offers taken as the plain
+    Dijkstra takes them (smaller sum, then fewer hops, then
+    :func:`_chain_precedes`) and skipped when their sum plus the target's
+    floor exceeds the cap. The cap starts at +inf, and each offer dst takes
+    lowers it to that sum times 1 + 2**-30. The pass ends when the least
+    key exceeds the cap; dst is never expanded.
+
+    Returns (sum, pred, pred_edge): dst's sum, math.inf when no route has
+    a finite one, and the pred links of the labels."""
+    n = g.node_count
+    adj = g.adjacency
+    dist = [math.inf] * n
+    hops = [0] * n
+    pred = [-1] * n
+    pred_edge = [-1] * n
+    done = bytearray(n)
+    dist[src] = 0.0
+    heap = [(floor[src], 0.0, 0, src)]
+    cap = math.inf
+    while heap:
+        key, d, h, u = heapq.heappop(heap)
+        if key > cap:
+            break
+        if done[u] or d != dist[u] or h != hops[u] or u == dst:
+            continue
+        done[u] = 1
+        nh = h + 1
+        for v, e in adj[u]:
+            if not usable[e]:
+                continue
+            nd = d + wcol[e]
+            if not nd + floor[v] <= cap:
+                continue
+            dv = dist[v]
+            if nd < dv or (nd == dv and nh < hops[v]):
+                dist[v] = nd
+                hops[v] = nh
+                if v == dst and nd * (1 + 2**-30) < cap:
+                    cap = nd * (1 + 2**-30)
+            elif nd != dv or nh != hops[v] or pred[v] < 0 or not _chain_precedes(pred, u, pred[v]):
+                continue
+            # a better label, or an exact tie won by the lexicographically
+            # smaller node sequence
+            pred[v] = u
+            pred_edge[v] = e
+            if done[v]:
+                # v was expanded on an older label or chain: reopen it
+                done[v] = 0
+                _relabel_below(g, v, wcol, usable, floor, cap, dist, hops, pred, pred_edge, done, heap)
+            heapq.heappush(heap, (nd + floor[v], nd, nh, v))
+    return dist[dst], pred, pred_edge
+
+
+def _relabel_below(g, z, wcol, usable, floor, cap, dist, hops, pred, pred_edge, done, heap) -> None:
+    """Clear the labels of the nodes below z in :func:`_guided_pass`'s pred
+    tree, whose labels or chains extend z's old one, and relabel each from
+    its usable in-edges whose tails are expanded, by the pass's own offer
+    rules and cap; each node relabeled goes back on the heap."""
+    adj = g.adjacency
+    below = []
+    stack = [z]
+    while stack:
+        u = stack.pop()
+        for v, e in adj[u]:
+            if pred_edge[v] == e:
+                dist[v] = math.inf
+                hops[v] = 0
+                pred[v] = pred_edge[v] = -1
+                done[v] = 0
+                below.append(v)
+                stack.append(v)
+    in_adj = g.in_adjacency
+    for v in below:
+        for u, e in in_adj[v]:
+            if not done[u] or not usable[e]:
+                continue
+            nd = dist[u] + wcol[e]
+            if not nd + floor[v] <= cap:
+                continue
+            nh = hops[u] + 1
+            dv = dist[v]
+            if nd < dv or (nd == dv and nh < hops[v]):
+                dist[v] = nd
+                hops[v] = nh
+            elif not (nd == dv and nh == hops[v] and _chain_precedes(pred, u, pred[v])):
+                continue
+            pred[v] = u
+            pred_edge[v] = e
+        if dist[v] < math.inf:
+            heapq.heappush(heap, (dist[v] + floor[v], dist[v], hops[v], v))
 
 
 def _ranked_paths(g, src: int, dst: int):

@@ -319,12 +319,43 @@ def build_vn_requests(
 # Sweeps
 
 
+# the keys each scenario and each graph source reads, with their defaults,
+# and the keys every sweep reads
+_SCENARIO_KEYS = {
+    "steering": {
+        "pairs": 100,
+        "bw_levels": ("low",),
+        "delay_levels": ("high",),
+        "delay_percents": None,
+        "measure_time": False,
+    },
+    "vne": {
+        "requests": 15,
+        "request_nodes": 14,
+        "demand_max": 20.0,
+        "vne_cpu": 200.0,
+        "vne_bw": 200.0,
+    },
+}
+_GENERATED_KEYS = {"nodes": None, "model": "waxman", "degrees": (4.0,)}
+_FILE_KEYS = {"topology": None}
+_COMMON_KEYS = ("scenario", "backends", "seeds", "output")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative sweep document (see parse_config). Generated graphs have
     ``nodes`` nodes, by default 1000 for steering and 100 for vne; the
-    paper's setting is 10000 nodes and 1000 pairs. A bad entry raises ConfigError: a
-    scenario other than steering or vne, an empty grid axis, a non-finite
+    paper's setting is 10000 nodes and 1000 pairs.
+
+    Each scenario reads its own keys, and each graph source its own
+    (``_SCENARIO_KEYS``, ``_GENERATED_KEYS``, ``_FILE_KEYS``): a key left
+    unset (None) takes its default there, and a key set that the sweep
+    would not read is refused. So a file sweep has no degree axis, and a
+    steering sweep sets delay_levels or delay_percents, not both.
+
+    A bad entry raises ConfigError: a scenario other than steering or vne,
+    a key the sweep would not read, an empty grid axis or text, a non-finite
     number, a count below its minimum (pairs, requests >= 1; nodes,
     request_nodes >= 2), a non-positive degree, demand_max, vne_cpu or
     vne_bw, a model outside topogen.MODELS, or, when the graphs are
@@ -332,62 +363,77 @@ class ExperimentConfig:
     generator's GenSpec refuses."""
 
     scenario: str
-    model: str = "waxman"
+    model: str | None = None
     topology: str | None = None
     nodes: int | None = None
-    degrees: tuple[float, ...] = (4.0,)
-    bw_levels: tuple[str, ...] = ("low",)
-    delay_levels: tuple[str, ...] = ("high",)
+    degrees: tuple[float, ...] | None = None
+    bw_levels: tuple[str, ...] | None = None
+    delay_levels: tuple[str, ...] | None = None
     delay_percents: tuple[float, ...] | None = None
     backends: tuple[str, ...] = ("nm-l1",)
     seeds: tuple[int, ...] = (1,)
-    pairs: int = 100
-    requests: int = 15
-    request_nodes: int = 14
-    demand_max: float = 20.0
-    vne_cpu: float = 200.0
-    vne_bw: float = 200.0
-    measure_time: bool = False
+    pairs: int | None = None
+    requests: int | None = None
+    request_nodes: int | None = None
+    demand_max: float | None = None
+    vne_cpu: float | None = None
+    vne_bw: float | None = None
+    measure_time: bool | None = None
     output: str | None = None
 
     def __post_init__(self):
-        if self.scenario not in ("vne", "steering"):
+        if self.scenario not in _SCENARIO_KEYS:
             raise ConfigError(f"unknown scenario {self.scenario!r}", key="scenario")
         for f in fields(self):
             value = getattr(self, f.name)
-            if value == ():
+            if value == () or value == "":
                 raise ConfigError(f"{f.name} is empty", key=f.name)
             for v in value if isinstance(value, tuple) else (value,):
                 if isinstance(v, float) and not math.isfinite(v):
                     raise ConfigError(f"{f.name} must be finite, got {v}", key=f.name)
+        reads = _SCENARIO_KEYS[self.scenario] | (_FILE_KEYS if self.topology else _GENERATED_KEYS)
+        for f in fields(self):
+            if f.name in reads or f.name in _COMMON_KEYS or getattr(self, f.name) is None:
+                continue
+            if f.name in _GENERATED_KEYS:
+                raise ConfigError(f"{f.name} is not read by a sweep on a topology file", key=f.name)
+            raise ConfigError(f"{f.name} is not read by a {self.scenario} sweep", key=f.name)
+        if self.delay_levels is not None and self.delay_percents is not None:
+            raise ConfigError("set delay_levels or delay_percents, not both", key="delay_percents")
+        for key, default in reads.items():
+            if getattr(self, key) is None and (key != "delay_levels" or self.delay_percents is None):
+                object.__setattr__(self, key, default)
         for key, low in (("pairs", 1), ("nodes", 2), ("requests", 1), ("request_nodes", 2)):
             value = getattr(self, key)
             if value is not None and value < low:
                 raise ConfigError(f"{key} must be >= {low}, got {value}", key=key)
         for key in ("demand_max", "vne_cpu", "vne_bw"):
             value = getattr(self, key)
-            if value <= 0:
+            if value is not None and value <= 0:
                 raise ConfigError(f"{key} must be positive, got {value}", key=key)
-        for degree in self.degrees:
-            if degree <= 0:
-                raise ConfigError(f"degrees must be positive, got {degree}", key="degrees")
-        if self.model not in MODELS:
-            raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}", key="model")
-        for seed in self.seeds if not self.topology else ():
-            if seed < 0:
-                raise ConfigError(
-                    f"seeds must be >= 0 when graphs are generated, got {seed}", key="seeds"
-                )
+        if not self.topology:
             for degree in self.degrees:
-                try:
-                    _gen_spec(self, degree, seed)
-                except ValueError as exc:
-                    raise ConfigError(f"degrees: {exc}", key="degrees") from exc
+                if degree <= 0:
+                    raise ConfigError(f"degrees must be positive, got {degree}", key="degrees")
+            if self.model not in MODELS:
+                raise ConfigError(
+                    f"model must be one of {MODELS}, got {self.model!r}", key="model"
+                )
+            for seed in self.seeds:
+                if seed < 0:
+                    raise ConfigError(
+                        f"seeds must be >= 0 when graphs are generated, got {seed}", key="seeds"
+                    )
+                for degree in self.degrees:
+                    try:
+                        _gen_spec(self, degree, seed)
+                    except ValueError as exc:
+                        raise ConfigError(f"degrees: {exc}", key="degrees") from exc
         if self.scenario == "steering":
             for level in self.bw_levels:
                 if level not in BW_LEVEL_GBPS:
                     raise ConfigError(f"unknown bw level {level!r}", key="bw_levels")
-            for level in self.delay_levels if self.delay_percents is None else ():
+            for level in self.delay_levels or ():
                 if level not in DELAY_LEVEL_FACTOR:
                     raise ConfigError(f"unknown delay level {level!r}", key="delay_levels")
         for backend in self.backends:
@@ -405,9 +451,10 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class _Cell:
     """One grid point; delay is (CSV token, bound as a percent of the
-    largest link delay). VNE cells leave bw_level and delay unset."""
+    largest link delay). VNE cells leave bw_level and delay unset, and
+    cells on a topology file leave degree unset."""
 
-    degree: float
+    degree: float | None
     bw_level: str
     delay: tuple[str, float | None]
     backend: str
@@ -423,7 +470,8 @@ def _cells(cfg: ExperimentConfig) -> list[_Cell]:
             delay_axis = tuple((f"{topofile.fmt(p)}%", p) for p in cfg.delay_percents)
         else:
             delay_axis = tuple((lv, 100 * DELAY_LEVEL_FACTOR[lv]) for lv in cfg.delay_levels)
-    grid = itertools.product(cfg.degrees, bw_axis, delay_axis, cfg.backends, cfg.seeds)
+    degrees = (None,) if cfg.topology else cfg.degrees
+    grid = itertools.product(degrees, bw_axis, delay_axis, cfg.backends, cfg.seeds)
     return [_Cell(*point) for point in grid]
 
 

@@ -33,9 +33,11 @@ one rule tells unreachable from infeasible (:func:`_no_path`, on the
 bidirectional BFS unless the search took a reverse one). The mask's memo
 also keeps solve_edijkstra's delay floor towards one dst
 (:func:`_floor_to`), a reverse Dijkstra (:func:`_min_sums_to`) that stays
-a lower bound while mask bits only clear.
+a lower bound while mask bits only clear; solve_edijkstra's one A* pass
+is keyed on it.
 """
 
+import heapq
 import math
 
 from .constraints import ConstraintSet, path_feasible
@@ -166,8 +168,6 @@ def _min_sums_to(g, dst: int, col, usable: bytearray, stop: int = -1) -> list[fl
     settles stop, with every entry above stop's value lowered to it: a node
     not settled by then is at least that far from dst, so each entry is
     still a lower bound on its node's minimum, exact up to stop's value."""
-    import heapq
-
     dist = [math.inf] * g.node_count
     dist[dst] = 0.0
     heap = [(0.0, dst)]
@@ -189,20 +189,18 @@ def _min_sums_to(g, dst: int, col, usable: bytearray, stop: int = -1) -> list[fl
 
 
 def _floor_to(g, p_idx: int, dst: int, src: int, usable: bytearray) -> list[float]:
-    """Delay floor of path metric p_idx towards dst on g's memoized mask
-    usable: a lower bound on every node's least sum to dst, from
-    :func:`_min_sums_to` stopped at src. baselines.solve_edijkstra guides
-    its search by it.
+    """Build the delay floor of path metric p_idx towards dst on g's
+    memoized mask usable: a lower bound on every node's least sum to dst,
+    from :func:`_min_sums_to` stopped at src. baselines.solve_edijkstra
+    guides its search by it, and builds one when :func:`_kept_floor` has
+    none.
 
     The floor is kept as the memo's fourth entry under (p_idx, dst) and
     returned to any later query towards dst, from any src, while the mask's
     bits only clear (:func:`_kept_floor`); :func:`_refresh_mask` drops it
     when one is set, and it goes with the memo when the link bounds change.
     A memo that no longer holds usable, replaced by a query under other
-    bounds, neither gives nor keeps a floor."""
-    floor = _kept_floor(g, p_idx, dst, usable)
-    if floor is not None:
-        return floor
+    bounds, does not keep it."""
     floor = _min_sums_to(g, dst, g.path_cols[p_idx], usable, src)
     memo = g.mask_memo
     if memo is not None and memo[1] is usable:

@@ -21,17 +21,21 @@ from oracle import (
     path_metrics,
     reachable,
 )
-from vpembed import baselines, neighborhoods
+from vpembed import baselines, harness, neighborhoods
 from vpembed import (
     ConstraintSet,
     ResidualOverlay,
     build_graph,
     EdgeMetrics,
+    GenSpec,
     InfeasibleError,
     NegativeMetricError,
     NoPathError,
     ResourceLimitError,
     UnreachableError,
+    generate,
+    resolve_constraint_severity,
+    run_steering,
     solve_edijkstra,
     solve_exhaustive,
     solve_general,
@@ -255,6 +259,95 @@ def test_edijkstra_floor_answers_like_the_plain_dijkstra():
     assert reused > 300 and built > 300
 
 
+def test_edijkstra_floor_that_is_not_consistent_answers_like_the_plain_dijkstra(monkeypatch):
+    # the test above again, with every floor built scaled by a random factor
+    # per node in [0, 1]: still a lower bound, but no longer consistent, so
+    # the A* pass expands nodes before their final label and must relabel
+    rng = random.Random(1)
+    relabels = []
+    build, relabel = baselines._floor_to, baselines._relabel_below
+
+    def scaled_floor(g, p_idx, dst, src, usable):
+        floor = build(g, p_idx, dst, src, usable)
+        floor[:] = [
+            x * rng.choice((0.0, 1.0, rng.random())) if x < math.inf else x for x in floor
+        ]
+        return floor
+
+    def counting(*args):
+        relabels.append(args[1])
+        return relabel(*args)
+
+    monkeypatch.setattr(baselines, "_floor_to", scaled_floor)
+    monkeypatch.setattr(baselines, "_relabel_below", counting)
+    test_edijkstra_floor_answers_like_the_plain_dijkstra()
+    assert len(relabels) > 50
+
+
+def test_edijkstra_relabels_below_a_reopened_node_from_outside_it(monkeypatch):
+    # s=0 reaches z=1 by one 0.1 edge and by three 0 edges through a=4 and
+    # b=5, and u=3 by 0.1 then 0 through c=2; v=6 hangs off z and u by 1e16
+    # edges, which absorb every smaller sum. The floor, 1e16 at a and 0
+    # elsewhere, is a lower bound, but it sends the pass through z on its
+    # one-hop label first: v takes (1e16, 2) from z and turns down u's
+    # (1e16, 3). When z's three-hop label arrives, v's label through z
+    # becomes (1e16, 4), so v must be relabeled from u, which is expanded
+    # and never offers again, as the plain Dijkstra labels it
+    s, z, c, u, a, b, v, t = range(8)
+    edges = [
+        (s, z, E((5.0,), (0.1,))),
+        (s, a, E((5.0,), (0.0,))),
+        (s, c, E((5.0,), (0.1,))),
+        (c, u, E((5.0,), (0.0,))),
+        (u, v, E((5.0,), (1e16,))),
+        (z, v, E((5.0,), (1e16,))),
+        (a, b, E((5.0,), (0.0,))),
+        (b, z, E((5.0,), (0.0,))),
+        (v, t, E((5.0,), (0.0,))),
+    ]
+    g = build_graph(8, edges, [0.0] * 8)
+    floor = [0.0] * 8
+    floor[a] = 1e16
+    monkeypatch.setattr(baselines, "_floor_to", lambda *args: floor)
+    c1 = ConstraintSet(((0, 1.0),), ((0, math.inf),))
+    want = edijkstra_reference(g, s, t, c1, _scanned(g, c1))
+    assert want.nodes == (s, c, u, v, t)
+    assert solve_edijkstra(g, s, t, c1).nodes == want.nodes
+
+
+def test_edijkstra_cap_margin_keeps_a_route_whose_key_rounds_above_the_cap():
+    # 0 -> 1 -> 2 -> 3 by 0.3, 0.2, 0.1 folds to 0.6 from 0, but at 1 the
+    # key is 0.3 plus the floor 0.2 + 0.1 = 0.30000000000000004, which rounds
+    # one ulp above 0.6. The four-hop route by 0.05, 0.05, 0.15, 0.35 folds
+    # to 0.6 too, with keys of at most 0.6, so it labels 3 first and sets
+    # the cap; the three-hop route wins the tie on hops only if the cap's
+    # margin lets 1's key through
+    delays = [(0, 1, 0.3), (1, 2, 0.2), (2, 3, 0.1),
+              (0, 4, 0.05), (4, 5, 0.05), (5, 6, 0.15), (6, 3, 0.35)]
+    g = build_graph(7, [(u, v, E((5.0,), (d,))) for u, v, d in delays], [0.0] * 7)
+    c = ConstraintSet(((0, 1.0),), ((0, math.inf),))
+    want = edijkstra_reference(g, 0, 3, c, _scanned(g, c))
+    assert want.nodes == (0, 1, 2, 3)
+    assert solve_edijkstra(g, 0, 3, c).nodes == want.nodes
+
+
+@pytest.mark.parametrize("delay_level", ["high", "low"])
+def test_steering_on_edijkstra_allocates_like_the_plain_dijkstra(monkeypatch, delay_level):
+    g = generate(GenSpec(node_count=200, target_avg_degree=4.0, seed=11))
+    c = resolve_constraint_severity(g, "low", delay_level)
+    got = run_steering(g, 20, c, "edijkstra", seed=3)
+    monkeypatch.setattr(
+        harness,
+        "resolve_backend",
+        lambda _name: lambda g, src, dst, c: edijkstra_reference(g, src, dst, c, _scanned(g, c)),
+    )
+    want = run_steering(g, 20, c, "edijkstra", seed=3)
+    assert got.vl_count >= 15
+    assert [(u, v, p.edge_handles) for u, v, p in got.allocations] == [
+        (u, v, p.edge_handles) for u, v, p in want.allocations
+    ]
+
+
 # --- the no-path verdict of the mask-reading solvers --------------------------
 
 MASK_SOLVERS = (solve_edijkstra, solve_l1, solve_general)
@@ -311,16 +404,16 @@ def test_edijkstra_verdict_matches_oracle_with_nan_and_inf_delays():
 @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
 def test_edijkstra_src_with_an_infinite_floor_runs_no_guided_pass(monkeypatch, value):
     # no route from 0 has a finite sum, so the delay floor of 0 is +inf and
-    # the verdict comes from _no_path (or nm-general's search under <= inf)
-    # with no A* pass
+    # the verdict comes from _no_path (or nm-l1's sweep under <= inf) with
+    # no A* pass
     passes = []
-    original = baselines._guided_sum
+    original = baselines._guided_pass
 
     def counting(*args):
         passes.append(args)
         return original(*args)
 
-    monkeypatch.setattr(baselines, "_guided_sum", counting)
+    monkeypatch.setattr(baselines, "_guided_pass", counting)
     g = build_graph(3, [(0, 1, E((5.0,), (value,))), (1, 2, E((5.0,), (1.0,)))], [0.0] * 3)
     outcomes = {}
     for bw in (1.0, 6.0):
@@ -347,13 +440,13 @@ def test_edijkstra_kept_floor_after_dst_is_cut_off_runs_no_guided_pass(monkeypat
     # no route from 0. The re-solve reuses the kept floor and must get its
     # verdict from the hop horizon, with no A* pass
     passes = []
-    original = baselines._guided_sum
+    original = baselines._guided_pass
 
     def counting(*args):
         passes.append(args)
         return original(*args)
 
-    monkeypatch.setattr(baselines, "_guided_sum", counting)
+    monkeypatch.setattr(baselines, "_guided_pass", counting)
     edges = [
         (0, 1, E((5.0,), (1.0,))),
         (1, 3, E((5.0,), (1.0,))),

@@ -328,6 +328,17 @@ def test_run_bad_config_exit_2(tmp_path, capsys):
     assert "wibble" in capsys.readouterr().err
 
 
+def test_run_refuses_a_key_its_sweep_would_not_read(tmp_path, fig_top, capsys):
+    # a file sweep has no degree axis: each degree used to rerun every cell
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"scenario = steering\ntopology = {fig_top}\npairs = 2\ndegrees = 3 5\n")
+    out = tmp_path / "x.csv"
+    assert main(["run", str(cfg), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("vpembed run: bad config: degrees") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 BAD_TOP = "nodes 2 link_metrics 1 path_metrics 1\nedge 0 1 5\n"
 # sweep cells bound link metric 0 and path metric 0; these files lack one
 NOPATH_TOP = "nodes 3 link_metrics 1 path_metrics 0\nedge 0 1 5\nedge 1 2 5\nedge 2 0 5\n"

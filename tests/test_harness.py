@@ -340,6 +340,7 @@ def test_delay_percent_grid():
     cfg = _steering_cfg(
         degrees=(4.0,),
         bw_levels=("low",),
+        delay_levels=None,
         delay_percents=tuple(range(400, 49, -50)),
         backends=("nm-l1",),
         seeds=(1,),
@@ -407,10 +408,8 @@ def test_sweep_csv_matches_golden_digest():
 def test_sweep_loads_a_topology_file_once(tmp_path, monkeypatch):
     # every cell of a file sweep shares one graph, whatever its seed, and
     # sharing it (ksp's ranked candidates included) changes no row
-    path = tmp_path / "t.top"
-    topofile.dump(generate(GenSpec(node_count=30, target_avg_degree=3.0, seed=5)), path)
-    cfg = _steering_cfg(topology=str(path), degrees=(3.0,), bw_levels=("low",),
-                        backends=("nm-l1", "ksp:3"), seeds=(1, 2, 3, 4), pairs=8)
+    cfg = _file_cfg(tmp_path)
+    path = cfg.topology
     fresh = [harness._run_cell(cfg, cell, topofile.load(path)) for cell in harness._cells(cfg)]
     loads = []
     load = topofile.load
@@ -431,10 +430,12 @@ def _count_calls(monkeypatch, module, name):
 
 
 def _file_cfg(tmp_path):
+    # a file sweep sets no generator key: nodes, model and degrees are refused
     path = tmp_path / "t.top"
     topofile.dump(generate(GenSpec(node_count=30, target_avg_degree=3.0, seed=5)), path)
-    return _steering_cfg(topology=str(path), degrees=(3.0,), bw_levels=("low",),
-                         backends=("nm-l1", "ksp:3"), seeds=(1, 2, 3, 4), pairs=8)
+    return ExperimentConfig(scenario="steering", topology=str(path), bw_levels=("low",),
+                            delay_levels=("high",), backends=("nm-l1", "ksp:3"),
+                            seeds=(1, 2, 3, 4), pairs=8)
 
 
 def test_sweep_builds_one_graph_per_key_at_any_jobs(recording_pool, monkeypatch):
@@ -577,6 +578,50 @@ def test_size_defaults():
     assert parse_config("scenario = vne\n").effective_nodes() == 100
 
 
+# each scenario and each graph source reads its own keys; setting another
+# is refused on that key, even to its default value
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("scenario = steering\nrequests = 7", "requests"),
+        ("scenario = steering\nrequest_nodes = 4", "request_nodes"),
+        ("scenario = steering\ndemand_max = 20", "demand_max"),
+        ("scenario = steering\nvne_cpu = 5", "vne_cpu"),
+        ("scenario = steering\nvne_bw = 5", "vne_bw"),
+        ("scenario = vne\npairs = 100", "pairs"),
+        ("scenario = vne\nbw_levels = low", "bw_levels"),
+        ("scenario = vne\ndelay_levels = high", "delay_levels"),
+        ("scenario = vne\ndelay_percents = 100", "delay_percents"),
+        ("scenario = vne\nmeasure_time = false", "measure_time"),
+        ("scenario = steering\ntopology = t.top\nnodes = 30", "nodes"),
+        ("scenario = vne\ntopology = t.top\nmodel = waxman", "model"),
+        ("scenario = steering\ntopology = t.top\ndegrees = 3 5", "degrees"),
+        ("scenario = steering\ndelay_levels = high\ndelay_percents = 100", "delay_percents"),
+    ],
+)
+def test_config_refuses_keys_its_sweep_would_not_read(text, key):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text + "\n")
+    assert err.value.key == key
+
+
+def test_unset_keys_take_the_defaults_of_the_sweep_that_reads_them():
+    steering = parse_config("scenario = steering\n")
+    assert (steering.model, steering.degrees, steering.pairs) == ("waxman", (4.0,), 100)
+    assert (steering.bw_levels, steering.delay_levels) == (("low",), ("high",))
+    assert (steering.delay_percents, steering.measure_time) == (None, False)
+    assert steering.requests is steering.vne_cpu is None
+    vne = parse_config("scenario = vne\ntopology = t.top\n")
+    assert (vne.requests, vne.request_nodes, vne.demand_max) == (15, 14, 20.0)
+    assert (vne.vne_cpu, vne.vne_bw) == (200.0, 200.0)
+    assert vne.pairs is vne.bw_levels is vne.model is vne.degrees is vne.nodes is None
+    percents = parse_config("scenario = steering\ndelay_percents = 100 50\n")
+    assert (percents.delay_levels, percents.delay_percents) == (None, (100.0, 50.0))
+    # a config rebuilt from its own fields is the same config
+    for cfg in (steering, vne, percents):
+        assert ExperimentConfig(**{f.name: getattr(cfg, f.name) for f in fields(cfg)}) == cfg
+
+
 def test_config_checks_itself_when_built():
     # a directly built config is checked like a parsed one
     with pytest.raises(ConfigError) as err:
@@ -585,6 +630,12 @@ def test_config_checks_itself_when_built():
     with pytest.raises(ConfigError) as err:
         ExperimentConfig(scenario="solve")
     assert err.value.key == "scenario"
+
+
+def _scenario_reading(key):
+    """A scenario whose sweep reads key, so that a check of its value, not
+    the refusal of an unread key, is what a test meets."""
+    return "vne" if key in harness._SCENARIO_KEYS["vne"] else "steering"
 
 
 @pytest.mark.parametrize(
@@ -599,7 +650,7 @@ def test_config_checks_itself_when_built():
 )
 def test_parse_config_rejects_non_finite_numbers(text, key):
     with pytest.raises(ConfigError) as err:
-        parse_config(f"scenario = steering\n{text}\n")
+        parse_config(f"scenario = {_scenario_reading(key)}\n{text}\n")
     assert err.value.key == key
 
 
@@ -618,20 +669,23 @@ def test_parse_config_rejects_non_finite_numbers(text, key):
         ("degrees =", "degrees"),
         ("delay_percents =", "delay_percents"),
         ("nodes = 10\nnodes = 20", "nodes"),
+        # an empty topology used to mean generated graphs, silently
+        ("topology =", "topology"),
+        ("output =", "output"),
     ],
 )
 def test_parse_config_rejects_out_of_range_values_and_empty_axes(text, key):
     with pytest.raises(ConfigError) as err:
-        parse_config(f"scenario = steering\n{text}\n")
+        parse_config(f"scenario = {_scenario_reading(key)}\n{text}\n")
     assert err.value.key == key
 
 
 def test_config_range_minimums_are_accepted():
     cfg = parse_config(
-        "scenario = vne\nnodes = 2\npairs = 1\nrequests = 1\nrequest_nodes = 2\n"
-        "demand_max = 0.5\n"
+        "scenario = vne\nnodes = 2\nrequests = 1\nrequest_nodes = 2\ndemand_max = 0.5\n"
     )
-    assert (cfg.nodes, cfg.pairs, cfg.requests, cfg.request_nodes) == (2, 1, 1, 2)
+    assert (cfg.nodes, cfg.requests, cfg.request_nodes) == (2, 1, 2)
+    assert parse_config("scenario = steering\npairs = 1\n").pairs == 1
 
 
 def _holds(value, kind) -> bool:
