@@ -24,7 +24,6 @@ from .neighborhoods import (
     _hop_distances_to,
     _hop_horizon,
     _iter_fixed_length_paths,
-    _kept_floor,
     _no_path,
     _search_l1,
     _usable_mask,
@@ -61,9 +60,11 @@ def solve_edijkstra(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
     The sign check reads ``g.path_nonneg``, so only a metric that has
     negative values costs a pass over the edge list.
 
-    The search is guided by a delay floor towards dst, a reverse Dijkstra
-    kept in the memo beside the mask and reused by every query to dst while
-    mask bits only clear, as a steering run's re-solves of a pair do
+    A bidirectional BFS on the pruned graph comes first, as in nm-l1, and
+    every no-path verdict reads the hop distances it gives. The search is
+    guided by a delay floor towards dst, a reverse Dijkstra kept in the
+    memo beside the mask and reused by every query to dst while mask bits
+    only clear, as a steering run's re-solves of a pair do
     (``neighborhoods._floor_to``). One A* pass on it stops once no label
     left can reach dst within the least sum found there, and answers as the
     unguided Dijkstra (:func:`_search_edijkstra`).
@@ -88,19 +89,11 @@ def _search_edijkstra(g, src: int, dst: int, c: ConstraintSet, usable: bytearray
     dst: a lower bound on every node's least sum to dst
     (``neighborhoods._floor_to``).
 
-    Three checks can give the verdict with no pass. A dst with no usable
-    in-edge gets :func:`_no_path`'s. A floor kept from an earlier query
-    was built on a mask that has lost bits since, so dst may be cut off
-    from src even where the floor is finite: such a query first takes the
-    hop horizon (:func:`_hop_horizon`) and stops at an infinite entry for
-    src. A floor this query builds needs no such check, since it is finite
-    at src only when a route exists. A src with an infinite floor skips
-    the pass. A floor stopped at a settled node caps every entry at that
-    node's finite sum, so an infinite entry comes from a completed reverse
-    search that found no finite-sum route from src; the floor's mask has
-    only lost bits since. The verdict is then :func:`_no_path`'s, or
-    nm-l1's sweep under a non-strict infinite bound, as it is when the
-    pass labels no route.
+    The hop horizon (:func:`_hop_horizon`) comes first, as in nm-l1, and
+    :func:`_no_path` reads every verdict without a path from it: on a dst
+    cut off from src, on a src whose floor is infinite, where no pass
+    runs, and on a pass that labels no finite-sum route, except that
+    nm-l1's sweep answers those two under a non-strict infinite bound.
 
     Why the pass answers as the plain Dijkstra. Order labels (sum, hops)
     lexicographically, and extend one along an edge by folding the edge's
@@ -159,15 +152,10 @@ def _search_edijkstra(g, src: int, dst: int, c: ConstraintSet, usable: bytearray
             if w < 0 and usable[e]:
                 raise NegativeMetricError(f"edge {e} has negative path metric {w}")
 
-    if not any(usable[e] for _u, e in g.in_adjacency[dst]):
-        raise _no_path(g, src, dst, usable)
-    floor = _kept_floor(g, p_idx, dst, usable)
-    if floor is None:
-        floor = _floor_to(g, p_idx, dst, src, usable)
-    else:
-        to_dst = _hop_horizon(g, src, dst, usable)
-        if to_dst[src] == math.inf:
-            raise _no_path(g, src, dst, usable, to_dst)
+    to_dst = _hop_horizon(g, src, dst, usable)
+    if to_dst[src] == math.inf:
+        raise _no_path(src, dst, to_dst)
+    floor = _floor_to(g, p_idx, dst, src, usable)
     reach = math.inf
     if floor[src] < math.inf:
         reach, pred, pred_edge = _guided_pass(g, wcol, usable, floor, src, dst)
@@ -177,7 +165,7 @@ def _search_edijkstra(g, src: int, dst: int, c: ConstraintSet, usable: bytearray
         # and nm-l1's polynomial sweep finds the least-hop such route
         if not c.strict and p_bound == math.inf:
             return _search_l1(g, src, dst, c, usable)
-        raise _no_path(g, src, dst, usable)
+        raise _no_path(src, dst, to_dst)
 
     if not c.sum_ok(reach, p_bound):
         raise InfeasibleError(

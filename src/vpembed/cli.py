@@ -191,6 +191,8 @@ def cmd_run(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as f:
             cfg = harness.parse_config(f.read())
+        if args.emit_plotdata:
+            harness.check_plotdata(cfg)
     except OSError as exc:
         print(f"vpembed run: {exc}", file=sys.stderr)
         return EXIT_FLAGS

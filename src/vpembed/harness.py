@@ -351,12 +351,12 @@ class ExperimentConfig:
     Each scenario reads its own keys, and each graph source its own
     (``_SCENARIO_KEYS``, ``_GENERATED_KEYS``, ``_FILE_KEYS``): a key left
     unset (None) takes its default there, and a key set that the sweep
-    would not read is refused. So a file sweep has no degree axis, and a
-    steering sweep sets delay_levels or delay_percents, not both.
+    would not read is refused. So a file sweep has no degree axis and no
+    nodes, and a steering sweep sets delay_levels or delay_percents, not both.
 
     A bad entry raises ConfigError: a scenario other than steering or vne,
-    a key the sweep would not read, an empty grid axis or text, a non-finite
-    number, a count below its minimum (pairs, requests >= 1; nodes,
+    a key the sweep would not read, an empty grid axis or text, a repeated
+    grid value, a non-finite number, a count below its minimum (pairs, requests >= 1; nodes,
     request_nodes >= 2), a non-positive degree, demand_max, vne_cpu or
     vne_bw, a model outside topogen.MODELS, or, when the graphs are
     generated (without a topology file), a negative seed or a degree the
@@ -388,6 +388,8 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if value == () or value == "":
                 raise ConfigError(f"{f.name} is empty", key=f.name)
+            if isinstance(value, tuple) and len(set(value)) < len(value):
+                raise ConfigError(f"{f.name} repeats a value", key=f.name)
             for v in value if isinstance(value, tuple) else (value,):
                 if isinstance(v, float) and not math.isfinite(v):
                     raise ConfigError(f"{f.name} must be finite, got {v}", key=f.name)
@@ -403,6 +405,8 @@ class ExperimentConfig:
         for key, default in reads.items():
             if getattr(self, key) is None and (key != "delay_levels" or self.delay_percents is None):
                 object.__setattr__(self, key, default)
+        if self.nodes is None and not self.topology:
+            object.__setattr__(self, "nodes", 100 if self.scenario == "vne" else 1_000)
         for key, low in (("pairs", 1), ("nodes", 2), ("requests", 1), ("request_nodes", 2)):
             value = getattr(self, key)
             if value is not None and value < low:
@@ -442,11 +446,6 @@ class ExperimentConfig:
             except UnknownBackendError as exc:
                 raise ConfigError(str(exc), key="backends") from exc
 
-    def effective_nodes(self) -> int:
-        if self.nodes is not None:
-            return self.nodes
-        return 100 if self.scenario == "vne" else 1_000
-
 
 @dataclass(frozen=True)
 class _Cell:
@@ -479,7 +478,7 @@ def _gen_spec(cfg: ExperimentConfig, degree: float, seed: int) -> GenSpec:
     """The GenSpec of the graph generated for the cells of (degree, seed)."""
     return GenSpec(
         model=cfg.model,
-        node_count=cfg.effective_nodes(),
+        node_count=cfg.nodes,
         target_avg_degree=degree,
         cpu_units=cfg.vne_cpu if cfg.scenario == "vne" else GenSpec.cpu_units,
         seed=seed,
@@ -677,10 +676,20 @@ PLOT_METRICS = {
 }
 
 
+def check_plotdata(cfg: ExperimentConfig) -> None:
+    """Raise ConfigError on an axis other than x and seeds that holds more
+    than one value: a series point is the mean of every row at its x."""
+    other = "degrees" if cfg.delay_percents is not None else "delay_levels"
+    for key in ("bw_levels", other):
+        if len(getattr(cfg, key) or ()) > 1:
+            raise ConfigError(f"plot data averages over seeds only, not {key}", key=key)
+
+
 def plotdata_series(rows: list[dict], cfg: ExperimentConfig) -> dict[str, str]:
     """Whitespace-separated series files, one per (metric, backend): the x
     axis is the degree grid (or the delay grid when sweeping percentages),
-    the y value is the metric's mean over seeds."""
+    the y value is the metric's mean over seeds (:func:`check_plotdata`)."""
+    check_plotdata(cfg)
     x_key = "delay_level" if cfg.delay_percents is not None else "avg_degree"
     series: dict[str, dict[float, list[float]]] = {}
     for row in rows:

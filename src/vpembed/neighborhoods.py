@@ -28,13 +28,14 @@ round early and the back track can splice a detour into the answer.
 
 Both solvers, and baselines.solve_edijkstra, read link state only through
 the pruning mask, so one front (:func:`_answer`) returns each one's last
-answer again, without a search, to the same query on the same mask, and
-one rule tells unreachable from infeasible (:func:`_no_path`, on the
-bidirectional BFS unless the search took a reverse one). The mask's memo
-also keeps solve_edijkstra's delay floor towards one dst
-(:func:`_floor_to`), a reverse Dijkstra (:func:`_min_sums_to`) that stays
-a lower bound while mask bits only clear; solve_edijkstra's one A* pass
-is keyed on it.
+answer again, without a search, to the same query on the same mask. Each
+search first takes a BFS on the mask, the reverse one in solve_general and
+the bidirectional hop horizon in the other two, and one rule tells
+unreachable from infeasible on the hop distances that BFS gave
+(:func:`_no_path`). The mask's memo also keeps solve_edijkstra's delay
+floor towards one dst (:func:`_floor_to`), a reverse Dijkstra
+(:func:`_min_sums_to`) that stays a lower bound while mask bits only
+clear; solve_edijkstra's one A* pass is keyed on it.
 """
 
 import heapq
@@ -145,16 +146,11 @@ def _answer(g, src: int, dst: int, c: ConstraintSet, name: str, search) -> PathR
     return result
 
 
-def _no_path(
-    g, src: int, dst: int, usable: bytearray, to_dst=None
-) -> UnreachableError | InfeasibleError:
-    """The verdict on a query whose search found no path on the mask usable:
-    UnreachableError when dst is cut off from src, InfeasibleError
-    otherwise. to_dst, when given, holds src's exact hop distance to dst on
-    usable (:func:`_hop_distances_to` or :func:`_hop_horizon`); else
-    :func:`_hop_horizon` takes it."""
-    if to_dst is None:
-        to_dst = _hop_horizon(g, src, dst, usable)
+def _no_path(src: int, dst: int, to_dst) -> UnreachableError | InfeasibleError:
+    """The verdict on a query whose search found no path: UnreachableError
+    when dst is cut off from src, InfeasibleError otherwise. to_dst holds
+    src's exact hop distance to dst on the search's mask, from the BFS the
+    search already took (:func:`_hop_distances_to` or :func:`_hop_horizon`)."""
     if to_dst[src] == math.inf:
         return UnreachableError(f"node {dst} is unreachable from {src} on the pruned graph")
     return InfeasibleError(f"the path bound rejects every route from {src} to {dst}")
@@ -189,33 +185,22 @@ def _min_sums_to(g, dst: int, col, usable: bytearray, stop: int = -1) -> list[fl
 
 
 def _floor_to(g, p_idx: int, dst: int, src: int, usable: bytearray) -> list[float]:
-    """Build the delay floor of path metric p_idx towards dst on g's
-    memoized mask usable: a lower bound on every node's least sum to dst,
-    from :func:`_min_sums_to` stopped at src. baselines.solve_edijkstra
-    guides its search by it, and builds one when :func:`_kept_floor` has
-    none.
-
-    The floor is kept as the memo's fourth entry under (p_idx, dst) and
-    returned to any later query towards dst, from any src, while the mask's
-    bits only clear (:func:`_kept_floor`); :func:`_refresh_mask` drops it
+    """The delay floor of path metric p_idx towards dst on g's memoized mask
+    usable, by which baselines.solve_edijkstra guides its search: a lower
+    bound on every node's least sum to dst. Returns the floor the memo keeps
+    for (p_idx, dst), else builds one (:func:`_min_sums_to` stopped at src)
+    and keeps it as the memo's fourth entry, for any later query towards
+    dst while the mask's bits only clear; :func:`_refresh_mask` drops it
     when one is set, and it goes with the memo when the link bounds change.
-    A memo that no longer holds usable, replaced by a query under other
-    bounds, does not keep it."""
-    floor = _min_sums_to(g, dst, g.path_cols[p_idx], usable, src)
+    A memo that no longer holds usable neither gives nor keeps one."""
     memo = g.mask_memo
-    if memo is not None and memo[1] is usable:
+    mine = memo is not None and memo[1] is usable
+    if mine and memo[3] is not None and memo[3][0] == (p_idx, dst):
+        return memo[3][1]
+    floor = _min_sums_to(g, dst, g.path_cols[p_idx], usable, src)
+    if mine:
         memo[3] = ((p_idx, dst), floor)
     return floor
-
-
-def _kept_floor(g, p_idx: int, dst: int, usable: bytearray) -> list[float] | None:
-    """The delay floor of path metric p_idx towards dst that an earlier
-    query kept in g's memo of the mask usable, or None."""
-    memo = g.mask_memo
-    if memo is None or memo[1] is not usable or memo[3] is None:
-        return None
-    key, floor = memo[3]
-    return floor if key == (p_idx, dst) else None
 
 
 def _hop_distances_to(g, dst: int, usable: bytearray) -> list[int | float]:
@@ -400,7 +385,7 @@ def _search_general(g, src: int, dst: int, c: ConstraintSet, usable: bytearray) 
     """:func:`solve_general`'s search on the pruning mask usable."""
     to_dst = _hop_distances_to(g, dst, usable)
     if to_dst[src] == math.inf:
-        raise _no_path(g, src, dst, usable, to_dst)
+        raise _no_path(src, dst, to_dst)
 
     # admissible remaining-cost pruning, sound only for nonnegative metrics;
     # it also settles obviously hopeless queries without any enumeration. An
@@ -550,14 +535,14 @@ def _search_l1(g, src: int, dst: int, c: ConstraintSet, usable: bytearray) -> Pa
     mask usable."""
     to_dst = _hop_horizon(g, src, dst, usable)
     if to_dst[src] == math.inf:
-        raise _no_path(g, src, dst, usable, to_dst)
+        raise _no_path(src, dst, to_dst)
     status, _rounds, label = _l1_forward(g, src, dst, c, usable, to_dst)
     if status == "stalled":
         status, _rounds, label = _l1_forward(g, src, dst, c, usable)
     if status == "negcycle":
         raise NegativeWeightCycleError("round count reached the node count; relaxation is cycling")
     if status == "stalled":
-        raise _no_path(g, src, dst, usable, to_dst)
+        raise _no_path(src, dst, to_dst)
 
     nodes = []
     edges = []

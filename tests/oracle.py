@@ -105,7 +105,7 @@ def edijkstra_reference(g, src, dst, c, usable):
     import heapq
 
     from vpembed import InfeasibleError, NegativeMetricError
-    from vpembed.neighborhoods import _no_path, _search_l1
+    from vpembed.neighborhoods import _hop_horizon, _no_path, _search_l1
     from vpembed.paths import path_from_edges
 
     def chain_precedes(pred, a, b):
@@ -155,7 +155,7 @@ def edijkstra_reference(g, src, dst, c, usable):
     if dist[dst] == math.inf:
         if not c.strict and p_bound == math.inf:
             return _search_l1(g, src, dst, c, usable)
-        raise _no_path(g, src, dst, usable)
+        raise _no_path(src, dst, _hop_horizon(g, src, dst, usable))
     if not c.sum_ok(dist[dst], p_bound):
         raise InfeasibleError(
             f"minimum accumulated metric {dist[dst]} violates the bound {p_bound}"

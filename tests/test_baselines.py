@@ -471,6 +471,39 @@ def test_edijkstra_kept_floor_after_dst_is_cut_off_runs_no_guided_pass(monkeypat
     assert len(passes) == 1
 
 
+def test_edijkstra_takes_the_hop_horizon_once_when_no_route_has_a_finite_sum(monkeypatch):
+    # 0->1->3 by 1 each, and 0->2->3 by 1 then inf. The first query keeps a
+    # floor finite at 0; a reservation then prunes 0->1, so the re-solve
+    # reuses it, and its pass labels 3 with no finite sum. The verdict comes
+    # from the hop horizon the search opened with, not from a second one
+    horizons = []
+    original = neighborhoods._hop_horizon
+
+    def counting(*args):
+        horizons.append(args)
+        return original(*args)
+
+    # baselines binds the name itself, so both bindings are counted
+    monkeypatch.setattr(baselines, "_hop_horizon", counting)
+    monkeypatch.setattr(neighborhoods, "_hop_horizon", counting)
+    edges = [
+        (0, 1, E((5.0,), (1.0,))),
+        (1, 3, E((5.0,), (1.0,))),
+        (0, 2, E((5.0,), (1.0,))),
+        (2, 3, E((5.0,), (math.inf,))),
+    ]
+    overlay = ResidualOverlay(build_graph(4, edges, [0.0] * 4))
+    c = ConstraintSet(((0, 3.0),), ((0, 10.0),))
+    assert solve_edijkstra(overlay, 0, 3, c).nodes == (0, 1, 3)
+    kept = overlay.mask_memo[3]
+    overlay.reserve([0], (3.0,))
+    horizons.clear()
+    with pytest.raises(InfeasibleError):
+        solve_edijkstra(overlay, 0, 3, c)
+    assert overlay.mask_memo[3] is kept
+    assert len(horizons) == 1
+
+
 # every solver, ksp with a k past any candidate count (so it is exact)
 INF_BOUND_SOLVERS = {
     "nm-l1": solve_l1,

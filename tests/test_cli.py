@@ -328,6 +328,29 @@ def test_run_bad_config_exit_2(tmp_path, capsys):
     assert "wibble" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "axes, key",
+    [
+        ("degrees = 4\nbw_levels = low high\ndelay_levels = high\n", "bw_levels"),
+        ("degrees = 4\nbw_levels = low\ndelay_levels = high low\n", "delay_levels"),
+        ("degrees = 3 4\nbw_levels = low\ndelay_percents = 100 50\n", "degrees"),
+    ],
+)
+def test_run_emit_plotdata_refuses_an_axis_it_would_average(tmp_path, capsys, axes, key):
+    # a plot-data point is the mean of every row at its x value, so only
+    # seeds may vary beside x: bw_levels = low high with delay_levels =
+    # high low used to average four cells into one point
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("scenario = steering\nnodes = 30\nseeds = 1 2\npairs = 3\n" + axes)
+    out = tmp_path / "a.csv"
+    assert main(["run", str(cfg), "-o", str(out), "--emit-plotdata"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and key in err
+    assert not out.exists()
+    # the same sweep runs without plot data
+    assert main(["run", str(cfg), "-o", str(out)]) == 0
+
+
 def test_run_refuses_a_key_its_sweep_would_not_read(tmp_path, fig_top, capsys):
     # a file sweep has no degree axis: each degree used to rerun every cell
     cfg = tmp_path / "exp.cfg"

@@ -573,9 +573,10 @@ def test_parse_config_validates_enums():
 
 def test_size_defaults():
     cfg = parse_config("scenario = steering\n")
-    assert cfg.effective_nodes() == 1_000
+    assert cfg.nodes == 1_000
     assert cfg.pairs == 100
-    assert parse_config("scenario = vne\n").effective_nodes() == 100
+    assert parse_config("scenario = vne\n").nodes == 100
+    assert parse_config("scenario = vne\ntopology = t.top\n").nodes is None
 
 
 # each scenario and each graph source reads its own keys; setting another
@@ -669,6 +670,14 @@ def test_parse_config_rejects_non_finite_numbers(text, key):
         ("degrees =", "degrees"),
         ("delay_percents =", "delay_percents"),
         ("nodes = 10\nnodes = 20", "nodes"),
+        # a repeated grid value would run its cells twice
+        ("degrees = 4 4", "degrees"),
+        ("degrees = 4, 4.0", "degrees"),
+        ("seeds = 1 2 1", "seeds"),
+        ("backends = nm-l1 edijkstra nm-l1", "backends"),
+        ("bw_levels = low low", "bw_levels"),
+        ("delay_levels = high high", "delay_levels"),
+        ("delay_percents = 50 100 50", "delay_percents"),
         # an empty topology used to mean generated graphs, silently
         ("topology =", "topology"),
         ("output =", "output"),
