@@ -24,8 +24,8 @@ from .neighborhoods import (
     _hop_distances_to,
     _hop_horizon,
     _iter_fixed_length_paths,
+    _l1_path,
     _no_path,
-    _search_l1,
     _usable_mask,
 )
 from .paths import PathResult, path_from_edges
@@ -67,7 +67,10 @@ def solve_edijkstra(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
     only clear, as a steering run's re-solves of a pair do
     (``neighborhoods._floor_to``). One A* pass on it stops once no label
     left can reach dst within the least sum found there, and answers as the
-    unguided Dijkstra (:func:`_search_edijkstra`).
+    unguided Dijkstra (:func:`_search_edijkstra`). A pass that would
+    relabel a node it has already expanded, which only rounding or a floor
+    that is not consistent allows, is run again on a zero floor, which
+    never does.
 
     Raises:
         UnreachableError: dst unreachable on the pruned graph.
@@ -106,20 +109,24 @@ def _search_edijkstra(g, src: int, dst: int, c: ConstraintSet, usable: bytearray
     increase, these equations have one solution, even where rounding lets
     a larger sum extend to a label with fewer hops: at a node of least
     label where two solutions differ, the smaller label extends a tail's
-    label on which both agree. The pass ends in a state that meets them on
-    every node the answer depends on:
+    label on which both agree. A pass that ends without a rerun (see
+    :func:`_guided_pass`) expands each node at most once and never
+    relabels a node it has expanded, so it ends in a state that meets
+    them on every node the answer depends on:
 
-    - Every label is its pred's current label extended. When an offer
-      changes the label or chain of an expanded node, the nodes below it
-      in the pred tree are cleared and relabeled from the expanded nodes
-      outside it (:func:`_relabel_below`). So pred chains never loop, each
-      has as many nodes as its hop count (which :func:`_chain_precedes`
-      needs), and every sum folds a simple path, so it is not below L's.
-    - No offer that a node made in its last expansion and that passes the
-      final cap is beaten at the end: a cleared node is relabeled from
-      every expanded node, and the cap only falls. A labeled node other
-      than dst, which is never expanded, whose key (sum plus floor) is
-      within the final cap was expanded on its final label.
+    - Every label is its pred's current label extended: only an expanded
+      node offers, and its label does not change after it offers. So each
+      pred was expanded before the nodes it labels, pred chains never
+      loop, each has as many nodes as its hop count (which
+      :func:`_chain_precedes` needs), and every sum folds a simple path, so
+      it is not below L's.
+    - No offer that passes the final cap is beaten at the end: the cap only
+      falls, so the pass weighed the offer, and a label only falls until
+      its node is expanded. A labeled node other than dst, which is never
+      expanded, whose key (sum plus floor) is within the final cap was
+      expanded on its final label and chain: the heap entry it was last
+      offered with is popped before the pass ends, and an offer that came
+      after the node's expansion would have ended the pass.
     - The cap is the least sum an offer gave dst, times 1 + 2**-30. That
       sum folds a route, so it is not below L(dst)'s sum S. Call v
       relevant when some route from v to dst, folded onto L(v)'s sum,
@@ -142,8 +149,11 @@ def _search_edijkstra(g, src: int, dst: int, c: ConstraintSet, usable: bytearray
 
     With exact sums and a consistent floor, as the reverse Dijkstra's is,
     the heap order (sum + floor, sum, hops) puts every tail that gives a
-    node its label before the node, so no node is expanded twice; only
-    rounding, or a floor that is not consistent, makes the pass relabel.
+    node its label before the node, so no pass is rerun. A zero floor is
+    consistent whatever the rounding: the heap then pops in (sum, hops)
+    order, every extension is strictly larger than the label it extends,
+    so no offer to an expanded node wins, and the rerun answers in one
+    pass. Both passes share the cap's margin and the tie-breaks.
     """
     p_idx, p_bound = c.path_bounds[0]
     wcol = g.path_cols[p_idx]
@@ -162,9 +172,10 @@ def _search_edijkstra(g, src: int, dst: int, c: ConstraintSet, usable: bytearray
     if reach == math.inf:
         # no route has a finite sum: +inf and NaN metrics are never relaxed.
         # Under a non-strict infinite bound a +inf sum is still feasible,
-        # and nm-l1's polynomial sweep finds the least-hop such route
+        # and nm-l1's polynomial sweep finds the least-hop such route on
+        # the horizon taken above
         if not c.strict and p_bound == math.inf:
-            return _search_l1(g, src, dst, c, usable)
+            return _l1_path(g, src, dst, c, usable, to_dst)
         raise _no_path(src, dst, to_dst)
 
     if not c.sum_ok(reach, p_bound):
@@ -190,7 +201,10 @@ def _guided_pass(g, wcol, usable: bytearray, floor: list[float], src: int, dst: 
     :func:`_chain_precedes`) and skipped when their sum plus the target's
     floor exceeds the cap. The cap starts at +inf, and each offer dst takes
     lowers it to that sum times 1 + 2**-30. The pass ends when the least
-    key exceeds the cap; dst is never expanded.
+    key exceeds the cap; dst is never expanded. An offer that a node
+    already expanded would take, a better label or an equal one through a
+    smaller chain, ends the pass in the same pass on a zero floor, which
+    makes no such offer.
 
     Returns (sum, pred, pred_edge): dst's sum, math.inf when no route has
     a finite one, and the pred links of the labels."""
@@ -226,55 +240,17 @@ def _guided_pass(g, wcol, usable: bytearray, floor: list[float], src: int, dst: 
                     cap = nd * (1 + 2**-30)
             elif nd != dv or nh != hops[v] or pred[v] < 0 or not _chain_precedes(pred, u, pred[v]):
                 continue
+            if done[v]:
+                # an expanded node would take a better label or chain: the
+                # floor is not consistent here, or rounding broke the order.
+                # A zero floor pops in label order, so that pass never does
+                return _guided_pass(g, wcol, usable, [0.0] * n, src, dst)
             # a better label, or an exact tie won by the lexicographically
             # smaller node sequence
             pred[v] = u
             pred_edge[v] = e
-            if done[v]:
-                # v was expanded on an older label or chain: reopen it
-                done[v] = 0
-                _relabel_below(g, v, wcol, usable, floor, cap, dist, hops, pred, pred_edge, done, heap)
             heapq.heappush(heap, (nd + floor[v], nd, nh, v))
     return dist[dst], pred, pred_edge
-
-
-def _relabel_below(g, z, wcol, usable, floor, cap, dist, hops, pred, pred_edge, done, heap) -> None:
-    """Clear the labels of the nodes below z in :func:`_guided_pass`'s pred
-    tree, whose labels or chains extend z's old one, and relabel each from
-    its usable in-edges whose tails are expanded, by the pass's own offer
-    rules and cap; each node relabeled goes back on the heap."""
-    adj = g.adjacency
-    below = []
-    stack = [z]
-    while stack:
-        u = stack.pop()
-        for v, e in adj[u]:
-            if pred_edge[v] == e:
-                dist[v] = math.inf
-                hops[v] = 0
-                pred[v] = pred_edge[v] = -1
-                done[v] = 0
-                below.append(v)
-                stack.append(v)
-    in_adj = g.in_adjacency
-    for v in below:
-        for u, e in in_adj[v]:
-            if not done[u] or not usable[e]:
-                continue
-            nd = dist[u] + wcol[e]
-            if not nd + floor[v] <= cap:
-                continue
-            nh = hops[u] + 1
-            dv = dist[v]
-            if nd < dv or (nd == dv and nh < hops[v]):
-                dist[v] = nd
-                hops[v] = nh
-            elif not (nd == dv and nh == hops[v] and _chain_precedes(pred, u, pred[v])):
-                continue
-            pred[v] = u
-            pred_edge[v] = e
-        if dist[v] < math.inf:
-            heapq.heappush(heap, (dist[v] + floor[v], dist[v], hops[v], v))
 
 
 def _ranked_paths(g, src: int, dst: int):

@@ -139,7 +139,11 @@ def cmd_gen(args) -> int:
     except VpembedError as exc:
         print(f"vpembed gen: generation failed: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    topofile.dump(g, args.output)
+    try:
+        topofile.dump(g, args.output)
+    except OSError as exc:
+        print(f"vpembed gen: {exc}", file=sys.stderr)
+        return EXIT_FLAGS
     print(
         f"nodes={g.node_count} edges={g.edge_count} "
         f"avg_degree={realized_avg_degree(g):.3f} -> {args.output}"
@@ -221,15 +225,19 @@ def cmd_run(args) -> int:
     except VpembedError as exc:
         print(f"vpembed run: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    with open(output, "w", encoding="utf-8") as f:
-        f.write(harness.rows_to_csv(rows))
-    print(f"{len(rows)} rows -> {output}")
-    if args.emit_plotdata:
-        for name, text in harness.plotdata_series(rows, cfg).items():
-            path = os.path.join(os.path.dirname(os.path.abspath(output)), name)
-            with open(path, "w", encoding="utf-8") as f:
-                f.write(text)
-            print(f"plotdata -> {path}")
+    try:
+        with open(output, "w", encoding="utf-8") as f:
+            f.write(harness.rows_to_csv(rows))
+        print(f"{len(rows)} rows -> {output}")
+        if args.emit_plotdata:
+            for name, text in harness.plotdata_series(rows, cfg).items():
+                path = os.path.join(os.path.dirname(os.path.abspath(output)), name)
+                with open(path, "w", encoding="utf-8") as f:
+                    f.write(text)
+                print(f"plotdata -> {path}")
+    except OSError as exc:
+        print(f"vpembed run: {exc}", file=sys.stderr)
+        return EXIT_FLAGS
     return 0
 
 

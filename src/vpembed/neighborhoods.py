@@ -531,11 +531,18 @@ def solve_l1(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
 
 
 def _search_l1(g, src: int, dst: int, c: ConstraintSet, usable: bytearray) -> PathResult:
-    """:func:`solve_l1`'s hop horizon, forward sweeps and back track on the
-    mask usable."""
+    """:func:`solve_l1`'s hop horizon, then its sweeps (:func:`_l1_path`)
+    on the mask usable."""
     to_dst = _hop_horizon(g, src, dst, usable)
     if to_dst[src] == math.inf:
         raise _no_path(src, dst, to_dst)
+    return _l1_path(g, src, dst, c, usable, to_dst)
+
+
+def _l1_path(g, src: int, dst: int, c: ConstraintSet, usable: bytearray, to_dst) -> PathResult:
+    """:func:`solve_l1`'s forward sweeps and back track on the mask usable,
+    bounded by the hop horizon to_dst that the caller took, with
+    ``to_dst[src]`` finite."""
     status, _rounds, label = _l1_forward(g, src, dst, c, usable, to_dst)
     if status == "stalled":
         status, _rounds, label = _l1_forward(g, src, dst, c, usable)

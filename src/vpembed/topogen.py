@@ -153,9 +153,6 @@ def _row_blocks(n: int, floor: int):
     """(first, end) row ranges that split the upper triangle of an n-node
     pair matrix into runs of whole rows, each holding at least floor pairs
     except possibly the last; row i holds the n - 1 - i pairs (i, j > i)."""
-    if n * (n - 1) // 2 <= floor:
-        yield 0, n - 1  # the whole triangle, without a loop over its rows
-        return
     first = 0
     while first < n - 1:
         end, size = first, 0

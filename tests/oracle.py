@@ -1,8 +1,8 @@
 """Reference implementations, independent of the library's search code.
 Most are brute force, deliberately dumb: plain recursion over raw edge
 lists. edijkstra_reference keeps the plain Dijkstra that solve_edijkstra's
-one A* pass on its delay floor must match answer for answer, relabeling
-included; waxman_pairs_reference and
+A* pass on its delay floor must match answer for answer, a rerun on a
+zero floor included; waxman_pairs_reference and
 bridge_components_reference keep the one-shot Waxman draw and the plain
 bridging loop that topogen's blockwise versions must match bit for bit."""
 

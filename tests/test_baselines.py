@@ -259,13 +259,33 @@ def test_edijkstra_floor_answers_like_the_plain_dijkstra():
     assert reused > 300 and built > 300
 
 
+def _record_passes(monkeypatch):
+    """Wrap baselines._guided_pass so that each pass appends (depth, floor)
+    to the list returned: depth 0 for the pass a search runs, 1 for a
+    rerun that pass ends in, and so on."""
+    passes = []
+    running = []
+    guided = baselines._guided_pass
+
+    def recording(g, wcol, usable, floor, src, dst):
+        passes.append((len(running), list(floor)))
+        running.append(dst)
+        try:
+            return guided(g, wcol, usable, floor, src, dst)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(baselines, "_guided_pass", recording)
+    return passes
+
+
 def test_edijkstra_floor_that_is_not_consistent_answers_like_the_plain_dijkstra(monkeypatch):
     # the test above again, with every floor built scaled by a random factor
     # per node in [0, 1]: still a lower bound, but no longer consistent, so
-    # the A* pass expands nodes before their final label and must relabel
+    # the A* pass expands nodes before their final label and must rerun on
+    # a zero floor
     rng = random.Random(1)
-    relabels = []
-    build, relabel = baselines._floor_to, baselines._relabel_below
+    build = baselines._floor_to
 
     def scaled_floor(g, p_idx, dst, src, usable):
         floor = build(g, p_idx, dst, src, usable)
@@ -274,25 +294,53 @@ def test_edijkstra_floor_that_is_not_consistent_answers_like_the_plain_dijkstra(
         ]
         return floor
 
-    def counting(*args):
-        relabels.append(args[1])
-        return relabel(*args)
-
     monkeypatch.setattr(baselines, "_floor_to", scaled_floor)
-    monkeypatch.setattr(baselines, "_relabel_below", counting)
+    passes = _record_passes(monkeypatch)
     test_edijkstra_floor_answers_like_the_plain_dijkstra()
-    assert len(relabels) > 50
+    assert sum(depth > 0 and not any(floor) for depth, floor in passes) > 50
 
 
-def test_edijkstra_relabels_below_a_reopened_node_from_outside_it(monkeypatch):
+def test_edijkstra_reruns_at_most_once_and_on_a_zero_floor(monkeypatch):
+    # the inconsistent floors above again, with the passes of each search
+    # told apart: a search runs one pass, and a rerun once more
+    starts = []
+    search = baselines._search_edijkstra
+
+    def searching(*args):
+        starts.append(len(passes))
+        return search(*args)
+
+    monkeypatch.setattr(baselines, "_search_edijkstra", searching)
+    passes = _record_passes(monkeypatch)
+    test_edijkstra_floor_that_is_not_consistent_answers_like_the_plain_dijkstra(monkeypatch)
+    ends = starts[1:] + [len(passes)]
+    assert max(end - start for start, end in zip(starts, ends)) == 2
+    for start, end in zip(starts, ends):
+        assert not any(any(floor) for _depth, floor in passes[start + 1:end])
+
+
+def test_edijkstra_steering_substrate_runs_no_zero_floor_pass(monkeypatch):
+    # the 200-node substrate of the steering test below: its reverse
+    # Dijkstra floors are consistent up to rounding, so no pass reruns; a
+    # floor change that made them rerun would double the cost of a search
+    passes = _record_passes(monkeypatch)
+    g = generate(GenSpec(node_count=200, target_avg_degree=4.0, seed=11))
+    for delay_level in ("high", "low"):
+        c = resolve_constraint_severity(g, "low", delay_level)
+        run_steering(g, 20, c, "edijkstra", seed=3)
+    assert len(passes) > 100
+    assert all(depth == 0 for depth, _floor in passes)
+
+
+def test_edijkstra_reopened_node_answers_like_the_plain_dijkstra(monkeypatch):
     # s=0 reaches z=1 by one 0.1 edge and by three 0 edges through a=4 and
     # b=5, and u=3 by 0.1 then 0 through c=2; v=6 hangs off z and u by 1e16
     # edges, which absorb every smaller sum. The floor, 1e16 at a and 0
     # elsewhere, is a lower bound, but it sends the pass through z on its
     # one-hop label first: v takes (1e16, 2) from z and turns down u's
     # (1e16, 3). When z's three-hop label arrives, v's label through z
-    # becomes (1e16, 4), so v must be relabeled from u, which is expanded
-    # and never offers again, as the plain Dijkstra labels it
+    # becomes (1e16, 4): v's label through u, which is expanded and never
+    # offers again, is the plain Dijkstra's, and the pass must find it
     s, z, c, u, a, b, v, t = range(8)
     edges = [
         (s, z, E((5.0,), (0.1,))),
@@ -500,6 +548,13 @@ def test_edijkstra_takes_the_hop_horizon_once_when_no_route_has_a_finite_sum(mon
     horizons.clear()
     with pytest.raises(InfeasibleError):
         solve_edijkstra(overlay, 0, 3, c)
+    assert overlay.mask_memo[3] is kept
+    assert len(horizons) == 1
+    # under <= inf the same pass hands the query to nm-l1's sweeps, which
+    # take the horizon the search opened with, too
+    horizons.clear()
+    c_inf = ConstraintSet(((0, 3.0),), ((0, math.inf),), strict=False)
+    assert solve_edijkstra(overlay, 0, 3, c_inf).nodes == (0, 2, 3)
     assert overlay.mask_memo[3] is kept
     assert len(horizons) == 1
 

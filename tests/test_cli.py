@@ -139,6 +139,16 @@ def test_gen_missing_output_directory_is_one_line_error(tmp_path):
     assert proc.stdout == ""
 
 
+def test_gen_unwritable_output_is_one_line_error(tmp_path):
+    # the directory exists, so only the write itself finds the name too long
+    proc = _cli("gen", "--nodes", "30", "-o", str(tmp_path / ("t" * 300)))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("vpembed gen: ")
+    assert proc.stdout == ""
+
+
 # --- solve ---------------------------------------------------------------------
 
 
@@ -518,6 +528,21 @@ def test_run_output_path_is_a_directory_is_one_line_error(tmp_path):
     assert len(proc.stderr.splitlines()) == 1
     assert "adir" in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("blocked", ["csv", "plotdata"])
+def test_run_unwritable_output_is_one_line_error(tmp_path, blocked):
+    # a name too long for the file system, or a directory where a plot-data
+    # file goes: only the write after the sweep finds either
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("scenario = steering\nnodes = 30\npairs = 2\nbackends = nm-l1\nseeds = 0\n")
+    out = tmp_path / ("o" * 300 if blocked == "csv" else "out.csv")
+    (tmp_path / "throughput_nm-l1.dat").mkdir()
+    proc = _cli("run", str(cfg), "-o", str(out), "--emit-plotdata")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("vpembed run: ")
 
 
 # --- what a process loads --------------------------------------------------------
