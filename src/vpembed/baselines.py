@@ -21,7 +21,6 @@ from .neighborhoods import (
     _answer,
     _check_query,
     _floor_to,
-    _hop_distances_to,
     _hop_horizon,
     _iter_fixed_length_paths,
     _l1_path,
@@ -255,16 +254,17 @@ def _guided_pass(g, wcol, usable: bytearray, floor: list[float], src: int, dst: 
 
 def _ranked_paths(g, src: int, dst: int):
     """Yield (nodes, edge_handles) for every loop-free src->dst path of the
-    bare topology in (hop count, lexicographic) order: one all-ones reverse
-    BFS, then nm-general's fixed-length enumerator at each hop count. Yields
-    nothing when dst is unreachable.
+    bare topology in (hop count, lexicographic) order: the hop horizon on
+    an all-ones mask (``neighborhoods._hop_horizon``), then nm-general's
+    fixed-length enumerator at each hop count. Yields nothing when dst is
+    unreachable.
 
     Raises:
         ResourceLimitError: candidate expansion at one hop count exceeded
             neighborhoods.DEFAULT_CANDIDATE_LIMIT partial paths.
     """
     all_ones = bytearray([1]) * g.edge_count
-    to_dst = _hop_distances_to(g, dst, all_ones)
+    to_dst = _hop_horizon(g, src, dst, all_ones)
     if to_dst[src] == math.inf:
         return
     for depth in range(to_dst[src], g.node_count):
@@ -332,9 +332,12 @@ def solve_exhaustive(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
     """Enumerate every loop-free path and return the feasible one minimizing
     (hop count, lexicographic node sequence). Exponential; guarded by size.
 
-    Iterative deepening: for each hop budget in ascending order, a DFS in
-    ascending adjacency order visits exactly the simple paths of that
-    length, so the first feasible hit is the answer.
+    Iterative deepening: for each hop budget in ascending order, from src's
+    hop distance to dst, a DFS in ascending adjacency order visits exactly
+    the simple paths of that length, so the first feasible hit is the
+    answer. The hop horizon (``neighborhoods._hop_horizon``) gives that
+    distance, the lower bounds the DFS prunes by, and the unreachable
+    verdict (``neighborhoods._no_path``).
 
     Raises:
         ResourceLimitError: node_count exceeds EXHAUSTIVE_NODE_LIMIT, read
@@ -350,9 +353,9 @@ def solve_exhaustive(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
         return trivial
 
     usable = _usable_mask(g, c)
-    lower = _hop_distances_to(g, dst, usable)
+    lower = _hop_horizon(g, src, dst, usable)
     if lower[src] == math.inf:
-        raise UnreachableError(f"node {dst} is unreachable from {src} on the pruned graph")
+        raise _no_path(src, dst, lower)
 
     # partial-sum pruning is sound only for bounds on nonnegative metrics;
     # a NaN prefix sum already fails sum_ok, so NaN values do not stop it
@@ -385,7 +388,7 @@ def solve_exhaustive(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
             on_path[v] = 0
         return False
 
-    for budget in range(int(lower[src]), n):
+    for budget in range(lower[src], n):
         nodes = [src]
         edges: list[int] = []
         on_path = bytearray(n)

@@ -45,21 +45,26 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a topology file")
-    gen.add_argument("--model", choices=MODELS, default="waxman")
-    gen.add_argument("--nodes", type=int, default=100)
-    gen.add_argument("--degree", type=float, default=4.0, help="target average degree")
-    gen.add_argument("--alpha", type=float, default=0.15)
-    gen.add_argument("--beta", type=float, default=0.2)
-    gen.add_argument("--m", type=int, default=None, help="attachment count (barabasi_albert)")
+    # every default is GenSpec's, so a flagless gen writes generate(GenSpec())
+    gen.add_argument("--model", choices=MODELS, default=GenSpec.model)
+    gen.add_argument("--nodes", type=int, default=GenSpec.node_count)
+    gen.add_argument(
+        "--degree", type=float, default=GenSpec.target_avg_degree, help="target average degree"
+    )
+    gen.add_argument("--alpha", type=float, default=GenSpec.alpha)
+    gen.add_argument("--beta", type=float, default=GenSpec.beta)
+    gen.add_argument("--m", type=int, default=GenSpec.m, help="attachment count (barabasi_albert)")
     gen.add_argument("--no-degree-target", action="store_true", help="use raw alpha/m")
-    gen.add_argument("--bw-low", type=float, default=1.0)
-    gen.add_argument("--bw-high", type=float, default=9.0)
-    gen.add_argument("--cpu", type=float, default=100.0)
-    gen.add_argument("--delay-model", choices=("euclidean_scaled", "uniform"), default="euclidean_scaled")
-    gen.add_argument("--max-delay", type=float, default=10.0)
-    gen.add_argument("--delay-low", type=float, default=1.0)
-    gen.add_argument("--delay-high", type=float, default=10.0)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--bw-low", type=float, default=GenSpec.bw_range[0])
+    gen.add_argument("--bw-high", type=float, default=GenSpec.bw_range[1])
+    gen.add_argument("--cpu", type=float, default=GenSpec.cpu_units)
+    gen.add_argument(
+        "--delay-model", choices=("euclidean_scaled", "uniform"), default=GenSpec.delay_model
+    )
+    gen.add_argument("--max-delay", type=float, default=GenSpec.max_delay)
+    gen.add_argument("--delay-low", type=float, default=GenSpec.delay_range[0])
+    gen.add_argument("--delay-high", type=float, default=GenSpec.delay_range[1])
+    gen.add_argument("--seed", type=int, default=GenSpec.seed)
     gen.add_argument("-o", "--output", required=True)
 
     solve = sub.add_parser("solve", help="run one constrained path query")

@@ -1,24 +1,24 @@
 """Minimum-hop constrained path search on the link-bound-pruned graph.
 
-Both solvers first drop the edges that break a link bound. Then:
+Both solvers first drop the edges that break a link bound, then take
+the hop horizon (:func:`_hop_horizon`): a bidirectional BFS between src
+and dst that settles an unreachable dst, finds src's hop distance H and
+bounds every other node's hop distance to dst from below. Then:
 
-- :func:`solve_general` accepts any number of link and path bounds. One
-  reverse BFS gives every node's hop distance to dst. The solver deepens
-  from src's hop distance to node_count - 1 hops, and at each depth
-  enumerates the loop-free candidate paths of exactly that many hops
-  (worst-case exponential) in lexicographic order, extending a prefix
-  only while its hop count plus its end's distance to dst fits the depth.
-  The first candidate that meets every path bound is the answer.
+- :func:`solve_general` accepts any number of link and path bounds. It
+  deepens from H to node_count - 1 hops, and at each depth enumerates the
+  loop-free candidate paths of exactly that many hops (worst-case
+  exponential) in lexicographic order, extending a prefix only while its
+  hop count plus its end's lower bound fits the depth. The first
+  candidate that meets every path bound is the answer.
 - :func:`solve_l1` accepts exactly one path bound and runs in polynomial
   time: each round keeps one best accumulated value per node and re-labels
   a node only when a strictly better value arrives that still respects the
   bound; the nodes re-labeled in a round form the next frontier. On every
-  path metric, whatever its sign, a bidirectional BFS between src and dst
-  first settles an unreachable dst and finds src's hop distance H, and the
-  sweep is then bounded by it: round k offers only to nodes that a lower
-  bound does not put more than H - k hops from dst. The bounded sweep
-  returns the plain sweep's answer whenever that answer has H hops; when it
-  stalls, the plain sweep runs.
+  path metric, whatever its sign, the sweep is bounded by H: round k offers
+  only to nodes that the lower bound does not put more than H - k hops
+  from dst. The bounded sweep returns the plain sweep's answer whenever
+  that answer has H hops; when it stalls, the plain sweep runs.
 
 Rounds in solve_l1 are synchronous: offers made during round k compare
 against the values committed at round k-1, and every label keeps an
@@ -29,11 +29,11 @@ round early and the back track can splice a detour into the answer.
 Both solvers, and baselines.solve_edijkstra, read link state only through
 the pruning mask, so one front (:func:`_answer`) returns each one's last
 answer again, without a search, to the same query on the same mask. Each
-search first takes a BFS on the mask, the reverse one in solve_general and
-the bidirectional hop horizon in the other two, and one rule tells
-unreachable from infeasible on the hop distances that BFS gave
-(:func:`_no_path`). The mask's memo also keeps solve_edijkstra's delay
-floor towards one dst (:func:`_floor_to`), a reverse Dijkstra
+search, and baselines' ksp ranking and exhaustive oracle too, first takes
+the hop horizon on its mask, and one rule tells unreachable from
+infeasible on the hop distances it gave (:func:`_no_path`). The mask's
+memo also keeps solve_edijkstra's delay floor towards one dst
+(:func:`_floor_to`), a reverse Dijkstra
 (:func:`_min_sums_to`) that stays a lower bound while mask bits only
 clear; solve_edijkstra's one A* pass is keyed on it.
 """
@@ -149,8 +149,8 @@ def _answer(g, src: int, dst: int, c: ConstraintSet, name: str, search) -> PathR
 def _no_path(src: int, dst: int, to_dst) -> UnreachableError | InfeasibleError:
     """The verdict on a query whose search found no path: UnreachableError
     when dst is cut off from src, InfeasibleError otherwise. to_dst holds
-    src's exact hop distance to dst on the search's mask, from the BFS the
-    search already took (:func:`_hop_distances_to` or :func:`_hop_horizon`)."""
+    src's exact hop distance to dst on the search's mask, from the hop
+    horizon the search already took (:func:`_hop_horizon`)."""
     if to_dst[src] == math.inf:
         return UnreachableError(f"node {dst} is unreachable from {src} on the pruned graph")
     return InfeasibleError(f"the path bound rejects every route from {src} to {dst}")
@@ -203,31 +203,11 @@ def _floor_to(g, p_idx: int, dst: int, src: int, usable: bytearray) -> list[floa
     return floor
 
 
-def _hop_distances_to(g, dst: int, usable: bytearray) -> list[int | float]:
-    """Hop distance from every node to dst on the pruned graph, ignoring
-    path bounds (reverse BFS). Entries are ints, math.inf where dst is
-    unreachable; the entry of dst is 0."""
-    inf = math.inf
-    dist = [inf] * g.node_count
-    dist[dst] = 0
-    queue = [dst]
-    in_adj = g.in_adjacency
-    hops = 0
-    while queue:
-        hops += 1
-        nxt = []
-        for v in queue:
-            for u, e in in_adj[v]:
-                if dist[u] == inf and usable[e]:
-                    dist[u] = hops
-                    nxt.append(u)
-        queue = nxt
-    return dist
-
-
 def _hop_horizon(g, src: int, dst: int, usable: bytearray) -> list[int | float]:
     """src's hop distance H to dst on the pruned graph (src != dst), ignoring
-    path bounds, in a list that bounds every other node's from below.
+    path bounds, in a list that bounds every other node's from below: the
+    one hop-distance BFS of every solver, and all that the candidate
+    enumerator (:func:`_iter_fixed_length_paths`) needs.
 
     A bidirectional BFS (Pohl 1971). Each step labels the next level of the
     forward ball around src (over g.adjacency) or of the reverse ball around
@@ -297,8 +277,11 @@ def _iter_fixed_length_paths(g, depth, src, dst, usable, to_dst, cost_floor=None
 
     Walks forward from src in ascending (neighbor, handle) order. A prefix
     that ends k hops out at v is extended only while k + to_dst[v] <= depth,
-    to_dst being :func:`_hop_distances_to` of dst on the same mask; no
-    prefix that can still become a loop-free path of depth hops is cut.
+    to_dst being :func:`_hop_horizon` of (src, dst) on the same mask. Its
+    entries never exceed their nodes' hop distances to dst, so no prefix
+    that can still become a loop-free path of depth hops is cut: any such
+    lower bound yields the same paths in the same order, and a tighter one
+    only expands fewer dead prefixes.
 
     cost_floor optionally lists (metric col, per-node remaining-sum lower
     bound, effective upper bound) triples; prefixes that already provably
@@ -363,11 +346,12 @@ def _iter_fixed_length_paths(g, depth, src, dst, usable, to_dst, cost_floor=None
 def solve_general(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
     """Minimum-hop loop-free path satisfying any mix of link and path bounds.
 
-    Prunes link-infeasible edges and takes the hop distance of every node
-    to dst on what is left (one reverse BFS). Then, for each depth from
-    src's hop distance up to node_count - 1, it generates the candidates of
-    exactly that hop count in lexicographic order and returns the first
-    one meeting all path bounds. DEFAULT_CANDIDATE_LIMIT, read at call
+    Prunes link-infeasible edges and takes the hop horizon on what is left
+    (:func:`_hop_horizon`): src's hop distance to dst, and a lower bound on
+    every other node's. Then, for each depth from src's hop distance up to
+    node_count - 1, it generates the candidates of exactly that hop count
+    in lexicographic order and returns the first one meeting all path
+    bounds. DEFAULT_CANDIDATE_LIMIT, read at call
     time, caps the partial paths expanded at each depth. A repeat of a
     query on an unchanged mask returns the last answer without a search
     (:func:`_answer`).
@@ -383,7 +367,7 @@ def solve_general(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
 
 def _search_general(g, src: int, dst: int, c: ConstraintSet, usable: bytearray) -> PathResult:
     """:func:`solve_general`'s search on the pruning mask usable."""
-    to_dst = _hop_distances_to(g, dst, usable)
+    to_dst = _hop_horizon(g, src, dst, usable)
     if to_dst[src] == math.inf:
         raise _no_path(src, dst, to_dst)
 

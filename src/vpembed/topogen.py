@@ -191,10 +191,9 @@ def _waxman_pairs(n, coords, rng, beta, alpha, target):
         want = round(target * n / 2)
         if want < 1 or want >= total:
             raise DegreeUnreachableError(f"degree {target} out of range for {n} nodes")
-    blocks = list(_row_blocks(n, PAIR_BLOCK))
     parts = []
     kept = None
-    for first, end in blocks:
+    for first, end in _row_blocks(n, PAIR_BLOCK):
         rows = np.arange(first, end)[:, None]
         cols = np.arange(first + 1, n)
         upper = cols > rows
@@ -230,11 +229,10 @@ def _waxman_pairs(n, coords, rng, beta, alpha, target):
         cut = 1.0
     chosen = ratio < cut
     iu, iv, d = iu[chosen], iv[chosen], d[chosen]
-    if len(blocks) > 1:
-        # carried entries come out of argpartition unordered
-        order = np.argsort(iu * n + iv)
-        iu, iv, d = iu[order], iv[order], d[order]
-    return iu, iv, d
+    # carried entries come out of argpartition unordered; one block is in
+    # triangle order already, with unique keys, so the sort keeps it as is
+    order = np.argsort(iu * n + iv)
+    return iu[order], iv[order], d[order]
 
 
 def _barabasi_pairs(n, m, rng):
@@ -310,11 +308,14 @@ def generate(spec: GenSpec) -> PhysicalGraph:
     if bridge_pairs:
         regular = [i for i, p in enumerate(pairs) if p not in bridge_pairs]
         bw_med = float(np.median(bw[regular])) if regular else float(np.mean(spec.bw_range))
+        delay_med = None
+        if spec.delay_model == "uniform" and regular:
+            delay_med = float(np.median([delay[j] for j in regular]))
         for i, p in enumerate(pairs):
             if p in bridge_pairs:
                 bw[i] = bw_med
-                if spec.delay_model == "uniform":
-                    delay[i] = float(np.median([delay[j] for j in regular])) if regular else delay[i]
+                if delay_med is not None:
+                    delay[i] = delay_med
 
     edges = []
     for i, (u, v) in enumerate(pairs):

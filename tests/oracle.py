@@ -95,6 +95,23 @@ def reachable(node_count, edge_list, src, dst):
     return dst in seen
 
 
+def hop_distances_reference(node_count, edge_list, dst, usable):
+    """Hop distance from every node to dst over the edges whose mask bit is
+    set, by a plain reverse BFS over the raw edge list: ints, math.inf
+    where dst is unreachable, 0 at dst."""
+    dist = [math.inf] * node_count
+    dist[dst] = 0
+    level = {dst}
+    while level:
+        nxt = set()
+        for idx, (a, b, _m) in enumerate(edge_list):
+            if usable[idx] and b in level and dist[a] == math.inf:
+                dist[a] = dist[b] + 1
+                nxt.add(a)
+        level = nxt
+    return dist
+
+
 def edijkstra_reference(g, src, dst, c, usable):
     """solve_edijkstra's search as it was before the delay floor guided it:
     one Dijkstra over the whole pruned graph on the single path metric,

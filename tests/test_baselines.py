@@ -807,7 +807,7 @@ def test_ksp_cache_answers_like_a_fresh_graph():
 
 
 def test_ksp_cache_is_shared_and_skips_the_search_on_repeat(monkeypatch):
-    calls = {"_iter_fixed_length_paths": 0, "_hop_distances_to": 0}
+    calls = {"_iter_fixed_length_paths": 0, "_hop_horizon": 0}
     for name in calls:
         original = getattr(baselines, name)
 
@@ -832,7 +832,7 @@ def test_ksp_cache_is_shared_and_skips_the_search_on_repeat(monkeypatch):
             solve_ksp(overlay, Y, X, c, 2)
 
     queries()
-    assert calls["_hop_distances_to"] == 3 and calls["_iter_fixed_length_paths"] > 0
+    assert calls["_hop_horizon"] == 3 and calls["_iter_fixed_length_paths"] > 0
     # the overlay ranked on its base's dict: an exhausted entry per pair
     assert g.ranked_paths[(X, Y)][1] and g.ranked_paths[(Y, X)] == ((), True)
     assert len(g.ranked_paths[(X, Y)][0]) == 4
@@ -842,7 +842,7 @@ def test_ksp_cache_is_shared_and_skips_the_search_on_repeat(monkeypatch):
     queries()
     with pytest.raises(InfeasibleError, match="first 2 "):
         solve_ksp(g, X, Y, c, 2)
-    assert calls == {"_iter_fixed_length_paths": 0, "_hop_distances_to": 0}
+    assert calls == {"_iter_fixed_length_paths": 0, "_hop_horizon": 0}
 
 
 def test_ksp_resource_limit_repeats_and_caches_nothing_new(monkeypatch):

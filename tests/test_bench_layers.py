@@ -18,7 +18,12 @@ def test_every_traced_layer_exists():
     tracer = Tracer()
     try:
         tracer.install()
-        # _reachable is gone from the library; the benchmark drops it next
-        assert set(tracer.absent) <= {"neighborhoods._reachable"}
+        # _reachable and baselines._hop_distances_to, which every solver's
+        # hop horizon replaced, are gone from the library; the benchmark
+        # drops them next
+        assert set(tracer.absent) <= {
+            "neighborhoods._reachable",
+            "baselines._hop_distances_to",
+        }
     finally:
         tracer.uninstall()

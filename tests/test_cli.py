@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from vpembed import GenSpec, generate, topofile
 from vpembed.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -56,6 +57,12 @@ def test_gen_writes_topology(tmp_path, capsys):
     assert sum(1 for line in text.splitlines() if line.startswith("node ")) == 100
     printed = capsys.readouterr().out
     assert "nodes=100" in printed and "avg_degree=" in printed
+
+
+def test_gen_without_flags_writes_the_default_spec(tmp_path):
+    out = tmp_path / "x.top"
+    assert main(["gen", "-o", str(out)]) == 0
+    assert out.read_text() == topofile.dumps(generate(GenSpec()))
 
 
 def test_gen_deterministic(tmp_path):

@@ -558,9 +558,9 @@ def test_answer_slot_answers_like_a_graph_without_memo(monkeypatch):
 def searches(monkeypatch):
     """Count the searches each solver runs: nm-l1's bidirectional BFS and
     forward sweep (an unreachable dst is settled by the BFS alone),
-    nm-general's reverse BFS, and edijkstra's bidirectional BFS and heap
-    pops (an unreachable dst is settled by that BFS alone, which baselines
-    binds itself, so it is counted there too)."""
+    nm-general's bidirectional BFS, and edijkstra's bidirectional BFS and
+    heap pops (an unreachable dst is settled by that BFS alone, which
+    baselines binds itself, so it is counted there too)."""
     counts = dict.fromkeys(SOLVERS, 0)
 
     def counting(names, original):
@@ -576,13 +576,8 @@ def searches(monkeypatch):
     )
     monkeypatch.setattr(
         neighborhoods,
-        "_hop_distances_to",
-        counting(["nm-l1", "nm-general", "edijkstra"], neighborhoods._hop_distances_to),
-    )
-    monkeypatch.setattr(
-        neighborhoods,
         "_hop_horizon",
-        counting(["nm-l1", "edijkstra"], neighborhoods._hop_horizon),
+        counting(["nm-l1", "nm-general", "edijkstra"], neighborhoods._hop_horizon),
     )
     monkeypatch.setattr(
         baselines, "_hop_horizon", counting(["edijkstra"], baselines._hop_horizon)

@@ -6,7 +6,13 @@ import time
 import pytest
 
 from conftest import A, B, X, Y, random_instance, random_l1_bounds, random_multigraph
-from oracle import all_simple_paths, feasible, min_feasible_hops, reachable
+from oracle import (
+    all_simple_paths,
+    feasible,
+    hop_distances_reference,
+    min_feasible_hops,
+    reachable,
+)
 from vpembed import neighborhoods
 from vpembed import (
     ConstraintSet,
@@ -24,7 +30,6 @@ from vpembed import (
     solve_l1,
 )
 from vpembed.neighborhoods import (
-    _hop_distances_to,
     _hop_horizon,
     _iter_fixed_length_paths,
     _l1_forward,
@@ -40,11 +45,11 @@ def _all_usable(g):
 
 
 def _candidates(g, depth, src, dst, usable=None):
-    """Every candidate of exactly depth hops, pruned by the hop distances
-    to dst as solve_general prunes them."""
+    """Every candidate of exactly depth hops, pruned by the hop horizon of
+    (src, dst) as solve_general prunes them."""
     if usable is None:
         usable = _all_usable(g)
-    to_dst = _hop_distances_to(g, dst, usable)
+    to_dst = _hop_horizon(g, src, dst, usable)
     return [
         path_from_edges(g, nodes, edges)
         for nodes, edges in _iter_fixed_length_paths(g, depth, src, dst, usable, to_dst)
@@ -63,13 +68,18 @@ def test_fig_candidates_by_depth(fig_graph, fig_constraints):
     assert [c.nodes for c in _candidates(fig_graph, 3, X, Y, usable)] == [(X, B, A, Y)]
 
 
-def test_hop_distances_to(fig_graph, fig_constraints):
-    assert _hop_distances_to(fig_graph, Y, _all_usable(fig_graph)) == [2, 1, 1, 0]
+def test_hop_horizon_on_the_fig_graph(fig_graph, fig_constraints):
+    # exact at src, int entries, none above its node's hop distance to Y:
+    # [2, 1, 1, 0] on the bare graph, [2, 1, 2, 0] once B->Y is pruned
+    bound = _hop_horizon(fig_graph, X, Y, _all_usable(fig_graph))
+    assert bound[X] == 2 and all(low <= d for low, d in zip(bound, [2, 1, 1, 0]))
     usable = _usable_mask(fig_graph, fig_constraints)
-    dist = _hop_distances_to(fig_graph, Y, usable)
-    assert dist == [2, 1, 2, 0] and all(type(d) is int for d in dist)
-    # no edge enters X, so every other node is at distance inf from it
-    assert _hop_distances_to(fig_graph, X, usable) == [0, math.inf, math.inf, math.inf]
+    bound = _hop_horizon(fig_graph, X, Y, usable)
+    assert bound[X] == 2 and all(low <= d for low, d in zip(bound, [2, 1, 2, 0]))
+    assert all(type(low) is int for low in bound)
+    # no edge enters X, so X is cut off from every other node
+    for src in (A, B, Y):
+        assert _hop_horizon(fig_graph, src, X, usable)[src] == math.inf
 
 
 def test_hop_horizon_is_exact_at_src_and_a_consistent_lower_bound():
@@ -84,7 +94,7 @@ def test_hop_horizon_is_exact_at_src_and_a_consistent_lower_bound():
         g = build_graph(n, edges, [0.0] * n, link_arity=1, path_arity=1)
         usable = _usable_mask(g, ConstraintSet(((0, float(rng.randint(1, 9))),), ()))
         for dst in range(n):
-            dist = _hop_distances_to(g, dst, usable)
+            dist = hop_distances_reference(n, edges, dst, usable)
             for src in range(n):
                 if src == dst:
                     continue
@@ -129,7 +139,7 @@ def test_backward_pass_complete_against_enumeration():
     for _ in range(80):
         g, edges = random_instance(rng, max_nodes=10)
         src, dst = 0, g.node_count - 1
-        first = _hop_distances_to(g, dst, _all_usable(g))[src]
+        first = hop_distances_reference(g.node_count, edges, dst, _all_usable(g))[src]
         if first == math.inf:
             continue
         simple = [tuple(nodes) for nodes, _e in all_simple_paths(g.node_count, edges, src, dst)]
@@ -138,6 +148,33 @@ def test_backward_pass_complete_against_enumeration():
             assert [c.nodes for c in _candidates(g, depth, src, dst)] == expected
             checked += 1
     assert checked > 100
+
+
+def test_horizon_pruning_enumerates_as_the_exact_distances_do():
+    # seeded multigraphs with parallel edges under random link-bound masks,
+    # every src != dst that can reach dst: at every depth from H to n - 1
+    # the enumerator pruned by the hop horizon yields the same (nodes,
+    # edges) sequence as when pruned by the exact reverse-BFS distances
+    rng = random.Random(25)
+    depths = looser = 0
+    for _ in range(150):
+        n, edges = random_multigraph(rng, max_nodes=8)
+        g = build_graph(n, edges, [0.0] * n, link_arity=1, path_arity=1)
+        usable = _usable_mask(g, ConstraintSet(((0, float(rng.randint(1, 6))),), ()))
+        for dst in range(n):
+            exact = hop_distances_reference(n, edges, dst, usable)
+            for src in range(n):
+                if src == dst or exact[src] == math.inf:
+                    continue
+                bound = _hop_horizon(g, src, dst, usable)
+                assert bound[src] == exact[src]
+                looser += bound != exact
+                for depth in range(bound[src], n):
+                    by_bound = _iter_fixed_length_paths(g, depth, src, dst, usable, bound)
+                    by_exact = _iter_fixed_length_paths(g, depth, src, dst, usable, exact)
+                    assert list(by_bound) == list(by_exact)
+                    depths += 1
+    assert depths > 2000 and looser > 500
 
 
 def test_backward_pass_accumulates_metrics(fig_graph):
@@ -513,7 +550,7 @@ def test_l1_hop_horizon_matches_the_plain_sweep(monkeypatch):
                     continue
                 status, rounds, label = forward(g, src, dst, c, usable)
                 path = _back_track(label, dst) if status == "found" else None
-                horizon = _hop_distances_to(g, dst, usable)[src]
+                horizon = hop_distances_reference(n, edges, dst, usable)[src]
                 last.clear()
                 try:
                     result = solve_l1(g, src, dst, c)

@@ -109,6 +109,35 @@ def test_uniform_delay_model():
     assert all(2.0 <= d <= 3.0 for d in g.path_cols[0])
 
 
+def test_uniform_delay_bridges_carry_the_regular_links_median(monkeypatch):
+    # a sparse uniform-delay draw stays disconnected, so bridging joins it:
+    # every bridge link carries the median delay (and bandwidth) of the
+    # links the draw chose
+    bridges = set()
+    bridge_components = topogen._bridge_components
+
+    def recording(comps, coords, pairs, pair_dist):
+        got = bridge_components(comps, coords, pairs, pair_dist)
+        bridges.update(got[0][len(pairs):])
+        return got
+
+    monkeypatch.setattr(topogen, "_bridge_components", recording)
+    for seed in range(3):
+        bridges.clear()
+        g = generate(
+            GenSpec(node_count=100, target_avg_degree=None, alpha=0.05,
+                    delay_model="uniform", seed=seed)
+        )
+        links = {(u, v): m for u, v, m in g.edges if u < v}
+        regular = [m for pair, m in links.items() if pair not in bridges]
+        assert bridges and regular
+        delay_med = float(np.median([m.path_metrics[0] for m in regular]))
+        bw_med = float(np.median([m.link_metrics[0] for m in regular]))
+        for pair in bridges:
+            assert links[pair].path_metrics == (delay_med,)
+            assert links[pair].link_metrics == (bw_med,)
+
+
 def test_degree_unreachable():
     with pytest.raises(DegreeUnreachableError):
         generate(GenSpec(node_count=10, target_avg_degree=9.5, seed=1))
