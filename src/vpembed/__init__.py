@@ -7,7 +7,7 @@ for virtual network embedding and traffic steering.
 """
 
 from .backends import resolve_backend
-from .baselines import solve_edijkstra, solve_exhaustive, solve_ksp
+from .baselines import solve_edijkstra, solve_ksp
 from .constraints import ConstraintSet, parse_constraints, path_feasible
 from .errors import (
     ArityMismatchError,
@@ -86,7 +86,6 @@ __all__ = [
     "run_steering",
     "run_vne",
     "solve_edijkstra",
-    "solve_exhaustive",
     "solve_general",
     "solve_ksp",
     "solve_l1",

@@ -1,18 +1,18 @@
 """Solver registry: resolve name tokens to query callables.
 
 Token grammar:
-    nm-general | nm-l1 | edijkstra | ksp:<k> | exhaustive
+    nm-general | nm-l1 | edijkstra | ksp:<k>
 
 ``ksp:<k>`` takes a positive integer k, the number of candidates tried.
 Every resolved backend has the uniform signature
 ``backend(g, src, dst, c) -> PathResult`` and raises NoPathError subclasses.
 """
 
-from .baselines import solve_edijkstra, solve_exhaustive, solve_ksp
+from .baselines import solve_edijkstra, solve_ksp
 from .errors import UnknownBackendError
 from .neighborhoods import solve_general, solve_l1
 
-BACKEND_NAMES = ("nm-general", "nm-l1", "edijkstra", "ksp:<k>", "exhaustive")
+BACKEND_NAMES = ("nm-general", "nm-l1", "edijkstra", "ksp:<k>")
 
 
 def resolve_backend(name: str):
@@ -27,8 +27,6 @@ def resolve_backend(name: str):
         return solve_l1
     if name == "edijkstra":
         return solve_edijkstra
-    if name == "exhaustive":
-        return solve_exhaustive
     if name.startswith("ksp:"):
         try:
             k = int(name[4:])

@@ -1,9 +1,10 @@
-"""Comparison solvers: pruned Dijkstra, k-shortest-paths, exhaustive search.
+"""Comparison solvers: pruned Dijkstra and k-shortest-paths.
 
-These give the experiment harness its reference points. The exhaustive
-search doubles as the correctness oracle for the level-sweep solvers: it
-enumerates every loop-free path (within a size guard) and therefore defines
-the true minimum feasible hop count.
+These model the existing path embedding solutions that the experiment
+harness measures the Neighborhood Method against. Neither is a
+correctness oracle: the tests check the solvers against
+``tests/oracle.py``, whose brute force over raw edge lists calls no
+library code.
 """
 
 import heapq
@@ -11,12 +12,7 @@ import itertools
 import math
 
 from .constraints import ConstraintSet, path_feasible
-from .errors import (
-    InfeasibleError,
-    NegativeMetricError,
-    ResourceLimitError,
-    UnreachableError,
-)
+from .errors import InfeasibleError, NegativeMetricError, UnreachableError
 from .neighborhoods import (
     _answer,
     _check_query,
@@ -25,11 +21,8 @@ from .neighborhoods import (
     _iter_fixed_length_paths,
     _l1_path,
     _no_path,
-    _usable_mask,
 )
 from .paths import PathResult, path_from_edges
-
-EXHAUSTIVE_NODE_LIMIT = 14
 
 
 def _chain_precedes(pred: list[int], a: int, b: int) -> bool:
@@ -326,73 +319,3 @@ def solve_ksp(g, src: int, dst: int, c: ConstraintSet, k: int) -> PathResult:
     if not ranked:
         raise UnreachableError(f"no path from {src} to {dst}")
     raise InfeasibleError(f"only {len(ranked)} candidate paths exist; none satisfies c")
-
-
-def solve_exhaustive(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
-    """Enumerate every loop-free path and return the feasible one minimizing
-    (hop count, lexicographic node sequence). Exponential; guarded by size.
-
-    Iterative deepening: for each hop budget in ascending order, from src's
-    hop distance to dst, a DFS in ascending adjacency order visits exactly
-    the simple paths of that length, so the first feasible hit is the
-    answer. The hop horizon (``neighborhoods._hop_horizon``) gives that
-    distance, the lower bounds the DFS prunes by, and the unreachable
-    verdict (``neighborhoods._no_path``).
-
-    Raises:
-        ResourceLimitError: node_count exceeds EXHAUSTIVE_NODE_LIMIT, read
-            at call time.
-        UnreachableError / InfeasibleError: as for the other solvers.
-    """
-    n = g.node_count
-    limit = EXHAUSTIVE_NODE_LIMIT
-    if n > limit:
-        raise ResourceLimitError(f"{n} nodes exceeds the exhaustive-search guard {limit}")
-    trivial = _check_query(g, src, dst, c)
-    if trivial is not None:
-        return trivial
-
-    usable = _usable_mask(g, c)
-    lower = _hop_horizon(g, src, dst, usable)
-    if lower[src] == math.inf:
-        raise _no_path(src, dst, lower)
-
-    # partial-sum pruning is sound only for bounds on nonnegative metrics;
-    # a NaN prefix sum already fails sum_ok, so NaN values do not stop it
-    prunable = [(j, bound) for j, bound in c.path_bounds if g.path_nonneg[j]]
-
-    adj = g.adjacency
-    path_cols = g.path_cols
-    # prefix sums of the path so far, one entry per node on it: a branch
-    # pops its own, so siblings never see a NaN, inf or rounding left behind
-    sums = [[0.0] * g.path_arity]
-
-    def dfs(u: int, depth: int, budget: int):
-        if depth == budget:
-            return u == dst and path_feasible(sums[-1], c)
-        for v, e in adj[u]:
-            if not usable[e] or on_path[v] or depth + 1 + lower[v] > budget:
-                continue
-            prefix = [s + path_cols[j][e] for j, s in enumerate(sums[-1])]
-            if not all(c.sum_ok(prefix[j], b) for j, b in prunable):
-                continue
-            on_path[v] = 1
-            nodes.append(v)
-            edges.append(e)
-            sums.append(prefix)
-            if dfs(v, depth + 1, budget):
-                return True
-            nodes.pop()
-            edges.pop()
-            sums.pop()
-            on_path[v] = 0
-        return False
-
-    for budget in range(lower[src], n):
-        nodes = [src]
-        edges: list[int] = []
-        on_path = bytearray(n)
-        on_path[src] = 1
-        if dfs(src, 0, budget):
-            return path_from_edges(g, nodes, edges)
-    raise InfeasibleError(f"no loop-free path from {src} to {dst} satisfies the constraints")

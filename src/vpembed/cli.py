@@ -99,10 +99,11 @@ def _resolve_node(g, token: str) -> int:
         if 0 <= node < g.node_count:
             return node
         raise ValueError(f"node {node} outside [0, {g.node_count})")
-    if g.labels is not None:
-        for i, label in enumerate(g.labels):
-            if label == token:
-                return i
+    matches = [i for i, label in enumerate(g.labels or ()) if label == token]
+    if len(matches) > 1:
+        raise ValueError(f"ambiguous node {token!r}: label of nodes {matches}")
+    if matches:
+        return matches[0]
     raise ValueError(f"unknown node {token!r}")
 
 

@@ -29,9 +29,9 @@ round early and the back track can splice a detour into the answer.
 Both solvers, and baselines.solve_edijkstra, read link state only through
 the pruning mask, so one front (:func:`_answer`) returns each one's last
 answer again, without a search, to the same query on the same mask. Each
-search, and baselines' ksp ranking and exhaustive oracle too, first takes
-the hop horizon on its mask, and one rule tells unreachable from
-infeasible on the hop distances it gave (:func:`_no_path`). The mask's
+search, and baselines' ksp ranking too, first takes the hop horizon on its
+mask, and one rule tells unreachable from infeasible on the hop distances
+it gave (:func:`_no_path`). The mask's
 memo also keeps solve_edijkstra's delay floor towards one dst
 (:func:`_floor_to`), a reverse Dijkstra
 (:func:`_min_sums_to`) that stays a lower bound while mask bits only

@@ -21,6 +21,7 @@ def loads(text: str) -> PhysicalGraph:
     link_arity = path_arity = 0
     caps: list[float] = []
     labels: list[str | None] = []
+    declared: set[int] = set()
     edges: list[tuple[int, int, EdgeMetrics]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -53,6 +54,9 @@ def loads(text: str) -> PhysicalGraph:
                 cap = float(fields[3])
                 if not cap >= 0:
                     raise ValueError(f"node {idx} capacity must be >= 0, got {cap}")
+                if idx in declared:
+                    raise ValueError(f"repeated node {idx}")
+                declared.add(idx)
                 caps[idx] = cap
                 label = comment.strip()
                 if label:

@@ -1,8 +1,10 @@
 """Reference implementations, independent of the library's search code.
-Most are brute force, deliberately dumb: plain recursion over raw edge
-lists. edijkstra_reference keeps the plain Dijkstra that solve_edijkstra's
-A* pass on its delay floor must match answer for answer, a rerun on a
-zero floor included; waxman_pairs_reference and
+This is the test oracle that every solver is checked against; the
+library holds none of its own. Most are brute force, deliberately dumb:
+plain recursion over raw edge lists (reference_outcome gives the verdict
+a solver must reach). edijkstra_reference keeps the plain Dijkstra that
+solve_edijkstra's A* pass on its delay floor must match answer for
+answer, a rerun on a zero floor included; waxman_pairs_reference and
 bridge_components_reference keep the one-shot Waxman draw and the plain
 bridging loop that topogen's blockwise versions must match bit for bit."""
 
@@ -95,6 +97,20 @@ def reachable(node_count, edge_list, src, dst):
     return dst in seen
 
 
+def reference_outcome(node_count, edge_list, src, dst, c):
+    """The verdict a hop-minimizing solver must give: the least hop count
+    among feasible simple paths, else "unreachable" when dst cannot be
+    reached over the edges that pass c's link bounds, else "infeasible"."""
+    hops = min_feasible_hops(node_count, edge_list, src, dst, c)
+    if hops is not None:
+        return hops
+    link_ok = [
+        (a, b, m) for a, b, m in edge_list
+        if all(m.link_metrics[j] >= bound for j, bound in c.link_bounds)
+    ]
+    return "infeasible" if reachable(node_count, link_ok, src, dst) else "unreachable"
+
+
 def hop_distances_reference(node_count, edge_list, dst, usable):
     """Hop distance from every node to dst over the edges whose mask bit is
     set, by a plain reverse BFS over the raw edge list: ints, math.inf
@@ -118,11 +134,13 @@ def edijkstra_reference(g, src, dst, c, usable):
     ties broken by fewer hops, then by the lexicographically smaller node
     sequence. usable is the link-bound mask of c on g's current residuals.
     Returns the PathResult or raises the NoPathError solve_edijkstra gives;
-    a query with no finite-sum route gets the library's own verdict."""
+    a query with no finite-sum route gets its verdict from
+    hop_distances_reference, or under a non-strict infinite bound nm-l1's
+    answer, as solve_edijkstra hands it that query."""
     import heapq
 
-    from vpembed import InfeasibleError, NegativeMetricError
-    from vpembed.neighborhoods import _hop_horizon, _no_path, _search_l1
+    from vpembed import InfeasibleError, NegativeMetricError, UnreachableError
+    from vpembed.neighborhoods import _search_l1
     from vpembed.paths import path_from_edges
 
     def chain_precedes(pred, a, b):
@@ -172,7 +190,9 @@ def edijkstra_reference(g, src, dst, c, usable):
     if dist[dst] == math.inf:
         if not c.strict and p_bound == math.inf:
             return _search_l1(g, src, dst, c, usable)
-        raise _no_path(src, dst, _hop_horizon(g, src, dst, usable))
+        if hop_distances_reference(n, g.edges, dst, usable)[src] == math.inf:
+            raise UnreachableError(f"node {dst} is unreachable from {src} on the pruned graph")
+        raise InfeasibleError(f"the path bound rejects every route from {src} to {dst}")
     if not c.sum_ok(dist[dst], p_bound):
         raise InfeasibleError(
             f"minimum accumulated metric {dist[dst]} violates the bound {p_bound}"

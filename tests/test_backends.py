@@ -2,7 +2,7 @@ import pytest
 
 from conftest import A, B, X, Y
 from vpembed import UnknownBackendError, resolve_backend
-from vpembed.baselines import solve_edijkstra, solve_exhaustive
+from vpembed.baselines import solve_edijkstra
 from vpembed.neighborhoods import solve_general, solve_l1
 
 
@@ -10,7 +10,6 @@ def test_plain_tokens():
     assert resolve_backend("nm-general") is solve_general
     assert resolve_backend("nm-l1") is solve_l1
     assert resolve_backend("edijkstra") is solve_edijkstra
-    assert resolve_backend("exhaustive") is solve_exhaustive
 
 
 def test_ksp_tokens(fig_graph, fig_constraints):
@@ -23,6 +22,8 @@ def test_ksp_tokens(fig_graph, fig_constraints):
 
 
 def test_unknown_tokens():
-    for bad in ("dijkstra", "ksp", "ksp:", "ksp:0", "ksp:-1", "ksp:zero", "ksp:2:by_magic", "nm"):
+    # exhaustive search is a test oracle (tests/oracle.py), not a backend
+    for bad in ("dijkstra", "ksp", "ksp:", "ksp:0", "ksp:-1", "ksp:zero", "ksp:2:by_magic", "nm",
+                "exhaustive"):
         with pytest.raises(UnknownBackendError):
             resolve_backend(bad)

@@ -20,6 +20,7 @@ from oracle import (
     min_feasible_hops,
     path_metrics,
     reachable,
+    reference_outcome,
 )
 from vpembed import baselines, harness, neighborhoods
 from vpembed import (
@@ -37,7 +38,6 @@ from vpembed import (
     resolve_constraint_severity,
     run_steering,
     solve_edijkstra,
-    solve_exhaustive,
     solve_general,
     solve_ksp,
     solve_l1,
@@ -565,7 +565,6 @@ INF_BOUND_SOLVERS = {
     "nm-general": solve_general,
     "edijkstra": solve_edijkstra,
     "ksp": lambda g, src, dst, c: solve_ksp(g, src, dst, c, 10**6),
-    "exhaustive": solve_exhaustive,
 }
 
 
@@ -577,10 +576,8 @@ def _inf_bound_outcomes(n, edges, src, dst, c):
     hops, so its hop count is compared only on a route with no finite sum,
     which it picks by least hops."""
     g = build_graph(n, edges, [0.0] * n, link_arity=1, path_arity=1)
-    hops = min_feasible_hops(n, edges, src, dst, c)
-    link_ok = [
-        (u, v, m) for u, v, m in edges if all(m.link_metrics[j] >= b for j, b in c.link_bounds)
-    ]
+    oracle = reference_outcome(n, edges, src, dst, c)
+    hops = oracle if isinstance(oracle, int) else None
     for name, solver in INF_BOUND_SOLVERS.items():
         try:
             result = solver(g, src, dst, c)
@@ -593,10 +590,10 @@ def _inf_bound_outcomes(n, edges, src, dst, c):
                 got = ("ok", hops)
         if hops is not None:
             want = ("ok", hops)
-        elif not reachable(n, edges if name == "ksp" else link_ok, src, dst):
-            want = ("unreachable", None)
+        elif name == "ksp":
+            want = ("infeasible" if reachable(n, edges, src, dst) else "unreachable", None)
         else:
-            want = ("infeasible", None)
+            want = (oracle, None)
         assert got == want, (name, c.strict)
     return hops
 
@@ -869,39 +866,22 @@ def test_ksp_resource_limit_repeats_and_caches_nothing_new(monkeypatch):
     assert fresh.ranked_paths[(0, 6)] == ranked
 
 
-# --- exhaustive search ------------------------------------------------------
+# --- against the brute-force oracle ----------------------------------------
 
 
-def test_exhaustive_fig(fig_graph, fig_constraints):
-    result = solve_exhaustive(fig_graph, X, Y, fig_constraints)
-    assert result.nodes == (X, B, A, Y)
-    assert result.hop_count == 3
+def _naive_least_path(n, edges, src, dst, c, hops):
+    """The lexicographically least feasible path of hops hops, by brute force."""
+    return min(
+        tuple(nodes)
+        for nodes, handles in all_simple_paths(n, edges, src, dst)
+        if len(nodes) - 1 == hops and feasible(edges, handles, c)
+    )
 
 
-def test_exhaustive_complete_graph_unconstrained():
-    edges = []
-    for u in range(5):
-        for v in range(5):
-            if u != v:
-                edges.append((u, v, E((1.0,), (1.0,))))
-    g = build_graph(5, edges, [0.0] * 5)
-    result = solve_exhaustive(g, 0, 4, ConstraintSet((), ()))
-    assert result.nodes == (0, 4)
-
-
-def test_exhaustive_size_guard(monkeypatch):
-    edges = [(i, i + 1, E((1.0,), (1.0,))) for i in range(15)]
-    g = build_graph(16, edges, [0.0] * 16)
-    empty = ConstraintSet((), ())
-    with pytest.raises(ResourceLimitError):
-        solve_exhaustive(g, 0, 15, empty)
-    monkeypatch.setattr(baselines, "EXHAUSTIVE_NODE_LIMIT", 16)
-    assert solve_exhaustive(g, 0, 15, empty).hop_count == 15
-
-
-def test_exhaustive_matches_naive_enumeration():
-    # hygiene for the oracle itself: agree with the dumbest possible
-    # enumerator on statuses and hop counts
+def test_general_matches_naive_enumeration():
+    # nm-general returns the lexicographically first feasible min-hop path:
+    # agree with the dumbest possible enumerator on statuses, hop counts
+    # and node sequences
     rng = random.Random(1234)
     for _ in range(120):
         g, edges = random_instance(rng, max_nodes=8)
@@ -909,24 +889,18 @@ def test_exhaustive_matches_naive_enumeration():
         src, dst = 0, g.node_count - 1
         expected = min_feasible_hops(g.node_count, edges, src, dst, c)
         try:
-            result = solve_exhaustive(g, src, dst, c)
+            result = solve_general(g, src, dst, c)
             assert result.hop_count == expected
             assert feasible(edges, list(result.edge_handles), c)
-            # lexicographically smallest among feasible min-hop paths
-            best = min(
-                tuple(nodes)
-                for nodes, handles in all_simple_paths(g.node_count, edges, src, dst)
-                if len(nodes) - 1 == expected and feasible(edges, handles, c)
-            )
-            assert result.nodes == best
+            assert result.nodes == _naive_least_path(g.node_count, edges, src, dst, c, expected)
         except NoPathError:
             assert expected is None
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
 def test_exhaustive_survives_a_nan_or_inf_sibling(value):
-    # running sums restored by subtraction stayed NaN after the 0->1 branch
-    # (nan - nan, inf - inf), so the sibling 0->2->3 looked infeasible too
+    # the NaN or inf that the 0->1 branch adds to the running sum must not
+    # stay behind to make the sibling 0->2->3 look infeasible too
     edges = [
         (0, 1, E((1.0,), (value,))),
         (0, 2, E((1.0,), (1.0,))),
@@ -936,11 +910,10 @@ def test_exhaustive_survives_a_nan_or_inf_sibling(value):
     g = build_graph(4, edges, [0.0] * 4)
     for strict in (True, False):
         c = ConstraintSet((), ((0, 10.0),), strict=strict)
-        assert solve_exhaustive(g, 0, 3, c).nodes == (0, 2, 3)
         assert solve_general(g, 0, 3, c).nodes == (0, 2, 3)
 
 
-def test_exhaustive_matches_naive_enumeration_with_nan_and_inf():
+def test_general_matches_naive_enumeration_with_nan_and_inf():
     rng = random.Random(31337)
     found = 0
     for _ in range(300):
@@ -960,34 +933,26 @@ def test_exhaustive_matches_naive_enumeration_with_nan_and_inf():
         src, dst = rng.sample(range(n), 2)
         expected = min_feasible_hops(n, edges, src, dst, c)
         try:
-            result = solve_exhaustive(g, src, dst, c)
+            result = solve_general(g, src, dst, c)
         except NoPathError:
             assert expected is None
             continue
         assert result.hop_count == expected
         assert feasible(edges, list(result.edge_handles), c)
-        best = min(
-            tuple(nodes)
-            for nodes, handles in all_simple_paths(n, edges, src, dst)
-            if len(nodes) - 1 == expected and feasible(edges, handles, c)
-        )
-        assert result.nodes == best
+        assert result.nodes == _naive_least_path(n, edges, src, dst, c, expected)
         found += 1
     assert found > 40
 
 
 def test_exhaustive_never_contradicted_by_other_solvers():
-    # oracle supremacy: when the oracle says no path, nobody returns ok
+    # oracle supremacy: when the brute force finds no path, nobody returns ok
     rng = random.Random(888)
     for _ in range(100):
-        g, _edges = random_instance(rng, max_nodes=9)
+        g, edges = random_instance(rng, max_nodes=9)
         c = random_l1_bounds(rng)
         src, dst = 0, g.node_count - 1
-        try:
-            solve_exhaustive(g, src, dst, c)
+        if isinstance(reference_outcome(g.node_count, edges, src, dst, c), int):
             continue
-        except NoPathError:
-            pass
         for solver in (solve_l1, solve_general, solve_edijkstra):
             with pytest.raises(NoPathError):
                 solver(g, src, dst, c)

@@ -242,12 +242,21 @@ def test_solve_unknown_backend_exit_2(fig_top, capsys):
         (["--dst", "3", "--path", "bogus"], 3),
         # the last --topology wins, so this names a file that does not exist
         (["--dst", "3", "--topology", "{missing}"], 3),
+        # nodes 1 and 2 of this topology are both labelled b
+        (["--dst", "b", "--topology", "{twins}"], 3),
     ],
     ids=["l1-without-path", "node-out-of-range", "duplicate-path-bound", "nan-link-bound",
-         "nan-path-bound", "bound-beyond-arity", "bad-bound-literal", "missing-topology"],
+         "nan-path-bound", "bound-beyond-arity", "bad-bound-literal", "missing-topology",
+         "ambiguous-label"],
 )
 def test_solve_bad_query_is_one_line_error(tmp_path, fig_top, extra, code):
-    extra = [arg.format(missing=tmp_path / "none.top") for arg in extra]
+    twins = tmp_path / "twins.top"
+    twins.write_text(
+        "nodes 3 link_metrics 1 path_metrics 1\n"
+        "node 0 cap 1 # a\nnode 1 cap 1 # b\nnode 2 cap 1 # b\n"
+        "edge 0 1 5 1\nedge 0 2 5 1\n"
+    )
+    extra = [arg.format(missing=tmp_path / "none.top", twins=twins) for arg in extra]
     proc = _cli("solve", "--topology", fig_top, "--src", "0", *extra)
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr

@@ -25,7 +25,6 @@ from vpembed import (
     UnreachableError,
     build_graph,
     generate,
-    solve_exhaustive,
     solve_general,
     solve_l1,
 )
@@ -414,8 +413,7 @@ def test_l1_negative_cycle_detected():
 def test_l1_unreachable_is_reported_before_a_negative_cycle(monkeypatch):
     # the reverse BFS comes first whatever the metric's sign: node 4 is cut
     # off, so it is unreachable although the cycle 1->2->3->1 (total -1) is
-    # reachable from 0, no sweep runs, and nm-general and the exhaustive
-    # oracle say the same
+    # reachable from 0, no sweep runs, and nm-general says the same
     edges = [
         (0, 1, E((9.0,), (1.0,))),
         (1, 2, E((9.0,), (1.0,))),
@@ -428,7 +426,7 @@ def test_l1_unreachable_is_reported_before_a_negative_cycle(monkeypatch):
         neighborhoods, "_l1_forward", lambda *args: sweeps.append(1) or forward(*args)
     )
     g = build_graph(5, edges, [0.0] * 5)
-    for solver in (solve_l1, solve_general, solve_exhaustive):
+    for solver in (solve_l1, solve_general):
         with pytest.raises(UnreachableError, match="node 4 is unreachable from 0"):
             solver(g, 0, 4, ConstraintSet(((0, 1.0),), ((0, 100.0),)))
     assert sweeps == []

@@ -101,8 +101,11 @@ def test_bad_edge_names_its_line(edge, message):
     [
         ("node 0 cap nan", "node 0 capacity must be >= 0, got nan"),
         ("node 1 cap -5", "node 1 capacity must be >= 0, got -5.0"),
+        # a second line for node 0 would overwrite its capacity and keep
+        # the first line's label
+        ("node 0 cap 2", "repeated node 0"),
     ],
-    ids=["nan-capacity", "negative-capacity"],
+    ids=["nan-capacity", "negative-capacity", "repeated-node"],
 )
 def test_bad_node_capacity_names_its_line(node, message):
     text = "nodes 2 link_metrics 1 path_metrics 1\nnode 0 cap 1\n" + node + "\n"
