@@ -8,6 +8,10 @@ Subcommands:
 
 Exit codes: 2 flag/config errors, 3 parse or generation failures,
 4 no-path outcomes, 5 runtime failures.
+
+Each subcommand imports the modules only it reads: ``run`` imports
+``harness``, and ``gen`` imports ``topogen`` when its flags are parsed
+(their defaults are GenSpec's). So ``solve`` loads neither.
 """
 
 import argparse
@@ -16,7 +20,7 @@ import sys
 import time
 from dataclasses import replace
 
-from . import harness, topofile
+from . import topofile
 from .backends import resolve_backend
 from .constraints import parse_constraints
 from .errors import (
@@ -29,7 +33,6 @@ from .errors import (
     VpembedError,
 )
 from .paths import format_result_line
-from .topogen import MODELS, GenSpec, generate, realized_avg_degree
 
 EXIT_FLAGS = 2
 EXIT_PARSE = 3
@@ -37,14 +40,25 @@ EXIT_NOPATH = 4
 EXIT_RUNTIME = 5
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="vpembed",
-        description="Constrained shortest paths and virtual path embedding experiments.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, whose flags may be added by add_flags(parser)
+    on its first parse: the subcommand's help and its runs see them, and
+    a process that runs another subcommand never builds them."""
 
-    gen = sub.add_parser("gen", help="generate a topology file")
+    def __init__(self, *args, add_flags=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_flags = add_flags
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_flags is not None:
+            add_flags, self._add_flags = self._add_flags, None
+            add_flags(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _add_gen_flags(gen) -> None:
+    from .topogen import MODELS, GenSpec
+
     # every default is GenSpec's, so a flagless gen writes generate(GenSpec())
     gen.add_argument("--model", choices=MODELS, default=GenSpec.model)
     gen.add_argument("--nodes", type=int, default=GenSpec.node_count)
@@ -66,6 +80,15 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--delay-high", type=float, default=GenSpec.delay_range[1])
     gen.add_argument("--seed", type=int, default=GenSpec.seed)
     gen.add_argument("-o", "--output", required=True)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="vpembed",
+        description="Constrained shortest paths and virtual path embedding experiments.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
+    sub.add_parser("gen", help="generate a topology file", add_flags=_add_gen_flags)
 
     solve = sub.add_parser("solve", help="run one constrained path query")
     solve.add_argument("--topology", required=True)
@@ -118,6 +141,8 @@ def _output_problem(output) -> str | None:
 
 
 def cmd_gen(args) -> int:
+    from .topogen import GenSpec, generate, realized_avg_degree
+
     try:
         spec = GenSpec(
             model=args.model,
@@ -198,6 +223,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from . import harness
+
     try:
         with open(args.config, "r", encoding="utf-8") as f:
             cfg = harness.parse_config(f.read())

@@ -34,23 +34,38 @@ from .errors import (
 from .neighborhoods import _refresh_mask
 
 
-@dataclass(frozen=True)
+def _floats(values) -> tuple[float, ...]:
+    """values as a tuple of floats: values itself when it is a tuple of
+    floats already, as a topology file's or the generator's are."""
+    if type(values) is tuple:
+        for v in values:
+            if type(v) is not float:
+                break
+        else:
+            return values
+    return tuple(map(float, values))
+
+
+@dataclass(frozen=True, init=False)
 class EdgeMetrics:
     """Per-edge metric vectors.
 
     link_metrics must be nonnegative, not NaN; path_metrics may be negative
-    (the level-by-level solver detects negative-total cycles) or NaN.
+    (the level-by-level solver detects negative-total cycles) or NaN. Both
+    are stored as tuples of floats, whatever sequence of numbers is given.
     """
 
     link_metrics: tuple[float, ...]
     path_metrics: tuple[float, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "link_metrics", tuple(float(v) for v in self.link_metrics))
-        object.__setattr__(self, "path_metrics", tuple(float(v) for v in self.path_metrics))
-        for v in self.link_metrics:
+    def __init__(self, link_metrics, path_metrics):
+        link, path = _floats(link_metrics), _floats(path_metrics)
+        for v in link:
             if not v >= 0:
                 raise ArityMismatchError(f"link metrics must be >= 0, got {v}")
+        # a frozen dataclass refuses plain assignment, in __init__ too
+        object.__setattr__(self, "link_metrics", link)
+        object.__setattr__(self, "path_metrics", path)
 
 
 class PhysicalGraph:

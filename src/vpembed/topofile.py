@@ -72,9 +72,10 @@ def loads(text: str) -> PhysicalGraph:
                     raise ValueError(f"edge ({src}, {dst}) outside [0, {node_count})")
                 if src == dst:
                     raise ValueError(f"self-loop at node {src}")
-                values = [float(v) for v in fields[3:]]
+                # each value is converted once, here: EdgeMetrics keeps float tuples as given
+                path_start = 3 + link_arity
                 metrics = EdgeMetrics(
-                    tuple(values[:link_arity]), tuple(values[link_arity:])
+                    tuple(map(float, fields[3:path_start])), tuple(map(float, fields[path_start:]))
                 )
                 edges.append((src, dst, metrics))
             else:

@@ -12,9 +12,12 @@ streams the n(n-1)/2 candidate pairs in blocks of whole rows, drawing each
 block's uniforms as it goes, and bridging ranks cross pairs a block at a
 time (:func:`_waxman_pairs`, :func:`_bridge_components`).
 
-numpy is imported inside the two functions that call it, not here:
-reading a topology file or answering a query never needs it, and its
-import costs a one-query process more than the rest of the package.
+numpy is imported inside the three functions that draw with it, not here:
+a sweep on a topology file imports this module (through ``harness``) but
+never needs numpy, whose import costs more than the rest of the package.
+A process that reads a topology file and answers one query imports
+neither: ``vpembed`` resolves this module's names on first access, and
+``vpembed solve`` never reads them.
 """
 
 import math

@@ -898,7 +898,7 @@ def test_general_matches_naive_enumeration():
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
-def test_exhaustive_survives_a_nan_or_inf_sibling(value):
+def test_general_survives_a_nan_or_inf_sibling(value):
     # the NaN or inf that the 0->1 branch adds to the running sum must not
     # stay behind to make the sibling 0->2->3 look infeasible too
     edges = [
@@ -944,7 +944,7 @@ def test_general_matches_naive_enumeration_with_nan_and_inf():
     assert found > 40
 
 
-def test_exhaustive_never_contradicted_by_other_solvers():
+def test_no_solver_finds_a_path_the_oracle_rules_out():
     # oracle supremacy: when the brute force finds no path, nobody returns ok
     rng = random.Random(888)
     for _ in range(100):

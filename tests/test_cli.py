@@ -565,7 +565,7 @@ def test_run_unwritable_output_is_one_line_error(tmp_path, blocked):
 
 # Runs the CLI the way a one-query process does (`python -m vpembed.cli`,
 # through runpy), or only `import vpembed` when no arguments are given, and
-# then prints which of the two costly imports are in sys.modules.
+# then prints the name of every module in sys.modules on one last line.
 LOADED_CHILD = """\
 import runpy, sys
 argv = sys.argv[1:]
@@ -576,14 +576,16 @@ try:
         import vpembed
 except SystemExit as exc:
     assert exc.code == 0, exc.code
-print(" ".join(m for m in ("numpy", "concurrent.futures.process") if m in sys.modules))
+print(" ".join(sys.modules))
 """
 
 
-def _loaded_by(*argv):
+def _loaded_by(*argv, watch=("numpy", "concurrent.futures.process")):
+    """Which of the watched modules the child loaded, in watch order."""
     proc = _child("-c", LOADED_CHILD, *argv)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1].split()
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    return [m for m in watch if m in loaded]
 
 
 def test_import_and_solve_load_neither_numpy_nor_the_process_pool(fig_top):
@@ -592,6 +594,23 @@ def test_import_and_solve_load_neither_numpy_nor_the_process_pool(fig_top):
     assert _loaded_by() == []
     assert _loaded_by("solve", "--topology", fig_top, "--src", "0", "--dst", "3",
                       "--backend", "nm-l1", "--path", "0 < 5") == []
+
+
+def test_only_gen_and_run_load_the_generator_and_the_sweep_drivers(fig_top, tmp_path):
+    # vpembed re-exports harness's and topogen's names lazily, and the CLI
+    # imports each where the one subcommand that reads it runs
+    watch = ("vpembed.harness", "vpembed.topogen")
+    assert _loaded_by(watch=watch) == []
+    assert _loaded_by("solve", "--topology", fig_top, "--src", "X", "--dst", "Y",
+                      "--path", "0 < 5", watch=watch) == []
+    out = str(tmp_path / "t.top")
+    assert _loaded_by("gen", "--nodes", "30", "--degree", "3", "--seed", "1", "-o", out,
+                      watch=watch) == ["vpembed.topogen"]
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"scenario = steering\ntopology = {out}\npairs = 2\nbackends = nm-l1\n"
+                   "seeds = 0\n")
+    assert "vpembed.harness" in _loaded_by("run", str(cfg), "-o", str(tmp_path / "o.csv"),
+                                           watch=watch)
 
 
 def test_gen_loads_numpy(tmp_path):
@@ -605,3 +624,27 @@ def test_console_script_help():
     proc = _cli("--help")
     assert proc.returncode == 0
     assert "gen" in proc.stdout and "solve" in proc.stdout and "run" in proc.stdout
+
+
+def test_every_public_name_is_its_defining_modules_object(monkeypatch):
+    import importlib
+
+    import vpembed
+    from vpembed import harness, topogen
+
+    for name in vpembed.__all__:
+        obj = getattr(vpembed, name)
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+    star = {}
+    exec("from vpembed import *", star)
+    assert all(star[name] is getattr(vpembed, name) for name in vpembed.__all__)
+    assert set(vpembed.__all__) <= set(dir(vpembed))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        vpembed.no_such_name
+    # a lazy name is looked up on each access, so it follows a rebinding
+    # in its module and is never stored in the package
+    for module, name in ((harness, "sweep"), (topogen, "generate")):
+        assert name not in vars(vpembed)
+        stand_in = object()
+        monkeypatch.setattr(module, name, stand_in)
+        assert getattr(vpembed, name) is stand_in

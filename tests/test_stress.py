@@ -4,8 +4,6 @@ enumeration oracle."""
 
 import random
 
-import pytest
-
 from oracle import feasible, min_feasible_hops, reference_outcome
 from vpembed import harness
 from vpembed import (
@@ -18,7 +16,6 @@ from vpembed import (
     solve_general,
     solve_l1,
 )
-from vpembed.topogen import resolve_constraint_severity
 
 E = EdgeMetrics
 

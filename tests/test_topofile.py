@@ -1,10 +1,12 @@
+import math
 import pickle
 
 import pytest
 
 from conftest import FIG_LABELS
-from vpembed import TopologyParseError, build_graph
+from vpembed import ArityMismatchError, EdgeMetrics, TopologyParseError, build_graph
 from vpembed import topofile
+from vpembed.topogen import GenSpec, generate
 
 FIG_TEXT = """\
 # worked example fixture
@@ -48,6 +50,84 @@ def test_round_trip_fractional_values():
     g2 = topofile.loads(topofile.dumps(g))
     assert g2.edges == g.edges
     assert g2.node_capacity == g.node_capacity
+
+
+def _exact(value):
+    """value with every float replaced by its repr, so that a NaN equals a
+    NaN and two floats are equal only when they are the same number."""
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, (list, tuple)):
+        return [_exact(v) for v in value]
+    if isinstance(value, EdgeMetrics):
+        return [_exact(value.link_metrics), _exact(value.path_metrics)]
+    return value
+
+
+def _hand_built_graphs():
+    nan, inf = math.nan, math.inf
+    e = EdgeMetrics
+    yield build_graph(
+        4,
+        [
+            (0, 1, e((5.0, 2.5), (1.0, -3.0))),
+            (0, 1, e((5.0, 2.5), (1.0, -3.0))),  # a parallel twin
+            (0, 1, e((0.0, 1e300), (inf, nan))),
+            (1, 2, e((7.0, 0.1), (-inf, 0.3))),
+            (2, 1, e((inf, 8.0), (nan, nan))),
+            (2, 3, e((1.0, 2.0), (-0.5, 1e-300))),
+            (3, 0, e((3.0, 4.0), (2.0**60, -(2.0**-30)))),
+        ],
+        [10.0, 0.0, 2.5, 1e20],
+        labels=["X", None, "B with spaces", "Y"],
+    )
+    yield build_graph(3, [], [1.0, 2.0, 3.0], link_arity=2, path_arity=1, labels=["a", "b", "c"])
+    yield build_graph(2, [(0, 1, e((), ())), (1, 0, e((), ()))], [0.0, 0.0])
+
+
+def _generated_graphs():
+    for seed in (1, 2):
+        yield generate(GenSpec(node_count=40, target_avg_degree=4.0, seed=seed))
+    yield generate(GenSpec(model="barabasi_albert", node_count=40, m=2, seed=3,
+                           target_avg_degree=None, delay_model="uniform"))
+
+
+@pytest.mark.parametrize("make", [_hand_built_graphs, _generated_graphs])
+def test_loads_reproduces_every_dumped_structure_exactly(make):
+    for g in make():
+        g2 = topofile.loads(topofile.dumps(g))
+        for name in ("edges", "link_cols", "path_cols", "node_capacity"):
+            assert _exact(getattr(g2, name)) == _exact(getattr(g, name)), name
+        for name in ("adjacency", "in_adjacency", "labels", "path_nonneg"):
+            assert getattr(g2, name) == getattr(g, name), name
+        stored = [v for _s, _d, m in g2.edges for v in (*m.link_metrics, *m.path_metrics)]
+        assert all(type(v) is float for v in stored + g2.node_capacity)
+
+
+def test_loaded_edge_metrics_equal_and_hash_as_constructed_ones():
+    g = next(_hand_built_graphs())
+    lines = [line for line in topofile.dumps(g).splitlines() if line.startswith("edge")]
+    for (_s, _d, got), line in zip(topofile.loads(topofile.dumps(g)).edges, lines):
+        values = line.split()[3:]
+        if "nan" in values:
+            continue  # NaN equals nothing, itself included
+        # built the other way: from a list, and from ints where they are exact
+        built = EdgeMetrics(
+            [int(float(v)) if float(v).is_integer() else float(v) for v in values[:2]],
+            [float(v) for v in values[2:]],
+        )
+        assert got == built and hash(got) == hash(built)
+        assert type(got.link_metrics) is type(built.link_metrics) is tuple
+
+
+def test_edge_metrics_store_tuples_of_floats_whatever_they_are_given():
+    m = EdgeMetrics([1, True], iter([2, -3.5]))
+    assert m == EdgeMetrics((1.0, 1.0), (2.0, -3.5))
+    assert all(type(v) is float for v in (*m.link_metrics, *m.path_metrics))
+    assert type(m.link_metrics) is tuple and type(m.path_metrics) is tuple
+    for bad in (-1, math.nan, -math.inf):
+        with pytest.raises(ArityMismatchError, match="link metrics must be >= 0"):
+            EdgeMetrics((1.0, bad), ())
 
 
 def test_round_trip_infinite_metric():
