@@ -14,6 +14,7 @@ import math
 from .constraints import ConstraintSet, path_feasible
 from .errors import InfeasibleError, NegativeMetricError, UnreachableError
 from .neighborhoods import (
+    _MaskMemo,
     _answer,
     _check_query,
     _floor_to,
@@ -78,11 +79,11 @@ def solve_edijkstra(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
     return _answer(g, src, dst, c, "edijkstra", _search_edijkstra)
 
 
-def _search_edijkstra(g, src: int, dst: int, c: ConstraintSet, usable: bytearray) -> PathResult:
-    """:func:`solve_edijkstra`'s search on the pruning mask usable, in one
-    A* pass (:func:`_guided_pass`) guided by the memo's delay floor towards
-    dst: a lower bound on every node's least sum to dst
-    (``neighborhoods._floor_to``).
+def _search_edijkstra(g, src: int, dst: int, c: ConstraintSet, memo: _MaskMemo) -> PathResult:
+    """:func:`solve_edijkstra`'s search on the pruning mask of the record
+    memo (``neighborhoods._MaskMemo``), in one A* pass (:func:`_guided_pass`)
+    guided by the record's delay floor towards dst: a lower bound on every
+    node's least sum to dst (``neighborhoods._floor_to``).
 
     The hop horizon (:func:`_hop_horizon`) comes first, as in nm-l1, and
     :func:`_no_path` reads every verdict without a path from it: on a dst
@@ -149,6 +150,7 @@ def _search_edijkstra(g, src: int, dst: int, c: ConstraintSet, usable: bytearray
     """
     p_idx, p_bound = c.path_bounds[0]
     wcol = g.path_cols[p_idx]
+    usable = memo.mask
     if not g.path_nonneg[p_idx]:
         for e, w in enumerate(wcol):
             if w < 0 and usable[e]:
@@ -157,7 +159,7 @@ def _search_edijkstra(g, src: int, dst: int, c: ConstraintSet, usable: bytearray
     to_dst = _hop_horizon(g, src, dst, usable)
     if to_dst[src] == math.inf:
         raise _no_path(src, dst, to_dst)
-    floor = _floor_to(g, p_idx, dst, src, usable)
+    floor = _floor_to(g, p_idx, dst, src, memo)
     reach = math.inf
     if floor[src] < math.inf:
         reach, pred, pred_edge = _guided_pass(g, wcol, usable, floor, src, dst)

@@ -14,9 +14,19 @@ on the path metric -ln r, checked with ``strict=False``.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import ArityMismatchError
+
+
+def _index(name: str, j) -> int:
+    """j as a metric index: an int or anything that stands for one (a numpy
+    integer), never a float or a string that would be rounded or parsed."""
+    try:
+        return operator.index(j)
+    except TypeError:
+        raise ArityMismatchError(f"{name} metric index {j!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -25,7 +35,8 @@ class ConstraintSet:
 
     Attributes:
         link_bounds: (metric index, lower bound) pairs; satisfied when the
-            edge metric >= bound.
+            edge metric >= bound. An index that is not an integer (a float,
+            a string) is refused, as a negative or repeated one is.
         path_bounds: (metric index, upper bound) pairs; satisfied when the
             accumulated sum < bound (or <= when strict is False).
         strict: comparison mode for path bounds.
@@ -37,10 +48,10 @@ class ConstraintSet:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "link_bounds", tuple((int(j), float(b)) for j, b in self.link_bounds)
+            self, "link_bounds", tuple((_index("link", j), float(b)) for j, b in self.link_bounds)
         )
         object.__setattr__(
-            self, "path_bounds", tuple((int(j), float(b)) for j, b in self.path_bounds)
+            self, "path_bounds", tuple((_index("path", j), float(b)) for j, b in self.path_bounds)
         )
         for name, bounds in (("link", self.link_bounds), ("path", self.path_bounds)):
             seen = set()

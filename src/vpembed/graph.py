@@ -9,10 +9,9 @@ constraint validation is O(1).
 A :class:`PhysicalGraph` is built by one checked constructor, also bound
 as ``build_graph``, and its topology and metrics are fixed after
 construction. Its two mutable slots are caches that solvers fill:
-``mask_memo``, the link-bound pruning mask of the last bound set queried,
-the last answer found on it and edijkstra's delay floor towards the last
-dst it searched, which only ``neighborhoods`` reads or writes; and
-``ranked_paths``, ksp's candidates per (src, dst) (see
+``mask_memo``, the record of the link-bound pruning mask of the last bound
+set queried (``neighborhoods._MaskMemo``), which only ``neighborhoods``
+reads or writes; and ``ranked_paths``, ksp's candidates per (src, dst) (see
 ``baselines.solve_ksp``), a pure function of the topology. Bandwidth
 reservations live in a :class:`ResidualOverlay`, which owns residual
 copies of the consumable columns and its own mask memo, and shares its
@@ -84,13 +83,10 @@ class PhysicalGraph:
         path_nonneg: ``path_nonneg[j]`` is True when no edge has a negative
             path metric j (NaN counts as nonnegative), fixed at construction.
         labels: optional human-readable node names (display only).
-        mask_memo: None, or the pruning-mask memo of the last bound set
-            queried, ``[link_bounds, mask, answer, floor]``: the mask, the
-            last answer found on it, and edijkstra's delay floor towards
-            one dst, a lower bound on each node's least path-metric sum to
-            it. Kept by ``neighborhoods`` (``_usable_mask``, ``_answer``,
-            ``_floor_to``), the only module that reads or writes it.
-            Mutable.
+        mask_memo: None, or the pruning-mask record of the last bound set
+            queried, a ``neighborhoods._MaskMemo``, whose docstring lists
+            what it keeps. Kept by ``neighborhoods``, the only module that
+            reads or writes it. Mutable.
         ranked_paths: dict from (src, dst) to ``(candidates, exhausted)``,
             kept by ``baselines.solve_ksp``: the loop-free paths of the
             topology ranked so far, as (nodes, edge_handles) tuples in
@@ -225,8 +221,7 @@ class ResidualOverlay(PhysicalGraph):
     It owns residual copies of ``link_cols`` (typically bandwidth) and
     ``node_capacity``, and its own ``mask_memo``, which starts empty and
     which :meth:`reserve` and :meth:`release` keep exact on every edge they
-    touch (``neighborhoods._refresh_mask``: a flipped bit empties the answer
-    slot, a set one drops the delay floor too); every other attribute
+    touch (``neighborhoods._refresh_mask``); every other attribute
     (topology, arities, path metrics and their signs, labels, and the
     ``ranked_paths`` cache, which depends on the topology alone) is the
     base graph's, shared since none of it is consumable.

@@ -339,6 +339,9 @@ _SCENARIO_KEYS = {
 }
 _GENERATED_KEYS = {"nodes": None, "model": "waxman", "degrees": (4.0,)}
 _FILE_KEYS = {"topology": None}
+# the vne keys that set a generated graph's node and link budgets: a
+# topology file carries its own, so a sweep on one reads neither
+_BUDGET_KEYS = ("vne_cpu", "vne_bw")
 _COMMON_KEYS = ("scenario", "backends", "seeds", "output")
 
 
@@ -351,8 +354,9 @@ class ExperimentConfig:
     Each scenario reads its own keys, and each graph source its own
     (``_SCENARIO_KEYS``, ``_GENERATED_KEYS``, ``_FILE_KEYS``): a key left
     unset (None) takes its default there, and a key set that the sweep
-    would not read is refused. So a file sweep has no degree axis and no
-    nodes, and a steering sweep sets delay_levels or delay_percents, not both.
+    would not read is refused. So a file sweep has no degree axis, no nodes
+    and no vne budgets (``_BUDGET_KEYS``), and a steering sweep sets
+    delay_levels or delay_percents, not both.
 
     A bad entry raises ConfigError: a scenario other than steering or vne,
     a key the sweep would not read, an empty grid axis or text, a repeated
@@ -394,10 +398,12 @@ class ExperimentConfig:
                 if isinstance(v, float) and not math.isfinite(v):
                     raise ConfigError(f"{f.name} must be finite, got {v}", key=f.name)
         reads = _SCENARIO_KEYS[self.scenario] | (_FILE_KEYS if self.topology else _GENERATED_KEYS)
+        if self.topology:
+            reads = {key: reads[key] for key in reads if key not in _BUDGET_KEYS}
         for f in fields(self):
             if f.name in reads or f.name in _COMMON_KEYS or getattr(self, f.name) is None:
                 continue
-            if f.name in _GENERATED_KEYS:
+            if self.topology and (f.name in _GENERATED_KEYS or f.name in _BUDGET_KEYS):
                 raise ConfigError(f"{f.name} is not read by a sweep on a topology file", key=f.name)
             raise ConfigError(f"{f.name} is not read by a {self.scenario} sweep", key=f.name)
         if self.delay_levels is not None and self.delay_percents is not None:

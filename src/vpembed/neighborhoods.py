@@ -31,8 +31,8 @@ the pruning mask, so one front (:func:`_answer`) returns each one's last
 answer again, without a search, to the same query on the same mask. Each
 search, and baselines' ksp ranking too, first takes the hop horizon on its
 mask, and one rule tells unreachable from infeasible on the hop distances
-it gave (:func:`_no_path`). The mask's
-memo also keeps solve_edijkstra's delay floor towards one dst
+it gave (:func:`_no_path`). The mask's memo record (:class:`_MaskMemo`)
+also keeps solve_edijkstra's delay floor towards one dst
 (:func:`_floor_to`), a reverse Dijkstra
 (:func:`_min_sums_to`) that stays a lower bound while mask bits only
 clear; solve_edijkstra's one A* pass is keyed on it.
@@ -74,29 +74,56 @@ def _check_query(g, src: int, dst: int, c: ConstraintSet) -> PathResult | None:
     return PathResult.trivial(src, g.link_arity, g.path_arity)
 
 
+class _MaskMemo:
+    """What a graph keeps of the last link-bound set it was queried with
+    (``g.mask_memo``): built by :func:`_usable_mask`, kept exact through
+    reserve and release by :func:`_refresh_mask`, and replaced whole by a
+    query under other link bounds. Its slots:
+
+    - bounds: the link bounds (``c.link_bounds``) the mask was scanned for;
+    - mask: the pruning mask, ``mask[e]`` 1 when edge e meets every bound;
+    - answer: None, or ``(key, nodes, edge_handles)``, the last path a
+      search found on the mask, key being ``(solver name, src, dst, c)``
+      (:func:`_answer`); emptied when a bit flips;
+    - floor: None, or ``((p_idx, dst), floor)``, solve_edijkstra's delay
+      floor of path metric p_idx towards dst on the mask (:func:`_floor_to`);
+      dropped when a bit is set.
+
+    A search is handed the record and reads its mask there, so what it
+    keeps lands on the record of the mask it searched, even after a query
+    under other bounds has replaced g's record."""
+
+    __slots__ = ("bounds", "mask", "answer", "floor")
+
+    def __init__(self, bounds, mask: bytearray):
+        self.bounds = bounds
+        self.mask = mask
+        self.answer = None
+        self.floor = None
+
+
 def _usable_mask(g, c: ConstraintSet) -> bytearray:
     """Per-edge link-bound feasibility: ``mask[e]`` is 1 when edge e meets
     every link bound of c, 0 when it is pruned. All ones when c has no link
     bounds.
 
-    The mask is memoized on g (``g.mask_memo``, ``[link_bounds, mask,
-    answer, floor]``) and returned as is, never copied, when the link bounds
-    equal the memo's key; callers must only read it. A ResidualOverlay keeps
-    its memo exact through reserve and release (:func:`_refresh_mask`), so a
-    run that re-solves under the same bounds scans the edge list once.
-    Other bounds cost one full scan, which replaces the memo, answer slot
-    (see :func:`_answer`) and delay floor (see :func:`_floor_to`) included.
+    The mask is memoized on g (``g.mask_memo``, a :class:`_MaskMemo`) and
+    returned as is, never copied, when the link bounds equal the record's;
+    callers must only read it. A ResidualOverlay keeps its record exact
+    through reserve and release (:func:`_refresh_mask`), so a run that
+    re-solves under the same bounds scans the edge list once. Other bounds
+    cost one full scan and a new record.
     """
     memo = g.mask_memo
-    if memo is not None and memo[0] == c.link_bounds:
-        return memo[1]
+    if memo is not None and memo.bounds == c.link_bounds:
+        return memo.mask
     mask = bytearray([1]) * g.edge_count
     for j, bound in c.link_bounds:
         col = g.link_cols[j]
         for e, value in enumerate(col):
             if value < bound:
                 mask[e] = 0
-    g.mask_memo = [c.link_bounds, mask, None, None]
+    g.mask_memo = _MaskMemo(c.link_bounds, mask)
     return mask
 
 
@@ -104,13 +131,13 @@ def _refresh_mask(g, handles) -> None:
     """Recompute g's memoized mask bit of each given edge with the full
     scan's rule, 0 when some link metric is below its bound, after those
     edges' link metrics changed (ResidualOverlay.reserve and release).
-    Empties the memo's answer slot when a bit flips, and only then. Drops
-    its delay floor when a bit is set: a cleared bit only removes routes,
-    so a floor taken before it stays a lower bound."""
+    Empties the record's answer when a bit flips, and only then. Drops its
+    floor when a bit is set: a cleared bit only removes routes, so a floor
+    taken before it stays a lower bound."""
     memo = g.mask_memo
     if memo is None:
         return
-    bounds, mask = memo[0], memo[1]
+    bounds, mask = memo.bounds, memo.mask
     cols = g.link_cols
     for e in handles:
         bit = 1
@@ -120,29 +147,33 @@ def _refresh_mask(g, handles) -> None:
                 break
         if mask[e] != bit:
             mask[e] = bit
-            memo[2] = None
+            memo.answer = None
             if bit:
-                memo[3] = None
+                memo.floor = None
 
 
 def _answer(g, src: int, dst: int, c: ConstraintSet, name: str, search) -> PathResult:
     """Answer a query of a solver that reads link state only through the
-    mask: validate it, take the mask once, and return the path kept in the
-    memo's answer slot under ``(name, src, dst, c)``, rebuilt on g's current
-    residuals; else keep and return ``search(g, src, dst, c, mask)`` (a
-    NoPathError is not kept). While no mask bit changes, the answer cannot:
-    :func:`_refresh_mask` empties the slot when a bit flips."""
+    mask: validate it, take the mask's record once, and return the path
+    kept as its answer under ``(name, src, dst, c)``, rebuilt on g's current
+    residuals; else keep and return ``search(g, src, dst, c, memo)``, which
+    reads ``memo.mask`` (a NoPathError is not kept). While no mask bit
+    changes, the answer cannot: :func:`_refresh_mask` empties it when a bit
+    flips. Should a query under other bounds replace g's record between the
+    scan and this read, the search runs on a record of its own."""
     trivial = _check_query(g, src, dst, c)
     if trivial is not None:
         return trivial
     usable = _usable_mask(g, c)
     memo = g.mask_memo
+    if memo.mask is not usable:
+        memo = _MaskMemo(c.link_bounds, usable)
     key = (name, src, dst, c)
-    kept = memo[2]
+    kept = memo.answer
     if kept is not None and kept[0] == key:
         return path_from_edges(g, kept[1], kept[2])
-    result = search(g, src, dst, c, usable)
-    memo[2] = (key, result.nodes, result.edge_handles)
+    result = search(g, src, dst, c, memo)
+    memo.answer = (key, result.nodes, result.edge_handles)
     return result
 
 
@@ -184,22 +215,19 @@ def _min_sums_to(g, dst: int, col, usable: bytearray, stop: int = -1) -> list[fl
     return dist
 
 
-def _floor_to(g, p_idx: int, dst: int, src: int, usable: bytearray) -> list[float]:
-    """The delay floor of path metric p_idx towards dst on g's memoized mask
-    usable, by which baselines.solve_edijkstra guides its search: a lower
-    bound on every node's least sum to dst. Returns the floor the memo keeps
-    for (p_idx, dst), else builds one (:func:`_min_sums_to` stopped at src)
-    and keeps it as the memo's fourth entry, for any later query towards
-    dst while the mask's bits only clear; :func:`_refresh_mask` drops it
-    when one is set, and it goes with the memo when the link bounds change.
-    A memo that no longer holds usable neither gives nor keeps one."""
-    memo = g.mask_memo
-    mine = memo is not None and memo[1] is usable
-    if mine and memo[3] is not None and memo[3][0] == (p_idx, dst):
-        return memo[3][1]
-    floor = _min_sums_to(g, dst, g.path_cols[p_idx], usable, src)
-    if mine:
-        memo[3] = ((p_idx, dst), floor)
+def _floor_to(g, p_idx: int, dst: int, src: int, memo: _MaskMemo) -> list[float]:
+    """The delay floor of path metric p_idx towards dst on the mask of the
+    record memo, by which baselines.solve_edijkstra guides its search: a
+    lower bound on every node's least sum to dst. Returns the floor memo
+    keeps for (p_idx, dst), else builds one (:func:`_min_sums_to` stopped
+    at src) and keeps it as memo's floor, for any later query towards dst
+    while the mask's bits only clear; :func:`_refresh_mask` drops it when
+    one is set, and it goes with the record when the link bounds change."""
+    kept = memo.floor
+    if kept is not None and kept[0] == (p_idx, dst):
+        return kept[1]
+    floor = _min_sums_to(g, dst, g.path_cols[p_idx], memo.mask, src)
+    memo.floor = ((p_idx, dst), floor)
     return floor
 
 
@@ -365,8 +393,9 @@ def solve_general(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
     return _answer(g, src, dst, c, "nm-general", _search_general)
 
 
-def _search_general(g, src: int, dst: int, c: ConstraintSet, usable: bytearray) -> PathResult:
-    """:func:`solve_general`'s search on the pruning mask usable."""
+def _search_general(g, src: int, dst: int, c: ConstraintSet, memo: _MaskMemo) -> PathResult:
+    """:func:`solve_general`'s search on the pruning mask of the record memo."""
+    usable = memo.mask
     to_dst = _hop_horizon(g, src, dst, usable)
     if to_dst[src] == math.inf:
         raise _no_path(src, dst, to_dst)
@@ -514,9 +543,10 @@ def solve_l1(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
     return _answer(g, src, dst, c, "nm-l1", _search_l1)
 
 
-def _search_l1(g, src: int, dst: int, c: ConstraintSet, usable: bytearray) -> PathResult:
+def _search_l1(g, src: int, dst: int, c: ConstraintSet, memo: _MaskMemo) -> PathResult:
     """:func:`solve_l1`'s hop horizon, then its sweeps (:func:`_l1_path`)
-    on the mask usable."""
+    on the pruning mask of the record memo."""
+    usable = memo.mask
     to_dst = _hop_horizon(g, src, dst, usable)
     if to_dst[src] == math.inf:
         raise _no_path(src, dst, to_dst)

@@ -140,7 +140,7 @@ def edijkstra_reference(g, src, dst, c, usable):
     import heapq
 
     from vpembed import InfeasibleError, NegativeMetricError, UnreachableError
-    from vpembed.neighborhoods import _search_l1
+    from vpembed.neighborhoods import _MaskMemo, _search_l1
     from vpembed.paths import path_from_edges
 
     def chain_precedes(pred, a, b):
@@ -189,7 +189,7 @@ def edijkstra_reference(g, src, dst, c, usable):
                     pred_edge[v] = e
     if dist[dst] == math.inf:
         if not c.strict and p_bound == math.inf:
-            return _search_l1(g, src, dst, c, usable)
+            return _search_l1(g, src, dst, c, _MaskMemo(c.link_bounds, usable))
         if hop_distances_reference(n, g.edges, dst, usable)[src] == math.inf:
             raise UnreachableError(f"node {dst} is unreachable from {src} on the pruned graph")
         raise InfeasibleError(f"the path bound rejects every route from {src} to {dst}")

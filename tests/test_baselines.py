@@ -237,13 +237,13 @@ def test_edijkstra_floor_answers_like_the_plain_dijkstra():
             src = rng.choice([v for v in range(n) if v != dst])
             c = rng.choice(bounds)
             memo = overlay.mask_memo
-            before = memo[3] if memo is not None and memo[0] == c.link_bounds else None
+            before = memo.floor if memo is not None and memo.bounds == c.link_bounds else None
             mask = _scanned(overlay, c)
             want = _outcome(lambda: edijkstra_reference(overlay, src, dst, c, mask))
             got = _outcome(lambda: solve_edijkstra(overlay, src, dst, c))
             assert got == want, (n, edges, src, dst, c)
             statuses[got[0]] = statuses.get(got[0], 0) + 1
-            after = overlay.mask_memo[3]
+            after = overlay.mask_memo.floor
             if after is not None and after is before:
                 reused += 1
             elif after is not None:
@@ -287,8 +287,8 @@ def test_edijkstra_floor_that_is_not_consistent_answers_like_the_plain_dijkstra(
     rng = random.Random(1)
     build = baselines._floor_to
 
-    def scaled_floor(g, p_idx, dst, src, usable):
-        floor = build(g, p_idx, dst, src, usable)
+    def scaled_floor(g, p_idx, dst, src, memo):
+        floor = build(g, p_idx, dst, src, memo)
         floor[:] = [
             x * rng.choice((0.0, 1.0, rng.random())) if x < math.inf else x for x in floor
         ]
@@ -504,13 +504,13 @@ def test_edijkstra_kept_floor_after_dst_is_cut_off_runs_no_guided_pass(monkeypat
     c = ConstraintSet(((0, 3.0),), ((0, 10.0),))
     assert solve_edijkstra(overlay, 0, 3, c).nodes == (0, 1, 3)
     assert len(passes) == 1
-    kept = overlay.mask_memo[3]
+    kept = overlay.mask_memo.floor
     assert kept[0] == (0, 3) and kept[1][0] == 2.0
     overlay.reserve([0], (3.0,))
     for strict, bound in ((True, 10.0), (False, math.inf)):
         with pytest.raises(UnreachableError):
             solve_edijkstra(overlay, 0, 3, ConstraintSet(((0, 3.0),), ((0, bound),), strict))
-    assert overlay.mask_memo[3] is kept
+    assert overlay.mask_memo.floor is kept
     assert len(passes) == 1
     # a dst with no usable in-edge is refused before any pass, too
     overlay.reserve([1, 2], (3.0,))
@@ -543,19 +543,19 @@ def test_edijkstra_takes_the_hop_horizon_once_when_no_route_has_a_finite_sum(mon
     overlay = ResidualOverlay(build_graph(4, edges, [0.0] * 4))
     c = ConstraintSet(((0, 3.0),), ((0, 10.0),))
     assert solve_edijkstra(overlay, 0, 3, c).nodes == (0, 1, 3)
-    kept = overlay.mask_memo[3]
+    kept = overlay.mask_memo.floor
     overlay.reserve([0], (3.0,))
     horizons.clear()
     with pytest.raises(InfeasibleError):
         solve_edijkstra(overlay, 0, 3, c)
-    assert overlay.mask_memo[3] is kept
+    assert overlay.mask_memo.floor is kept
     assert len(horizons) == 1
     # under <= inf the same pass hands the query to nm-l1's sweeps, which
     # take the horizon the search opened with, too
     horizons.clear()
     c_inf = ConstraintSet(((0, 3.0),), ((0, math.inf),), strict=False)
     assert solve_edijkstra(overlay, 0, 3, c_inf).nodes == (0, 2, 3)
-    assert overlay.mask_memo[3] is kept
+    assert overlay.mask_memo.floor is kept
     assert len(horizons) == 1
 
 

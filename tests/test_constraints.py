@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from vpembed import (
@@ -74,6 +75,20 @@ def test_arity_checks():
         path_feasible([1.0], ConstraintSet((), ((2, 5.0),)))
     with pytest.raises(ArityMismatchError):
         ConstraintSet(((0, 1.0), (0, 2.0)), ())
+
+
+@pytest.mark.parametrize("index", [0.7, 1.9, 1.0, "1", None], ids=repr)
+@pytest.mark.parametrize("kind", ["link", "path"])
+def test_metric_index_that_is_not_an_integer_is_refused(kind, index):
+    bounds = ((index, 5.0),)
+    with pytest.raises(ArityMismatchError, match=f"{kind} metric index {index!r} "):
+        ConstraintSet(**{f"{kind}_bounds": bounds})
+
+
+def test_metric_index_takes_any_integer_type():
+    c = ConstraintSet(((np.int64(1), 5.0),), ((np.int32(0), 3.0),))
+    assert c.link_bounds == ((1, 5.0),) and c.path_bounds == ((0, 3.0),)
+    assert type(c.link_bounds[0][0]) is int and type(c.path_bounds[0][0]) is int
 
 
 def test_parse_constraints():

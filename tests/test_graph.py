@@ -449,7 +449,7 @@ def test_steering_cell_solves_on_one_mask(monkeypatch):
             try:
                 return solver(overlay, src, dst, c)
             finally:
-                masks.append(overlay.mask_memo[1])
+                masks.append(overlay.mask_memo.mask)
                 assert masks[-1] == _scanned_mask(overlay, c)
 
         return solve
@@ -663,12 +663,12 @@ def test_delay_floor_is_built_once_per_dst_while_bits_only_clear(monkeypatch):
 
         def solve(src=X, dst=Y, bounds=c):
             memo = overlay.mask_memo
-            before = memo[3] if memo is not None else None
+            before = memo.floor if memo is not None else None
             try:
                 solver(overlay, src, dst, bounds)
             except NoPathError:
                 pass
-            after = overlay.mask_memo[3]
+            after = overlay.mask_memo.floor
             seen.append((after is not None and after is not before, after is not None))
 
         solve()
@@ -695,13 +695,39 @@ def test_delay_floor_is_built_once_per_dst_while_bits_only_clear(monkeypatch):
 
 
 def test_delay_floor_is_kept_only_in_the_memo_of_its_mask():
-    # a search that took its mask before a query under other bounds replaced
-    # the memo (in another thread) neither reads nor keeps a floor there
+    # a search that took its record before a query under other bounds
+    # replaced g's (in another thread) builds its floor on the mask it
+    # holds and keeps it on that record; g's current record keeps its own
     g = build_graph(4, FIG_EDGES, [10.0] * 4)
-    usable = _usable_mask(g, ConstraintSet(((0, 5.0),), ((0, 5.0),)))
+    _usable_mask(g, ConstraintSet(((0, 5.0),), ((0, 5.0),)))
+    held = g.mask_memo
     solve_edijkstra(g, X, B, ConstraintSet(((0, 8.0),), ((0, 5.0),)))
-    assert g.mask_memo[3][0] == (0, B)
+    assert g.mask_memo is not held and g.mask_memo.floor[0] == (0, B)
     theirs = ((0, Y), [0.0] * 4)
-    g.mask_memo[3] = theirs
-    assert neighborhoods._floor_to(g, 0, Y, X, usable) == [4.0, 2.0, 3.0, 0.0]
-    assert g.mask_memo[3] is theirs
+    g.mask_memo.floor = theirs
+    floor = neighborhoods._floor_to(g, 0, Y, X, held)
+    # on g's mask (link bound 8) nothing reaches Y
+    assert floor == [4.0, 2.0, 3.0, 0.0]
+    assert held.floor[0] == (0, Y) and held.floor[1] is floor
+    assert g.mask_memo.floor is theirs
+    assert neighborhoods._floor_to(g, 0, Y, X, held) is floor
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_a_search_runs_on_its_own_mask_when_the_record_is_replaced(name, monkeypatch):
+    # a query under other bounds (in another thread) replaces g's record
+    # between a query's scan and its read of the record: the search still
+    # runs on the mask of its own bounds and keeps nothing on their record
+    g = build_graph(4, FIG_EDGES, [10.0] * 4)
+    scan = neighborhoods._usable_mask
+    theirs = neighborhoods._MaskMemo(((0, 100.0),), bytearray(g.edge_count))
+
+    def racing(graph, c):
+        mask = scan(graph, c)
+        graph.mask_memo = theirs
+        return mask
+
+    monkeypatch.setattr(neighborhoods, "_usable_mask", racing)
+    c = ConstraintSet(((0, 5.0),), ((0, 5.0),))
+    assert SOLVERS[name](g, X, Y, c).nodes == (X, B, A, Y)
+    assert g.mask_memo is theirs and theirs.answer is None and theirs.floor is None

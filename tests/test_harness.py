@@ -597,6 +597,8 @@ def test_size_defaults():
         ("scenario = steering\ntopology = t.top\nnodes = 30", "nodes"),
         ("scenario = vne\ntopology = t.top\nmodel = waxman", "model"),
         ("scenario = steering\ntopology = t.top\ndegrees = 3 5", "degrees"),
+        ("scenario = vne\ntopology = t.top\nvne_cpu = 7", "vne_cpu"),
+        ("scenario = vne\ntopology = t.top\nvne_bw = 50", "vne_bw"),
         ("scenario = steering\ndelay_levels = high\ndelay_percents = 100", "delay_percents"),
     ],
 )
@@ -614,7 +616,7 @@ def test_unset_keys_take_the_defaults_of_the_sweep_that_reads_them():
     assert steering.requests is steering.vne_cpu is None
     vne = parse_config("scenario = vne\ntopology = t.top\n")
     assert (vne.requests, vne.request_nodes, vne.demand_max) == (15, 14, 20.0)
-    assert (vne.vne_cpu, vne.vne_bw) == (200.0, 200.0)
+    assert vne.vne_cpu is vne.vne_bw is None
     assert vne.pairs is vne.bw_levels is vne.model is vne.degrees is vne.nodes is None
     percents = parse_config("scenario = steering\ndelay_percents = 100 50\n")
     assert (percents.delay_levels, percents.delay_percents) == (None, (100.0, 50.0))
