@@ -208,10 +208,10 @@ class PhysicalGraph:
 build_graph = PhysicalGraph
 
 
-def _slack(base_value: float) -> float:
-    """Float tolerance of a ledger check against a base value of this size:
+def _slack(base_values) -> list[float]:
+    """Float tolerance of a ledger check against each of base_values:
     1e-12 relative, never below 1e-12 absolute."""
-    return 1e-12 * max(1.0, base_value)
+    return [1e-12 * v if v > 1.0 else 1e-12 for v in base_values]
 
 
 class ResidualOverlay(PhysicalGraph):
@@ -233,9 +233,14 @@ class ResidualOverlay(PhysicalGraph):
     capacity scale. Each call names distinct edges, or one node, of the
     graph and a demand whose every component is finite and >= 0; anything
     else is refused before any state changes.
+
+    The slack of every base link value and base node capacity is computed
+    once, by :func:`_slack`, when the overlay is built: the ledger checks
+    and ``harness._place_nodes`` read ``_link_slack[j][e]`` and
+    ``_node_slack[v]``.
     """
 
-    __slots__ = ("base",)
+    __slots__ = ("base", "_link_slack", "_node_slack")
 
     def __init__(self, base: PhysicalGraph):
         for name in PhysicalGraph.__slots__:
@@ -245,6 +250,8 @@ class ResidualOverlay(PhysicalGraph):
         self.node_capacity = list(base.node_capacity)
         # the base's mask is the base's: sharing it would let reserve edit it
         self.mask_memo = None
+        self._link_slack = [_slack(col) for col in base.link_cols]
+        self._node_slack = _slack(base.node_capacity)
 
     def _request(self, path, demand):
         """(edge handles, link demand) of a reserve or release, checked
@@ -266,15 +273,13 @@ class ResidualOverlay(PhysicalGraph):
             raise ValueError(f"edge handles {handles} repeat an edge")
         return handles, link
 
-    def _base_cpu(self, node: int, cpu: float) -> float:
-        """Base capacity of the node a reserve_node or release_node names,
-        checked before anything is mutated: the node must be in range and
-        cpu finite and >= 0."""
+    def _check_node(self, node: int, cpu: float) -> None:
+        """Check the node a reserve_node or release_node names before
+        anything is mutated: it must be in range and cpu finite and >= 0."""
         if not 0 <= node < self.node_count:
             raise IndexError(f"node {node} outside [0, {self.node_count})")
         if not 0 <= cpu < math.inf:
             raise ValueError(f"node {node} cpu demand must be finite and >= 0, got {cpu}")
-        return self.base.node_capacity[node]
 
     def reserve(self, path, demand) -> None:
         """Subtract demand's link metrics from every edge on the path.
@@ -287,16 +292,16 @@ class ResidualOverlay(PhysicalGraph):
                 or a demand component is negative, infinite or NaN.
         """
         handles, link = self._request(path, demand)
-        base_cols = self.base.link_cols
+        cols, slack = self.link_cols, self._link_slack
         for e in handles:
             for j, need in enumerate(link):
-                if self.link_cols[j][e] < need - _slack(base_cols[j][e]):
+                if cols[j][e] < need - slack[j][e]:
                     raise InsufficientResidualError(
-                        f"edge {e} residual metric {j} is {self.link_cols[j][e]}, demand {need}"
+                        f"edge {e} residual metric {j} is {cols[j][e]}, demand {need}"
                     )
         for e in handles:
             for j, need in enumerate(link):
-                self.link_cols[j][e] -= need
+                cols[j][e] -= need
         _refresh_mask(self, handles)
 
     def release(self, path, demand) -> None:
@@ -310,23 +315,23 @@ class ResidualOverlay(PhysicalGraph):
                 or a demand component is negative, infinite or NaN.
         """
         handles, link = self._request(path, demand)
-        base_cols = self.base.link_cols
+        cols, base_cols, slack = self.link_cols, self.base.link_cols, self._link_slack
         for e in handles:
             for j, back in enumerate(link):
-                if self.link_cols[j][e] + back > base_cols[j][e] + _slack(base_cols[j][e]):
+                if cols[j][e] + back > base_cols[j][e] + slack[j][e]:
                     raise OverReleaseError(
                         f"edge {e} metric {j} would exceed base "
-                        f"({self.link_cols[j][e]} + {back} > {base_cols[j][e]})"
+                        f"({cols[j][e]} + {back} > {base_cols[j][e]})"
                     )
         for e in handles:
             for j, back in enumerate(link):
-                self.link_cols[j][e] += back
+                cols[j][e] += back
         _refresh_mask(self, handles)
 
     def reserve_node(self, node: int, cpu: float) -> None:
         """Subtract cpu units from a node's residual capacity."""
-        base = self._base_cpu(node, cpu)
-        if self.node_capacity[node] < cpu - _slack(base):
+        self._check_node(node, cpu)
+        if self.node_capacity[node] < cpu - self._node_slack[node]:
             raise InsufficientResidualError(
                 f"node {node} residual cpu {self.node_capacity[node]}, demand {cpu}"
             )
@@ -334,7 +339,8 @@ class ResidualOverlay(PhysicalGraph):
 
     def release_node(self, node: int, cpu: float) -> None:
         """Return cpu units to a node's residual capacity."""
-        base = self._base_cpu(node, cpu)
-        if self.node_capacity[node] + cpu > base + _slack(base):
+        self._check_node(node, cpu)
+        base = self.base.node_capacity[node]
+        if self.node_capacity[node] + cpu > base + self._node_slack[node]:
             raise OverReleaseError(f"node {node} cpu would exceed base capacity")
         self.node_capacity[node] += cpu

@@ -22,7 +22,7 @@ from . import topofile
 from .backends import resolve_backend
 from .constraints import ConstraintSet
 from .errors import ConfigError, InvalidCountsError, NoPathError, UnknownBackendError
-from .graph import EdgeMetrics, PhysicalGraph, ResidualOverlay, _slack, build_graph
+from .graph import EdgeMetrics, PhysicalGraph, ResidualOverlay, build_graph
 from .paths import PathResult
 from .topogen import (
     BW_LEVEL_GBPS,
@@ -123,14 +123,17 @@ def _place_nodes(overlay: ResidualOverlay, demands) -> tuple[int, ...] | None:
     reserve_node allows. Returns the hosts, or None if some demand fits no
     unused node."""
     cap = overlay.node_capacity
-    base_cap = overlay.base.node_capacity
-    free = sorted(range(overlay.node_count), key=lambda v: (-cap[v], v))
+    slack = overlay._node_slack
+    # a stable sort keeps equal residuals in ascending id order, reverse too
+    free = sorted(range(overlay.node_count), key=cap.__getitem__, reverse=True)
     hosts = []
     for cpu in demands:
-        host = next((v for v in free if cap[v] >= cpu - _slack(base_cap[v])), None)
-        if host is None:
+        for i, host in enumerate(free):
+            if cap[host] >= cpu - slack[host]:
+                break
+        else:
             return None
-        free.remove(host)
+        del free[i]
         hosts.append(host)
     return tuple(hosts)
 

@@ -342,6 +342,70 @@ def test_shuffled_release_tolerates_drift_at_large_capacity():
         overlay.release([0], (1.001,))
 
 
+def _drifted_overlay(base, rng):
+    """An overlay over one edge and one node of base value base, after
+    reserves released in another order (no drift at base 0)."""
+    g = build_graph(2, [(0, 1, E((base,), (1.0,)))], [base, 0.0])
+    overlay = ResidualOverlay(g)
+    demands = [rng.uniform(0, min(base, 1e5) / 4) for _ in range(4)]
+    for d in demands:
+        overlay.reserve([0], (d,))
+        overlay.reserve_node(0, d)
+    rng.shuffle(demands)
+    for d in demands:
+        overlay.release([0], (d,))
+        overlay.release_node(0, d)
+    return overlay
+
+
+def _ledger_calls(overlay):
+    """(call, headroom, error) per ledger call on edge 0 / node 0: call(x)
+    asks for x, which just fits when x equals headroom."""
+    link, cpu = overlay.link_cols[0][0], overlay.node_capacity[0]
+    link_base, cpu_base = overlay.base.link_cols[0][0], overlay.base.node_capacity[0]
+    return [
+        (lambda x: overlay.reserve([0], (x,)), link, InsufficientResidualError),
+        (lambda x: overlay.release([0], (x,)), link_base - link, OverReleaseError),
+        (lambda x: overlay.reserve_node(0, x), cpu, InsufficientResidualError),
+        (lambda x: overlay.release_node(0, x), cpu_base - cpu, OverReleaseError),
+    ]
+
+
+@pytest.mark.parametrize("base", [0.0, 1.0, 1e5])
+@pytest.mark.parametrize("call", range(4))
+@pytest.mark.parametrize("drift_seed", [None, 0, 1, 2])
+def test_ledger_slack_boundary(base, call, drift_seed):
+    # every ledger call allows an overshoot of up to one slack of the base
+    # value, with or without rounding drift behind it; twice the slack is
+    # refused before anything changes
+    slack = 1e-12 * max(1.0, base)
+
+    def overlay():
+        if drift_seed is None:
+            g = build_graph(2, [(0, 1, E((base,), (1.0,)))], [base, 0.0])
+            return ResidualOverlay(g)
+        return _drifted_overlay(base, random.Random(drift_seed))
+
+    ov = overlay()
+    ask, headroom, _ = _ledger_calls(ov)[call]
+    ask(headroom + slack / 2)
+    ov = overlay()
+    ask, headroom, error = _ledger_calls(ov)[call]
+    links, nodes = [col.copy() for col in ov.link_cols], list(ov.node_capacity)
+    with pytest.raises(error):
+        ask(headroom + 2 * slack)
+    assert ov.link_cols == links and ov.node_capacity == nodes
+
+
+@pytest.mark.parametrize("call", range(4))
+def test_ledger_at_infinite_base_takes_any_finite_demand(call):
+    # the slack of an infinite base is infinite: no finite demand is refused
+    ov = _drifted_overlay(math.inf, random.Random(call))
+    ask, _, _ = _ledger_calls(ov)[call]
+    for x in (0.0, 1.0, 1e300):
+        ask(x)
+
+
 # --- the memoized pruning mask ----------------------------------------------
 
 

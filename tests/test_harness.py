@@ -194,6 +194,48 @@ def test_placement_tolerates_drift_at_large_capacity():
     assert _place_nodes(ResidualOverlay(g), [base * (1 + 1e-9)]) is None
 
 
+def _documented_placement(overlay, demands):
+    """The placement rule as documented: hosts in (-residual cpu, id)
+    order, each demand to the first unused node whose residual is at least
+    the demand less the slack of its base capacity."""
+    cap, base = overlay.node_capacity, overlay.base.node_capacity
+    order = sorted(range(overlay.node_count), key=lambda v: (-cap[v], v))
+    hosts = []
+    for cpu in demands:
+        fits = [v for v in order if v not in hosts and cap[v] >= cpu - 1e-12 * max(1.0, base[v])]
+        if not fits:
+            return None
+        hosts.append(fits[0])
+    return tuple(hosts)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_placement_follows_the_documented_rule(seed):
+    # residuals repeat (ties go to the lower id) and demands sit within a
+    # slack of them, before and after reserve/release drift
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    caps = [rng.choice([0.0, 1.0, 3.0, 1e5, 1e5, math.inf]) for _ in range(n)]
+    overlay = ResidualOverlay(build_graph(n, [], caps))
+    for drift_round in range(4):
+        if drift_round:
+            drift = [(v, rng.uniform(0, min(caps[v], 1e5) / 32)) for v in rng.choices(range(n), k=8)]
+            for v, d in drift:
+                overlay.reserve_node(v, d)
+            rng.shuffle(drift)
+            for v, d in drift[: rng.randint(0, len(drift))]:
+                overlay.release_node(v, d)
+        for _ in range(10):
+            demands = []
+            for _ in range(rng.randint(1, n + 1)):
+                v = rng.randrange(n)
+                near = overlay.node_capacity[v] + rng.choice([-2, -1, -0.5, 0, 0.5, 1, 2]) * (
+                    1e-12 * max(1.0, caps[v])
+                )
+                demands.append(near if math.isfinite(near) else 1e300)
+            assert _place_nodes(overlay, demands) == _documented_placement(overlay, demands)
+
+
 def test_placement_reserves_nothing():
     # hosts come in one (-residual cpu, id) order; the caller reserves them
     overlay = ResidualOverlay(_small_substrate(cpu=10.0))
