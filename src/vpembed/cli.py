@@ -18,11 +18,10 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import replace
 
 from . import topofile
 from .backends import resolve_backend
-from .constraints import parse_constraints
+from .constraints import ConstraintSet, parse_constraints
 from .errors import (
     ArityMismatchError,
     ConfigError,
@@ -194,7 +193,8 @@ def cmd_solve(args) -> int:
         return EXIT_PARSE
     bounds = [f"link {entry}" for entry in args.link] + [f"path {entry}" for entry in args.path]
     try:
-        c = replace(parse_constraints(bounds), strict=not args.non_strict)
+        parsed = parse_constraints(bounds)
+        c = ConstraintSet(parsed.link_bounds, parsed.path_bounds, strict=not args.non_strict)
         src, dst = _resolve_node(g, args.src), _resolve_node(g, args.dst)
         c.validate_arity(g.link_arity, g.path_arity)
     except (ValueError, ArityMismatchError) as exc:

@@ -15,7 +15,7 @@ on the path metric -ln r, checked with ``strict=False``.
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ArityMismatchError
 
@@ -29,40 +29,51 @@ def _index(name: str, j) -> int:
         raise ArityMismatchError(f"{name} metric index {j!r} is not an integer") from None
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
-    """The SLO for one path query.
+def _bounds(name: str, pairs) -> tuple[tuple[int, float], ...]:
+    """pairs as a tuple of (int metric index, float bound) pairs, checked in
+    one pass: a NaN bound, and an index that is not an integer, negative or
+    repeated, are refused."""
+    out = []
+    seen = set()
+    for j, b in pairs:
+        j, b = _index(name, j), float(b)
+        if math.isnan(b):
+            raise ValueError(f"{name} bound on metric {j} is NaN")
+        if j < 0:
+            raise ArityMismatchError(f"negative {name} metric index {j}")
+        if j in seen:
+            raise ArityMismatchError(f"duplicate {name} bound on metric {j}")
+        seen.add(j)
+        out.append((j, b))
+    return tuple(out)
+
+
+class ConstraintSet(namedtuple("ConstraintSet", "link_bounds path_bounds strict")):
+    """The SLO for one path query: an immutable record, equal and hashed by
+    value (it is a tuple of its fields).
 
     Attributes:
         link_bounds: (metric index, lower bound) pairs; satisfied when the
-            edge metric >= bound. An index that is not an integer (a float,
-            a string) is refused, as a negative or repeated one is.
+            edge metric >= bound. Stored as a tuple of (int, float) pairs;
+            an index that is not an integer (a float, a string) is refused,
+            as a negative or repeated one is, and so is a NaN bound.
         path_bounds: (metric index, upper bound) pairs; satisfied when the
-            accumulated sum < bound (or <= when strict is False).
+            accumulated sum < bound (or <= when strict is False). Stored
+            and checked as link_bounds are.
         strict: comparison mode for path bounds.
     """
 
-    link_bounds: tuple[tuple[int, float], ...] = ()
-    path_bounds: tuple[tuple[int, float], ...] = ()
-    strict: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "link_bounds", tuple((_index("link", j), float(b)) for j, b in self.link_bounds)
+    def __new__(cls, link_bounds=(), path_bounds=(), strict=True):
+        return tuple.__new__(
+            cls, (_bounds("link", link_bounds), _bounds("path", path_bounds), strict)
         )
-        object.__setattr__(
-            self, "path_bounds", tuple((_index("path", j), float(b)) for j, b in self.path_bounds)
-        )
-        for name, bounds in (("link", self.link_bounds), ("path", self.path_bounds)):
-            seen = set()
-            for j, b in bounds:
-                if math.isnan(b):
-                    raise ValueError(f"{name} bound on metric {j} is NaN")
-                if j < 0:
-                    raise ArityMismatchError(f"negative {name} metric index {j}")
-                if j in seen:
-                    raise ArityMismatchError(f"duplicate {name} bound on metric {j}")
-                seen.add(j)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make and _replace would skip the checks in __new__
+        return cls(*iterable)
 
     @property
     def path_count(self) -> int:

@@ -22,7 +22,7 @@ calls, and solves racing them, must be serialized externally.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     ArityMismatchError,
@@ -45,26 +45,28 @@ def _floats(values) -> tuple[float, ...]:
     return tuple(map(float, values))
 
 
-@dataclass(frozen=True, init=False)
-class EdgeMetrics:
-    """Per-edge metric vectors.
+class EdgeMetrics(namedtuple("EdgeMetrics", "link_metrics path_metrics")):
+    """Per-edge metric vectors: an immutable record, equal and hashed by
+    value (it is a tuple of its fields).
 
     link_metrics must be nonnegative, not NaN; path_metrics may be negative
     (the level-by-level solver detects negative-total cycles) or NaN. Both
     are stored as tuples of floats, whatever sequence of numbers is given.
     """
 
-    link_metrics: tuple[float, ...]
-    path_metrics: tuple[float, ...]
+    __slots__ = ()
 
-    def __init__(self, link_metrics, path_metrics):
+    def __new__(cls, link_metrics, path_metrics):
         link, path = _floats(link_metrics), _floats(path_metrics)
         for v in link:
             if not v >= 0:
                 raise ArityMismatchError(f"link metrics must be >= 0, got {v}")
-        # a frozen dataclass refuses plain assignment, in __init__ too
-        object.__setattr__(self, "link_metrics", link)
-        object.__setattr__(self, "path_metrics", path)
+        return tuple.__new__(cls, (link, path))
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make and _replace would skip the checks in __new__
+        return cls(*iterable)
 
 
 class PhysicalGraph:

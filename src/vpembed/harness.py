@@ -157,6 +157,10 @@ def run_vne(g: PhysicalGraph, requests, backend: str) -> VneReport:
     accepted_vn = 0
     accepted_vl = 0
     requested_vl = 0
+    # what a routed link consumes, by _demand's rule: its bw on link metric
+    # 0, nothing on the others; a g without link metric 0 fails the first
+    # solve, before any demand is built
+    pad = (0.0,) * (g.link_arity - 1)
 
     for req in requests:
         requested_vl += len(req.virtual_links)
@@ -173,7 +177,7 @@ def run_vne(g: PhysicalGraph, requests, backend: str) -> VneReport:
                 path = solver(overlay, hosts[a], hosts[b], c)
             except NoPathError:
                 break
-            demand = _demand(g, c)
+            demand = (float(bw),) + pad
             overlay.reserve(path, demand)
             reserved.append((path, demand))
         if len(reserved) == len(req.virtual_links):

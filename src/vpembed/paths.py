@@ -1,16 +1,17 @@
 """Loop-free path results returned by every solver."""
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import NoPathError
 
 
-@dataclass(frozen=True)
-class PathResult:
-    """A loop-free node sequence with its accumulated metrics.
+class PathResult(namedtuple("PathResult", "nodes edge_handles accumulated min_link_metrics")):
+    """A loop-free node sequence with its accumulated metrics: an immutable
+    record, equal and hashed by value (it is a tuple of its fields).
 
-    Attributes:
+    Attributes (each a tuple, of ints for nodes and edge_handles and of
+    floats for the metrics):
         nodes: node ids from source to destination; pairwise distinct.
         edge_handles: the edge taken at each hop (len(nodes) - 1 entries);
             kept explicitly because parallel edges make the node sequence
@@ -20,10 +21,7 @@ class PathResult:
             edges; +inf per component for a zero-hop path.
     """
 
-    nodes: tuple[int, ...]
-    edge_handles: tuple[int, ...]
-    accumulated: tuple[float, ...]
-    min_link_metrics: tuple[float, ...]
+    __slots__ = ()
 
     @property
     def hop_count(self) -> int:

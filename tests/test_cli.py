@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from vpembed import GenSpec, generate, topofile
+from vpembed import ConstraintSet, GenSpec, PathResult, generate, topofile
 from vpembed.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -275,6 +275,24 @@ def test_solve_non_strict_flag(tmp_path, capsys):
     lax = main(["solve", "--topology", str(top), "--src", "0", "--dst", "1",
                 "--backend", "nm-l1", "--path", "0 < 5", "--non-strict"])
     assert lax == 0
+
+
+@pytest.mark.parametrize("flags, strict", [((), True), (("--non-strict",), False)])
+def test_solve_hands_the_backend_the_strictness_of_its_flags(tmp_path, monkeypatch, flags,
+                                                             strict):
+    top = tmp_path / "edge.top"
+    top.write_text("nodes 2 link_metrics 1 path_metrics 1\nedge 0 1 9 5\n")
+    seen = []
+
+    def backend(g, src, dst, c):
+        seen.append(c)
+        return PathResult.trivial(src, g.link_arity, g.path_arity)
+
+    monkeypatch.setattr("vpembed.cli.resolve_backend", lambda name: backend)
+    assert main(["solve", "--topology", str(top), "--src", "0", "--dst", "1",
+                 "--link", "0 >= 2", "--path", "0 < 5", *flags]) == 0
+    assert seen == [ConstraintSet(((0, 2.0),), ((0, 5.0),), strict=strict)]
+    assert seen[0].strict is strict
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
@@ -594,6 +612,18 @@ def test_import_and_solve_load_neither_numpy_nor_the_process_pool(fig_top):
     assert _loaded_by() == []
     assert _loaded_by("solve", "--topology", fig_top, "--src", "0", "--dst", "3",
                       "--backend", "nm-l1", "--path", "0 < 5") == []
+
+
+def test_import_of_the_cli_loads_neither_dataclasses_nor_inspect():
+    # the records a query builds are namedtuples: dataclasses, with the
+    # inspect it imports, would be a solve child's largest import. Only what
+    # the import adds to a bare interpreter counts, so a site hook that
+    # loads either module does not fail this.
+    show = "import sys; print(' '.join(sys.modules))"
+    bare = set(_child("-c", show).stdout.split())
+    loaded = set(_child("-c", "import vpembed.cli; " + show).stdout.split())
+    assert "vpembed.cli" in loaded
+    assert {"dataclasses", "inspect"} & (loaded - bare) == set()
 
 
 def test_only_gen_and_run_load_the_generator_and_the_sweep_drivers(fig_top, tmp_path):
