@@ -10,7 +10,10 @@ bounds every other node's hop distance to dst from below. Then:
   loop-free candidate paths of exactly that many hops (worst-case
   exponential) in lexicographic order, extending a prefix only while its
   hop count plus its end's lower bound fits the depth. The first
-  candidate that meets every path bound is the answer.
+  candidate that meets every path bound is the answer. Most queries take
+  the first candidate at depth H, so it is tested alone before the search
+  builds any cost floor (:func:`_min_sums_to`, one per finite path bound
+  on a nonnegative metric) to prune the rest by.
 - :func:`solve_l1` accepts exactly one path bound and runs in polynomial
   time: each round keeps one best accumulated value per node and re-labels
   a node only when a strictly better value arrives that still respects the
@@ -379,10 +382,13 @@ def solve_general(g, src: int, dst: int, c: ConstraintSet) -> PathResult:
     every other node's. Then, for each depth from src's hop distance up to
     node_count - 1, it generates the candidates of exactly that hop count
     in lexicographic order and returns the first one meeting all path
-    bounds. DEFAULT_CANDIDATE_LIMIT, read at call
-    time, caps the partial paths expanded at each depth. A repeat of a
-    query on an unchanged mask returns the last answer without a search
-    (:func:`_answer`).
+    bounds. The first candidate is tested before any cost floor is built;
+    only when it fails does each finite bound on a nonnegative metric get
+    a floor, which answers a hopeless query at once and otherwise prunes
+    the prefixes that cannot meet the bound. DEFAULT_CANDIDATE_LIMIT, read
+    at call time, caps the partial paths expanded at each depth. A repeat
+    of a query on an unchanged mask returns the last answer without a
+    search (:func:`_answer`).
 
     Raises:
         UnreachableError: dst is unreachable from src on the pruned graph.
@@ -400,16 +406,32 @@ def _search_general(g, src: int, dst: int, c: ConstraintSet, memo: _MaskMemo) ->
     if to_dst[src] == math.inf:
         raise _no_path(src, dst, to_dst)
 
+    # most queries take the first candidate at src's hop distance, so it is
+    # tested before any cost floor is built: a feasible path is never pruned
+    # by the floors below, so they would yield it first too. Should its walk
+    # hit the candidate limit, the floors may still settle the query
+    try:
+        first = next(_iter_fixed_length_paths(g, to_dst[src], src, dst, usable, to_dst), None)
+    except ResourceLimitError:
+        first = None
+    if first is not None:
+        cand = path_from_edges(g, *first)
+        if path_feasible(cand.accumulated, c):
+            return cand
+
     # admissible remaining-cost pruning, sound only for nonnegative metrics;
-    # it also settles obviously hopeless queries without any enumeration. An
-    # infinite bound leaves every finite prefix hopeful, so it gets no floor
+    # it also settles hopeless queries without enumerating past the first
+    # candidate. An infinite bound leaves every finite prefix hopeful, so it
+    # gets no floor. A floor sums from dst's end and a candidate from src's,
+    # so the bound takes edijkstra's rounding margin, 1 + 2**-30, which
+    # covers a fold's relative error for fewer than 2**20 nodes
     cost_floor = []
     for j, bound in c.path_bounds:
         if not g.path_nonneg[j] or bound == math.inf:
             continue
         col = g.path_cols[j]
         floor = _min_sums_to(g, dst, col, usable)
-        bound_eff = bound if c.strict else math.nextafter(bound, math.inf)
+        bound_eff = (bound if c.strict else math.nextafter(bound, math.inf)) * (1 + 2**-30)
         if floor[src] >= bound_eff:
             raise InfeasibleError(
                 f"minimum accumulated metric {floor[src]} already violates the bound {bound}"

@@ -12,6 +12,7 @@ from oracle import (
     hop_distances_reference,
     min_feasible_hops,
     reachable,
+    reference_outcome,
 )
 from vpembed import neighborhoods
 from vpembed import (
@@ -371,6 +372,103 @@ def test_general_infeasible_two_bound_query_is_fast():
     with pytest.raises(InfeasibleError):
         solve_general(g, 14, 117, ConstraintSet(((0, 1.0),), (delay, cost)))
     assert time.process_time() - start < 1.0
+
+
+def _count_floor_builds(monkeypatch):
+    """Count the cost floors solve_general builds (calls to _min_sums_to)."""
+    calls = []
+    original = neighborhoods._min_sums_to
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(neighborhoods, "_min_sums_to", counted)
+    return calls
+
+
+def test_general_feasible_first_candidate_builds_no_floor(monkeypatch):
+    # 0->1->3 and 0->2->3 both have src's hop distance; the first in
+    # lexicographic order, through 1, meets both bounds, so no floor is built
+    calls = _count_floor_builds(monkeypatch)
+    edges = [
+        (0, 1, E((1.0,), (1.0, 5.0))),
+        (0, 2, E((1.0,), (1.0, 1.0))),
+        (1, 3, E((1.0,), (1.0, 1.0))),
+        (2, 3, E((1.0,), (1.0, 1.0))),
+    ]
+    g = build_graph(4, edges, [0.0] * 4, link_arity=1, path_arity=2)
+    assert solve_general(g, 0, 3, ConstraintSet((), ((0, 3.0), (1, 10.0)))).nodes == (0, 1, 3)
+    assert calls == []
+    # when the first candidate fails, a floor is built for each bound and
+    # the search goes on to the next candidate
+    assert solve_general(g, 0, 3, ConstraintSet((), ((0, 3.0), (1, 3.0)))).nodes == (0, 2, 3)
+    assert calls == [3, 3]
+
+
+def test_general_hopeless_bound_keeps_its_message():
+    # the first candidate is tested and fails; the floor then settles the
+    # query with the message it gave before that test existed
+    edges = [(0, 1, E((1.0,), (1.0,))), (1, 2, E((1.0,), (1.0,)))]
+    g = build_graph(3, edges, [0.0] * 3)
+    with pytest.raises(InfeasibleError) as info:
+        solve_general(g, 0, 2, ConstraintSet((), ((0, 1.5),)))
+    assert str(info.value) == "minimum accumulated metric 2.0 already violates the bound 1.5"
+
+
+def test_general_hopeless_bound_on_a_diamond_chain_is_infeasible():
+    # 20 diamonds in a row give 2**20 shortest-hop paths, more than the
+    # default candidate limit: only the first is walked before the floor
+    # answers infeasible
+    edges = []
+    for k in range(20):
+        s, a, b, t = 3 * k, 3 * k + 1, 3 * k + 2, 3 * k + 3
+        edges += [(s, a, E((1.0,), (1.0,))), (s, b, E((1.0,), (1.0,)))]
+        edges += [(a, t, E((1.0,), (1.0,))), (b, t, E((1.0,), (1.0,)))]
+    g = build_graph(61, edges, [0.0] * 61)
+    assert 2**20 > neighborhoods.DEFAULT_CANDIDATE_LIMIT
+    with pytest.raises(NoPathError) as info:
+        solve_general(g, 0, 60, ConstraintSet((), ((0, 39.5),)))
+    assert info.value.status == "infeasible"
+
+
+def test_general_first_candidate_walk_over_the_limit_leaves_the_floor_verdict(monkeypatch):
+    # the walk to the first 3-hop candidate expands 3 partial paths, over a
+    # limit of 2; the floor still answers infeasible, as it did before the
+    # first candidate was tested ahead of it
+    monkeypatch.setattr(neighborhoods, "DEFAULT_CANDIDATE_LIMIT", 2)
+    edges = [(k, k + 1, E((1.0,), (1.0,))) for k in range(3)]
+    g = build_graph(4, edges, [0.0] * 4)
+    with pytest.raises(NoPathError) as info:
+        solve_general(g, 0, 3, ConstraintSet((), ((0, 2.5),)))
+    assert info.value.status == "infeasible"
+
+
+_ROUNDING_CHAIN = [
+    (0, 1, E((1.0,), (0.32,))),
+    (1, 2, E((1.0,), (0.82,))),
+    (2, 3, E((1.0,), (0.49,))),
+]
+
+
+def test_general_floor_check_is_sound_under_rounding():
+    # 0.32 + 0.82 + 0.49 folds to 1.63 from src's end and to
+    # 1.6300000000000001 from dst's: the path meets the strict bound
+    # 1.6300000000000001, though the floor from dst equals it
+    c = ConstraintSet((), ((0, 1.6300000000000001),))
+    g = build_graph(4, _ROUNDING_CHAIN, [0.0] * 4)
+    assert reference_outcome(4, _ROUNDING_CHAIN, 0, 3, c) == 3
+    assert solve_general(g, 0, 3, c).hop_count == 3
+
+
+def test_general_floor_pruning_is_sound_under_rounding():
+    # a direct 0->3 edge breaks the bound, so the answer lies past src's hop
+    # distance and is reached only through the floor-pruned enumeration
+    edges = _ROUNDING_CHAIN + [(0, 3, E((1.0,), (5.0,)))]
+    c = ConstraintSet((), ((0, 1.6300000000000001),))
+    g = build_graph(4, edges, [0.0] * 4)
+    assert reference_outcome(4, edges, 0, 3, c) == 3
+    assert solve_general(g, 0, 3, c).nodes == (0, 1, 2, 3)
 
 
 # --- single-path-bound solver ----------------------------------------------
